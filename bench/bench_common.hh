@@ -19,9 +19,9 @@
  *                  provably inert cycles) or "reference" (per-cycle
  *                  loop). Results are bit-identical either way.
  *   --trace=FILE[,format]
- *                  stream per-epoch QoS telemetry to FILE; format
- *                  "jsonl" (default) or "csv" (a .csv extension
- *                  also selects CSV)
+ *                  stream per-epoch QoS telemetry to FILE as JSONL
+ *                  (the only format; "jsonl" may be given
+ *                  explicitly)
  *   --timeline=FILE
  *                  export a Chrome-trace/Perfetto timeline of the
  *                  run (SM occupancy slices, per-kernel counters,

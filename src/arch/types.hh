@@ -27,9 +27,10 @@ using SmId = int;
 constexpr KernelId invalidKernel = -1;
 
 /**
- * Sentinel cycle meaning "never" / "no scheduled event". Components
- * return it from their nextEventAt()-style queries when nothing will
- * ever happen without external input (see engine/sim_engine.hh).
+ * Sentinel cycle meaning "never" / "no scheduled event". Next-event
+ * bounds (SmCore::cycle(), Gpu::nextEventAt(),
+ * SharingPolicy::nextControlAt()) return it when nothing will ever
+ * happen without external input (see engine/sim_engine.hh).
  */
 constexpr Cycle cycleNever = ~Cycle{0};
 

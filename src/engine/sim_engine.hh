@@ -4,9 +4,11 @@
  *
  * Replaces the harness's per-cycle `loop { policy.onCycle(gpu);
  * gpu.step(); }` contract with control points: each layer reports
- * the earliest cycle at which it next needs the clock
- * (SmCore::nextEventAt(), Gpu::nextEventAt(),
- * SharingPolicy::nextControlAt()), and the engine fast-forwards
+ * the earliest cycle at which it next needs the clock -- the SMs
+ * through the bound each no-issue SmCore::cycle() hands back,
+ * cached per SM by Gpu::step(true) and combined by
+ * Gpu::nextEventAt(); the policy through
+ * SharingPolicy::nextControlAt() -- and the engine fast-forwards
  * through the provably inert span in between with
  * Gpu::skipTo(), which batch-accounts idle cycles, epoch cycle
  * counters, gated-cycle counters and idle-warp samples.

@@ -151,33 +151,6 @@ Gpu::dispatchCycle()
 }
 
 bool
-Gpu::dispatcherWouldAct() const
-{
-    // Read-only replay of dispatchCycle()'s two decisions. Must
-    // stay in lockstep with it: any condition the dispatcher acts
-    // on must be visible here.
-    int nk = numKernels();
-    for (std::size_t s = 0; s < sms_.size(); ++s) {
-        const SmCore &sm = sms_[s];
-        if (!sm.preemptionPending()) {
-            for (int k = 0; k < nk; ++k) {
-                if (sm.residentTbs(k) > tbTargets_[s][k])
-                    return true;
-            }
-        }
-        for (int k = 0; k < nk; ++k) {
-            if (dispatch_[k].remainingInLaunch <= 0)
-                continue;
-            if (sm.residentTbs(k) >= tbTargets_[s][k])
-                continue;
-            if (sm.canAccept(k))
-                return true;
-        }
-    }
-    return false;
-}
-
-bool
 Gpu::step(bool event_aware)
 {
     bool sample_iw = (now_ % iwSampleInterval_) == 0;
@@ -224,23 +197,18 @@ Gpu::step(bool event_aware)
 Cycle
 Gpu::nextEventAt() const
 {
+    // A dirty dispatcher may act this cycle, and a stale inertia
+    // cache (mutated since, or never written by an event-aware
+    // step) proves nothing: step now, which is always sound.
+    if (dispatchDirty_)
+        return now_;
     Cycle next = cycleNever;
     for (std::size_t s = 0; s < sms_.size(); ++s) {
-        // A version-valid inertia cache is itself a sound bound
-        // (a cached bound <= now_ conservatively means "may act
-        // now"), so an event-aware step keeps this probe free of
-        // per-SM replays; reference-driven Gpus never write the
-        // cache, so the version mismatches and the full probe
-        // runs.
-        Cycle t = (smCacheVersion_[s] == sms_[s].mutVersion())
-            ? smInertUntil_[s]
-            : sms_[s].nextEventAt(now_);
-        if (t <= now_)
+        if (smCacheVersion_[s] != sms_[s].mutVersion() ||
+            smInertUntil_[s] <= now_)
             return now_;
-        next = std::min(next, t);
+        next = std::min(next, smInertUntil_[s]);
     }
-    if (dispatchDirty_ && dispatcherWouldAct())
-        return now_;
     return next;
 }
 
@@ -265,7 +233,7 @@ Gpu::run(Cycle until)
         if (t > now_)
             skipTo(std::min(t, until));
         else
-            step();
+            step(true);
     }
 }
 

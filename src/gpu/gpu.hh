@@ -69,10 +69,12 @@ class Gpu
      * Advance the machine one core cycle.
      *
      * With @p event_aware set (the event engine's stepping mode),
-     * an SM whose cached nextEventAt() bound is still valid is
+     * an SM whose cached next-event bound is still valid is
      * batch-accounted with SmCore::skipCycles(now, 1, ...) instead
-     * of running its full pipeline; the bound is (re)computed after
-     * each no-issue cycle and invalidated by SmCore::mutVersion().
+     * of running its full pipeline; the bound is the one each
+     * no-issue SmCore::cycle() hands back, invalidated by
+     * SmCore::mutVersion(). Only event-aware steps write the cache
+     * that nextEventAt() and skipTo() rely on.
      * Results are bit-identical to event_aware = false -- a cached
      * SM is by construction in an inert cycle -- the flag only
      * trades full per-SM pipeline walks for O(1) accounting.
@@ -90,11 +92,12 @@ class Gpu
 
     /**
      * Earliest cycle >= now() at which the machine might do real
-     * work: some SM has an event (SmCore::nextEventAt()) or the TB
-     * dispatcher would dispatch or preempt. Returns now() when the
-     * machine must step this cycle and cycleNever when it is fully
-     * inert (e.g. nothing resident and no TB targets to converge
-     * toward).
+     * work: the minimum of the per-SM bounds cached by the last
+     * event-aware step(). Returns now() -- step this cycle -- when
+     * the TB dispatcher is dirty, any SM's cache is stale or never
+     * written, or some SM's bound has arrived; cycleNever when the
+     * machine is fully inert (e.g. nothing resident and no TB
+     * targets to converge toward).
      */
     Cycle nextEventAt() const;
 
@@ -107,10 +110,11 @@ class Gpu
     void skipTo(Cycle target);
 
     /**
-     * Run the machine to cycle @p until, skipping inert spans.
-     * Equivalent to `while (now() < until) step()` for policy-free
-     * execution (tests, micro-benchmarks); the harness uses
-     * SimEngine, which interleaves policy control points.
+     * Run the machine to cycle @p until, skipping inert spans
+     * between event-aware steps. Equivalent to
+     * `while (now() < until) step()` for policy-free execution
+     * (tests, micro-benchmarks); the harness uses SimEngine, which
+     * interleaves policy control points.
      */
     void run(Cycle until);
 
@@ -233,7 +237,6 @@ class Gpu
 
   private:
     bool dispatchCycle();
-    bool dispatcherWouldAct() const;
     void onTbEvent(SmId sm, KernelId k, TbExit exit);
 
     GpuConfig cfg_;
@@ -249,16 +252,17 @@ class Gpu
      * TB-dispatcher dirty flag: set by every state change that can
      * enable a dispatch or preemption (launch, target move, TB
      * completion/eviction), cleared after a dispatcher pass that
-     * did nothing. While clear, step() skips the dispatcher pass
-     * and nextEventAt() skips the would-act scan -- a no-op pass
-     * stays a no-op until one of those events re-arms the flag.
+     * did nothing. While set, nextEventAt() returns now(); while
+     * clear, step() skips the dispatcher pass -- a no-op pass stays
+     * a no-op until one of those events re-arms the flag.
      */
     bool dispatchDirty_ = true;
     /**
      * Per-SM inertia cache for event-aware stepping: SM s is proven
      * inert for every cycle < smInertUntil_[s] as long as its
      * mutVersion() still equals smCacheVersion_[s]. A value <=
-     * now_ means "no cache".
+     * now_ means "no cache". Written only from SmCore::cycle()'s
+     * next-event bound.
      */
     std::vector<Cycle> smInertUntil_;
     std::vector<std::uint64_t> smCacheVersion_;

@@ -621,10 +621,10 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
 
     int lsu_used = 0;
     bool any_issue = false;
-    // Blocked-candidate facts for the free next-event bound below.
-    // Only meaningful when nothing issued (then lsu_used stayed 0
-    // for every scheduler, making the masking identical to the
-    // read-only replay in nextEventAt()).
+    // Blocked-candidate facts for the next-event bound below. Only
+    // meaningful when nothing issued: then lsu_used stayed 0 for
+    // every scheduler, so only MSHR credits and the store throttle
+    // could have masked a ready candidate.
     bool blocked_load = false;
     bool blocked_store = false;
     bool pick_declined = false;
@@ -718,17 +718,18 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         stats_.activeCycles++;
 
     if (!any_issue && next_event) {
-        // Same bound nextEventAt(now + 1) would derive, but from
-        // the arbitration facts this cycle already computed. A
-        // declined pick is the one case the replay cannot see, so
-        // it conservatively forces a step next cycle.
+        // Nothing issued, so every input of the arbitration above
+        // stays frozen until the earliest of: a wake, a drain, an
+        // MSHR release that unblocks a load (or is due next cycle,
+        // since the pop mutates the pool), or the icnt backlog
+        // decaying below the store threshold. Those are also the
+        // idle-warp sampling inputs, so a skip must stop there. A
+        // declined pick is not derivable from the masks and forces
+        // a step next cycle.
         Cycle next = cycleNever;
         if (pick_declined) {
             next = now + 1;
         } else {
-            // A release due next cycle forces a step even with no
-            // blocked load (nextEventAt's "already due" check at
-            // now + 1): the pop mutates the MSHR pool.
             if (!mshrRelease_.empty() &&
                 (blocked_load ||
                  mshrRelease_.top().first <= now + 1)) {
@@ -744,23 +745,15 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         }
         for (const Drain &d : drains_)
             next = std::min(next, d.finishAt);
+        // Never skip across a nonempty wake bucket (stale-token
+        // entries only make this conservative).
         if (pendingWakes_ > 0)
             next = std::min(next, nextWakeAfter(now));
         *next_event = next;
     }
 
-    // Track the fraction of time each kernel spends quota-gated;
-    // the static allocator uses it to estimate a throttled kernel's
-    // true capability.
     epochCycles_++;
-    if (quotaGating_) {
-        for (int k = 0; k < nk; ++k) {
-            if (!(allowed & (1u << k)) &&
-                kernels_[k].residentTbs > 0) {
-                kernels_[k].stats.gatedCycles++;
-            }
-        }
-    }
+    addGatedCycles(allowed, 1);
 
     if (accounting_) {
         // Exactly one category per bound kernel per cycle keeps the
@@ -782,39 +775,8 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         }
     }
 
-    if (sample_iw) {
-        // Idle warps: ready but not issued this cycle. Warps whose
-        // next instruction is blocked on a saturated LSU / empty
-        // MSHR pool are *not* idle TLP -- they feed memory-level
-        // parallelism -- so they are excluded for kernels that are
-        // allowed to issue. For a quota-gated kernel every ready
-        // warp counts: that is exactly the idle capacity the static
-        // allocator may donate (Section 3.6 victim condition 2).
-        std::uint64_t blocked_cls = 0;
-        bool lsu_full = lsu_used >= lsuPorts_;
-        for (int s = 0; s < numScheds_; ++s) {
-            const SchedulerState &sc = scheds_[s];
-            std::uint64_t mem_mask = sc.loadMask | sc.storeMask;
-            if (lsu_full) {
-                blocked_cls = mem_mask;
-            } else {
-                blocked_cls = 0;
-                if (mshrFree_ <= 0)
-                    blocked_cls |= sc.loadMask;
-                if (store_blocked)
-                    blocked_cls |= sc.storeMask;
-            }
-            for (int k = 0; k < nk; ++k) {
-                std::uint64_t ready_k = sc.ready & sc.kernelMask[k];
-                std::uint64_t idle = (allowed & (1u << k))
-                    ? ready_k & ~blocked_cls
-                    : ready_k;
-                kernels_[k].stats.iwSampleSum += popCount(idle);
-            }
-        }
-        for (int k = 0; k < nk; ++k)
-            kernels_[k].stats.iwSamples++;
-    }
+    if (sample_iw)
+        sampleIdleWarps(allowed, lsu_used >= lsuPorts_, store_blocked, 1);
     return any_issue;
 }
 
@@ -853,84 +815,6 @@ SmCore::nextWakeAfter(Cycle now) const
     return cycleNever;
 }
 
-Cycle
-SmCore::nextEventAt(Cycle now) const
-{
-    // Anything already due forces a real cycle.
-    if (!mshrRelease_.empty() && mshrRelease_.top().first <= now)
-        return now;
-    Cycle next = cycleNever;
-    for (const Drain &d : drains_) {
-        if (d.finishAt <= now)
-            return now;
-        next = std::min(next, d.finishAt);
-    }
-    if (pendingWakes_ > 0 &&
-        !wakeRing_[now & (wakeRingSize_ - 1)].empty())
-        return now;
-
-    // Replay the issue arbitration read-only: if any scheduler has
-    // an issuable candidate the SM must step. The LSU port is free
-    // (nothing issued yet), so only MSHR credits and the store
-    // throttle can block a ready memory warp.
-    int nk = static_cast<int>(runs_.size());
-    std::uint32_t allowed = allowedKernelMask();
-    std::uint32_t mshr_ok = mshrOkKernelMask();
-    bool store_blocked = storeThrottled(now);
-    bool load_blocked = false;
-    bool store_waiting = false;
-    for (int s = 0; s < numScheds_; ++s) {
-        const SchedulerState &sc = scheds_[s];
-        std::uint64_t allow_mask = 0;
-        std::uint64_t mshr_block = 0;
-        for (int k = 0; k < nk; ++k) {
-            if (allowed & (1u << k))
-                allow_mask |= sc.kernelMask[k];
-            if (!(mshr_ok & (1u << k)))
-                mshr_block |= sc.kernelMask[k];
-        }
-        std::uint64_t cand = sc.ready & allow_mask;
-        if (!cand)
-            continue;
-        std::uint64_t load_cand = cand & sc.loadMask;
-        std::uint64_t store_cand = cand & sc.storeMask;
-        std::uint64_t issuable = cand & ~(sc.loadMask | sc.storeMask);
-        if (mshrFree_ > 0)
-            issuable |= load_cand & ~mshr_block;
-        if (!store_blocked)
-            issuable |= store_cand;
-        if (issuable)
-            return now;
-        if (load_cand)
-            load_blocked = true;
-        if (store_cand)
-            store_waiting = true;
-    }
-
-    // Every ready warp is blocked; the block lifts at an MSHR
-    // release or once the icnt backlog decays below the store
-    // threshold. Both are also sampling inputs (blocked_cls), so
-    // the skip must stop exactly there.
-    if (load_blocked) {
-        if (mshrRelease_.empty())
-            return now; // unreachable, but never over-skip
-        next = std::min(next, mshrRelease_.top().first);
-    }
-    if (store_waiting) {
-        next = std::min(next, mem_->interconnect().unblockCycle(
-                                  storeThrottleBacklog));
-    }
-
-    // Never skip across a nonempty wake bucket: a bucket holds
-    // entries for exactly one absolute cycle less than one ring
-    // revolution ahead, so the first nonempty bucket in ring order
-    // starting at now + 1 is the next wake (stale-token entries
-    // only make this conservative).
-    if (pendingWakes_ > 0)
-        next = std::min(next, nextWakeAfter(now));
-    return next;
-}
-
 CycleCat
 SmCore::classifyStalled(int k, std::uint32_t allowed, bool any_ready,
                         bool any_nonmem_ready) const
@@ -956,31 +840,6 @@ SmCore::classifyStalled(int k, std::uint32_t allowed, bool any_ready,
 }
 
 void
-SmCore::classifyInert()
-{
-    int nk = static_cast<int>(runs_.size());
-    std::uint32_t acct_ready = 0;
-    std::uint32_t acct_nonmem = 0;
-    for (int s = 0; s < numScheds_; ++s) {
-        const SchedulerState &sc = scheds_[s];
-        std::uint64_t mem_mask = sc.loadMask | sc.storeMask;
-        for (int k = 0; k < nk; ++k) {
-            std::uint64_t r = sc.ready & sc.kernelMask[k];
-            if (r)
-                acct_ready |= 1u << k;
-            if (r & ~mem_mask)
-                acct_nonmem |= 1u << k;
-        }
-    }
-    std::uint32_t allowed = allowedKernelMask();
-    for (int k = 0; k < nk; ++k) {
-        inertClass_[k] = classifyStalled(k, allowed,
-                                         (acct_ready >> k) & 1,
-                                         (acct_nonmem >> k) & 1);
-    }
-}
-
-void
 SmCore::applyInertSpan(Cycle span)
 {
     stats_.cycles += span;
@@ -990,24 +849,15 @@ SmCore::applyInertSpan(Cycle span)
     for (int s = 0; s < numScheds_; ++s)
         scheds_[s].lastIssued = -1;
 
-    if (quotaGating_) {
-        int nk = static_cast<int>(runs_.size());
-        std::uint32_t allowed = allowedKernelMask();
-        for (int k = 0; k < nk; ++k) {
-            if (!(allowed & (1u << k)) &&
-                kernels_[k].residentTbs > 0) {
-                kernels_[k].stats.gatedCycles += span;
-            }
-        }
-    }
+    addGatedCycles(allowedKernelMask(), span);
 
     if (accounting_) {
         // Every classification input (ready/instr masks, residency,
         // drains, quota gating, MSHR credits, store throttle) is
-        // frozen across an inert span — nextEventAt() stops a skip
-        // at the first cycle any of them could change — so each
-        // skipped cycle classifies exactly as the per-cycle engine
-        // would have.
+        // frozen across an inert span -- the no-issue cycle() that
+        // wrote inertClass_ also bounded the span at the first
+        // cycle any of them could change -- so each skipped cycle
+        // classifies exactly as the per-cycle engine would have.
         int nk = static_cast<int>(runs_.size());
         for (int k = 0; k < nk; ++k)
             kernels_[k].breakdown.add(inertClass_[k], span);
@@ -1027,31 +877,53 @@ SmCore::skipCycles(Cycle now, Cycle span, Cycle samples)
 {
     gqos_assert(span >= 1);
     settle();
-    // Direct skips (Gpu::run / skipTo without a prior no-issue
-    // cycle()) have no valid inertClass_ cache; recompute it from
-    // the frozen state.
-    if (accounting_)
-        classifyInert();
     applyInertSpan(span);
+    // Every sampling input is frozen across the span (see
+    // applyInertSpan), so each sample contributes the same value.
+    // The LSU is never full on a no-issue cycle.
+    if (samples > 0)
+        sampleIdleWarps(allowedKernelMask(), false, storeThrottled(now),
+                        samples);
+}
 
-    if (samples == 0)
+void
+SmCore::addGatedCycles(std::uint32_t allowed, Cycle span)
+{
+    // Track the fraction of time each kernel spends quota-gated;
+    // the static allocator uses it to estimate a throttled kernel's
+    // true capability.
+    if (!quotaGating_)
         return;
     int nk = static_cast<int>(runs_.size());
-    std::uint32_t allowed = allowedKernelMask();
-    // Idle-warp samples: every sampling input (ready/load/store
-    // masks, quota gating, MSHR credits, store throttle) is frozen
-    // across an inert span -- nextEventAt() stops a skip at the
-    // first cycle where any of them could change -- so each sample
-    // in the span contributes the same value. The LSU is never full
-    // on a no-issue cycle.
-    bool store_blocked = storeThrottled(now);
+    for (int k = 0; k < nk; ++k) {
+        if (!(allowed & (1u << k)) && kernels_[k].residentTbs > 0)
+            kernels_[k].stats.gatedCycles += span;
+    }
+}
+
+void
+SmCore::sampleIdleWarps(std::uint32_t allowed, bool lsu_full,
+                        bool store_blocked, Cycle samples)
+{
+    // Idle warps: ready but not issued this cycle. Warps whose next
+    // instruction is blocked on a saturated LSU / empty MSHR pool
+    // are *not* idle TLP -- they feed memory-level parallelism -- so
+    // they are excluded for kernels that are allowed to issue. For
+    // a quota-gated kernel every ready warp counts: that is exactly
+    // the idle capacity the static allocator may donate (Section
+    // 3.6 victim condition 2).
+    int nk = static_cast<int>(runs_.size());
     for (int s = 0; s < numScheds_; ++s) {
         const SchedulerState &sc = scheds_[s];
         std::uint64_t blocked_cls = 0;
-        if (mshrFree_ <= 0)
-            blocked_cls |= sc.loadMask;
-        if (store_blocked)
-            blocked_cls |= sc.storeMask;
+        if (lsu_full) {
+            blocked_cls = sc.loadMask | sc.storeMask;
+        } else {
+            if (mshrFree_ <= 0)
+                blocked_cls |= sc.loadMask;
+            if (store_blocked)
+                blocked_cls |= sc.storeMask;
+        }
         for (int k = 0; k < nk; ++k) {
             std::uint64_t ready_k = sc.ready & sc.kernelMask[k];
             std::uint64_t idle = (allowed & (1u << k))

@@ -119,9 +119,23 @@ class SmCore
      * Advance one core cycle.
      * @param sample_iw record an idle-warp sample this cycle
      * @param next_event when non-null and no instruction issued,
-     *        receives the same bound nextEventAt(now + 1) would
-     *        compute -- for free, from the arbitration state this
-     *        cycle already derived. Untouched when the SM issued.
+     *        receives the earliest cycle > @p now at which this SM
+     *        might do real work: issue, process a wake/drain/MSHR
+     *        release, or change any idle-warp sampling input
+     *        (cycleNever: inert until external input -- a dispatch
+     *        or a quota change -- arrives). Untouched when the SM
+     *        issued.
+     *
+     * This bound is the event engine's only source of "when does
+     * this SM next need the clock". The contract behind its
+     * bit-identity claim: if a no-issue cycle(now) yields X, then
+     * running cycle() for every cycle in [now + 1, X) -- with
+     * mutVersion() unchanged -- would change nothing except the
+     * pure-function-of-time counters that skipCycles() batch-applies
+     * (cycles, epochCycles_, gated cycles, attribution, idle-warp
+     * samples, and the schedulers' greedy hints, which a
+     * no-candidate cycle resets to -1 anyway).
+     *
      * @return true if any scheduler issued an instruction
      */
     bool cycle(Cycle now, bool sample_iw,
@@ -130,27 +144,11 @@ class SmCore
     // ---- event-engine control points ----
 
     /**
-     * Earliest cycle >= @p now at which this SM might do real work:
-     * issue an instruction, process a wake/drain/MSHR release, or
-     * change any idle-warp sampling input. Returning @p now means
-     * "step me this cycle"; cycleNever means the SM is fully inert
-     * until external input (a dispatch or a quota change) arrives.
-     *
-     * The contract backing the event engine's bit-identity claim:
-     * if nextEventAt(now) == X > now, then running cycle() for
-     * every cycle in [now, X) would change nothing except the
-     * pure-function-of-time counters that skipCycles() batch-applies
-     * (cycles, epochCycles_, gated cycles, idle-warp samples, and
-     * the schedulers' greedy hints, which a no-candidate cycle
-     * resets to -1 anyway).
-     */
-    Cycle nextEventAt(Cycle now) const;
-
-    /**
-     * Batch-account @p span cycles starting at @p now that
-     * nextEventAt() proved inert, including @p samples idle-warp
-     * sampling points falling inside the span. Must only be called
-     * when nextEventAt(now) >= now + span.
+     * Batch-account @p span cycles starting at @p now, including
+     * @p samples idle-warp sampling points falling inside the span.
+     * Must only follow a no-issue cycle() whose bound covers the
+     * span, at the same mutVersion(): attribution replays the
+     * categories that cycle() classified.
      */
     void skipCycles(Cycle now, Cycle span, Cycle samples);
 
@@ -170,8 +168,8 @@ class SmCore
      * inertia cache (Gpu::step(event_aware)). Bumped by every
      * mutation arriving from outside cycle() that can change this
      * SM's inertness: TB dispatch, preemption start, quota updates
-     * and gating toggles. A nextEventAt() bound computed at version
-     * V stays valid while mutVersion() == V (internal evolution --
+     * and gating toggles. A cycle() bound computed at version V
+     * stays valid while mutVersion() == V (internal evolution --
      * wakes, drains, MSHR releases -- is exactly what the bound
      * accounts for, and cross-SM interconnect traffic can only
      * delay a store-throttle unblock, never advance an event).
@@ -294,6 +292,14 @@ class SmCore
     /** Apply the counter side of an inert span (no samples). */
     void applyInertSpan(Cycle span);
     void settleDeferred();
+    /** Count @p span gated cycles for kernels outside @p allowed. */
+    void addGatedCycles(std::uint32_t allowed, Cycle span);
+    /**
+     * Record @p samples identical idle-warp samples of the current
+     * ready masks under the EWS mask @p allowed.
+     */
+    void sampleIdleWarps(std::uint32_t allowed, bool lsu_full,
+                         bool store_blocked, Cycle samples);
     /**
      * Attribution category of kernel @p k on a cycle where it did
      * not issue, from the facts the issue arbiter derived:
@@ -304,8 +310,6 @@ class SmCore
     CycleCat classifyStalled(int k, std::uint32_t allowed,
                              bool any_ready,
                              bool any_nonmem_ready) const;
-    /** Refresh inertClass_ from the current (frozen) state. */
-    void classifyInert();
     /**
      * Settle any deferred inert cycles. Logically const: it only
      * materializes accounting the SM already owes.
@@ -369,13 +373,13 @@ class SmCore
     std::vector<std::uint32_t> wakeToken_;
     /**
      * Entries currently sitting in the ring (including stale ones
-     * whose token no longer matches). Lets nextEventAt() skip the
-     * ring scan entirely on a wake-free SM.
+     * whose token no longer matches). Lets cycle()'s next-event
+     * bound skip the ring scan entirely on a wake-free SM.
      */
     std::int64_t pendingWakes_ = 0;
     /**
      * Occupancy bitmap over the wake ring: bit i set iff
-     * wakeRing_[i] is nonempty. Turns nextEventAt()'s
+     * wakeRing_[i] is nonempty. Turns nextWakeAfter()'s
      * next-nonempty-bucket scan into a word-at-a-time search.
      */
     std::array<std::uint64_t, wakeRingSize_ / 64> wakeBits_{};
@@ -394,12 +398,13 @@ class SmCore
     bool quotaGating_ = false;
     bool accounting_ = false; //!< cycle-attribution profiler on
     /**
-     * Attribution cache for deferred inert cycles: the category of
+     * Attribution cache for skipped inert cycles: the category of
      * each kernel, written by the most recent no-issue cycle().
-     * Valid for every deferInertCycle() that follows, because the
-     * Gpu only defers under a mutVersion()-valid inertia cache
-     * (every external mutation settles first, then bumps the
-     * version), so the classified state is frozen until settlement.
+     * Valid for every deferInertCycle() and skipCycles() that
+     * follows, because the Gpu only skips under a
+     * mutVersion()-valid inertia cache (every external mutation
+     * settles first, then bumps the version), so the classified
+     * state is frozen until settlement.
      */
     std::array<CycleCat, maxKernels> inertClass_{};
     Cycle epochCycles_ = 0; //!< cycles since last sample reset

@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace-sink backends: JSONL and CSV.
+ * Trace-sink backend: JSONL.
  */
 
 #include "telemetry/trace.hh"
@@ -26,42 +26,6 @@ jsonNumber(double v)
             return "null";
     }
     return buf;
-}
-
-/** Shorter form for CSV cells (still round-trip exact). */
-std::string
-csvNumber(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-csvField(const std::string &s)
-{
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-std::string
-leftoverList(const std::vector<double> &v, char sep)
-{
-    std::string out;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            out += sep;
-        out += csvNumber(v[i]);
-    }
-    return out;
 }
 
 std::string
@@ -165,101 +129,6 @@ jsonlSmSlice(const SmSliceRecord &r)
        << ",\"kernel\":" << r.kernel
        << ",\"start\":" << r.start
        << ",\"end\":" << r.end << "}";
-    return os.str();
-}
-
-// Column order of the CSV backend; keep in sync with the csv*()
-// formatters below. Serving events reuse `reason` for their detail
-// string; sm_slice rows reuse `start`/`length`/`kernel`/`sm` and
-// carry their exclusive end cycle in the trailing `end` column.
-const char *kCsvHeader =
-    "type,schema_version,case,epoch,start,length,final_partial,"
-    "kernel,is_qos,"
-    "goal_ipc,non_qos_goal,alpha,ipc_epoch,ipc_history,attainment,"
-    "quota_granted,instr_delta,completed_tbs,preempted_tbs,"
-    "quota_refills,tb_target,tb_resident,iw_average,gated_fraction,"
-    "leftover_per_sm,l1_accesses,l1_misses,l2_accesses,l2_misses,"
-    "dram_accesses,context_lines,cycle,sm,delta,reason,"
-    "event,tenant,request,latency,level,queue_depth,end";
-
-std::string
-csvEpochKernel(const EpochKernelRecord &r)
-{
-    std::ostringstream os;
-    os << "epoch_kernel," << traceSchemaVersion << ','
-       << csvField(r.caseKey) << ','
-       << r.epoch << ',' << r.start << ',' << r.length << ','
-       << (r.finalPartial ? 1 : 0) << ',' << r.kernel << ','
-       << (r.isQos ? 1 : 0) << ',' << csvNumber(r.goalIpc) << ','
-       << csvNumber(r.nonQosGoal) << ',' << csvNumber(r.alpha) << ','
-       << csvNumber(r.ipcEpoch) << ',' << csvNumber(r.ipcHistory)
-       << ',' << csvNumber(r.attainment) << ','
-       << csvNumber(r.quotaGranted) << ',' << r.instrDelta << ','
-       << r.completedTbs << ',' << r.preemptedTbs << ','
-       << r.quotaRefills << ',' << r.tbTarget << ',' << r.tbResident
-       << ',' << csvNumber(r.iwAverage) << ','
-       << csvNumber(r.gatedFraction) << ','
-       << leftoverList(r.leftoverPerSm, '|')
-       << ",,,,,,,,,,,,,,,,,"; // mem + event + serving + end empty
-    return os.str();
-}
-
-std::string
-csvEpochMem(const EpochMemRecord &r)
-{
-    std::ostringstream os;
-    os << "epoch_mem," << traceSchemaVersion << ','
-       << csvField(r.caseKey) << ',' << r.epoch
-       << ',' << r.start << ',' << r.length << ','
-       << (r.finalPartial ? 1 : 0)
-       << ",,,,,,,,,,,,,,,,,,," // kernel..leftover_per_sm empty
-       << r.l1Accesses << ',' << r.l1Misses << ',' << r.l2Accesses
-       << ',' << r.l2Misses << ',' << r.dramAccesses << ','
-       << r.contextLines << ",,,,,,,,,,,"; // event..end empty
-    return os.str();
-}
-
-std::string
-csvAllocEvent(const AllocEventRecord &r)
-{
-    std::ostringstream os;
-    os << "alloc_event," << traceSchemaVersion << ','
-       << csvField(r.caseKey) << ',' << r.epoch
-       << ",,,," << r.kernel << ','
-       << ",,,,,,,,,,,,,,"
-       << csvNumber(r.iwAverage)
-       << ",,,,,,,,," // gated..context_lines empty
-       << r.cycle << ',' << r.sm << ',' << r.delta << ','
-       << csvField(r.reason) << ",,,,,,,"; // serving + end empty
-    return os.str();
-}
-
-std::string
-csvServingEvent(const ServingEventRecord &r)
-{
-    std::ostringstream os;
-    os << "serving_event," << traceSchemaVersion << ','
-       << csvField(r.caseKey)
-       << ",,,,,,,,,,,,,,,,,,,,,,,,,,,,," // epoch..context_lines
-       << r.cycle << ",,," << csvField(r.detail) << ','
-       << csvField(r.event) << ',' << csvField(r.tenant) << ','
-       << r.request << ',' << r.latency << ',' << r.level << ','
-       << r.queueDepth << ','; // trailing `end` empty
-    return os.str();
-}
-
-std::string
-csvSmSlice(const SmSliceRecord &r)
-{
-    std::ostringstream os;
-    os << "sm_slice," << traceSchemaVersion << ','
-       << csvField(r.caseKey)
-       << ",," << r.start << ',' << (r.end - r.start)
-       << ",," << r.kernel
-       << ",,,,,,,,,,,,,,,,,,,,,,,,," // is_qos..cycle empty
-       << r.sm
-       << ",,,,,,,,," // delta..queue_depth empty
-       << r.end;
     return os.str();
 }
 
@@ -528,68 +397,6 @@ JsonlTraceSink::flush()
     std::fflush(file_);
 }
 
-Result<std::unique_ptr<CsvTraceSink>>
-CsvTraceSink::open(const std::string &path)
-{
-    auto f = openFile(path);
-    if (!f.ok())
-        return f.error();
-    auto sink =
-        std::unique_ptr<CsvTraceSink>(new CsvTraceSink(f.value()));
-    sink->writeLine(kCsvHeader);
-    return sink;
-}
-
-CsvTraceSink::~CsvTraceSink()
-{
-    std::fclose(file_);
-}
-
-void
-CsvTraceSink::writeLine(const std::string &line)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fputc('\n', file_);
-}
-
-void
-CsvTraceSink::onEpochKernel(const EpochKernelRecord &rec)
-{
-    writeLine(csvEpochKernel(rec));
-}
-
-void
-CsvTraceSink::onEpochMem(const EpochMemRecord &rec)
-{
-    writeLine(csvEpochMem(rec));
-}
-
-void
-CsvTraceSink::onAllocEvent(const AllocEventRecord &rec)
-{
-    writeLine(csvAllocEvent(rec));
-}
-
-void
-CsvTraceSink::onServingEvent(const ServingEventRecord &rec)
-{
-    writeLine(csvServingEvent(rec));
-}
-
-void
-CsvTraceSink::onSmSlice(const SmSliceRecord &rec)
-{
-    writeLine(csvSmSlice(rec));
-}
-
-void
-CsvTraceSink::flush()
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    std::fflush(file_);
-}
-
 namespace
 {
 
@@ -625,34 +432,20 @@ Result<std::unique_ptr<TraceSink>>
 openTraceSink(const std::string &spec)
 {
     std::string path = spec;
-    std::string format;
     auto comma = spec.rfind(',');
     if (comma != std::string::npos &&
         looksLikeFormatToken(spec.substr(comma + 1))) {
-        format = spec.substr(comma + 1);
+        std::string format = spec.substr(comma + 1);
         path = spec.substr(0, comma);
-        if (format != "jsonl" && format != "csv") {
+        if (format != "jsonl") {
             return Error(ErrorCode::InvalidArgument,
                          "unknown trace format '" + format +
-                             "' in spec '" + spec +
-                             "' (want jsonl or csv)");
+                             "' in spec '" + spec + "' (want jsonl)");
         }
     }
     if (path.empty()) {
         return Error(ErrorCode::InvalidArgument,
                      "empty trace file path in spec '" + spec + "'");
-    }
-    if (format.empty()) {
-        format = path.size() >= 4 &&
-                         path.compare(path.size() - 4, 4, ".csv") == 0
-                     ? "csv"
-                     : "jsonl";
-    }
-    if (format == "csv") {
-        auto sink = CsvTraceSink::open(path);
-        if (!sink.ok())
-            return sink.error();
-        return std::unique_ptr<TraceSink>(std::move(sink.value()));
     }
     auto sink = JsonlTraceSink::open(path);
     if (!sink.ok())

@@ -16,12 +16,11 @@
  * epoch and nothing else — simulation results are byte-identical
  * with tracing on or off, because sinks only observe.
  *
- * Backends: JSONL (one JSON object per line, self-describing) and
- * CSV (one header row, a `type` column discriminating record kinds).
- * Both are thread-safe: records are appended atomically under a
- * mutex, so sweep workers may share one sink — records from
- * different cases interleave but each carries its case key (stamped
- * by CaseLabelingSink). RecordingTraceSink keeps records in memory
+ * Backend: JSONL (one JSON object per line, self-describing). It is
+ * thread-safe: records are appended atomically under a mutex, so
+ * sweep workers may share one sink — records from different cases
+ * interleave but each carries its case key (stamped by
+ * CaseLabelingSink). RecordingTraceSink keeps records in memory
  * for tests and programmatic consumers.
  */
 
@@ -43,7 +42,7 @@ namespace gqos
 
 /**
  * Schema version stamped into every serialized trace record (JSONL
- * field / CSV column "schema_version") so downstream tooling can
+ * field "schema_version") so downstream tooling can
  * diff and version-gate outputs. Bump whenever a record gains,
  * loses or reinterprets a field.
  *
@@ -352,39 +351,9 @@ class JsonlTraceSink : public TraceSink
 };
 
 /**
- * CSV backend: one header row, a `type` column discriminating the
- * record kinds; fields that do not apply to a record type are left
- * empty. `leftover_per_sm` packs the per-SM quota counters into one
- * cell, "|"-separated.
- */
-class CsvTraceSink : public TraceSink
-{
-  public:
-    static Result<std::unique_ptr<CsvTraceSink>> open(
-        const std::string &path);
-
-    ~CsvTraceSink() override;
-
-    void onEpochKernel(const EpochKernelRecord &rec) override;
-    void onEpochMem(const EpochMemRecord &rec) override;
-    void onAllocEvent(const AllocEventRecord &rec) override;
-    void onServingEvent(const ServingEventRecord &rec) override;
-    void onSmSlice(const SmSliceRecord &rec) override;
-    void flush() override;
-
-  private:
-    explicit CsvTraceSink(std::FILE *f) : file_(f) {}
-
-    void writeLine(const std::string &line);
-
-    std::mutex mutex_;
-    std::FILE *file_;
-};
-
-/**
- * Open a trace sink from a CLI spec "FILE[,format]" with format
- * "jsonl" or "csv". Without an explicit format, a ".csv" file
- * extension selects CSV, anything else JSONL.
+ * Open a trace sink from a CLI spec "FILE[,format]". The only
+ * format is "jsonl" (also the default); any other format token is
+ * an InvalidArgument error.
  */
 Result<std::unique_ptr<TraceSink>> openTraceSink(
     const std::string &spec);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Stepping-engine tests: SmCore/Gpu control-point contracts
- * (nextEventAt / skip accounting), SimEngine skip behaviour, and
+ * (cycle()'s next-event bound / skip accounting), SimEngine skip
+ * behaviour, and
  * the differential guarantee — every policy produces bit-identical
  * results, statistics and telemetry under the event engine and the
  * per-cycle reference engine.
@@ -54,7 +55,7 @@ TEST(EngineKindParse, UnknownNameIsRecoverable)
 }
 
 // ---------------------------------------------------------------
-// SmCore::nextEventAt() / skipCycles() contract.
+// SmCore::cycle() next-event bound / skipCycles() contract.
 // ---------------------------------------------------------------
 
 struct EngineSmFixture : public ::testing::Test
@@ -81,6 +82,19 @@ struct EngineSmFixture : public ::testing::Test
         }
     }
 
+    /**
+     * Run one non-sampling cycle that must not issue and return the
+     * next-event bound it hands back.
+     */
+    Cycle
+    probe()
+    {
+        Cycle next = 0;
+        EXPECT_FALSE(sm.cycle(now, false, &next)) << "cycle " << now;
+        now++;
+        return next;
+    }
+
     GpuConfig cfg;
     KernelDesc descC, descM;
     MemSystem mem;
@@ -91,8 +105,9 @@ struct EngineSmFixture : public ::testing::Test
 
 TEST_F(EngineSmFixture, EmptySmIsInertForever)
 {
-    EXPECT_EQ(sm.nextEventAt(0), cycleNever);
-    EXPECT_EQ(sm.nextEventAt(123456), cycleNever);
+    EXPECT_EQ(probe(), cycleNever);
+    now = 123456;
+    EXPECT_EQ(probe(), cycleNever);
 }
 
 TEST_F(EngineSmFixture, SkipCyclesAccountsTimeOnEmptySm)
@@ -108,13 +123,13 @@ TEST_F(EngineSmFixture, SkipCyclesAccountsTimeOnEmptySm)
 TEST_F(EngineSmFixture, DispatchWakeIsAFutureEvent)
 {
     sm.dispatchTb(0, 0, 0, 0);
-    Cycle t = sm.nextEventAt(0);
+    Cycle t = probe();
     // The dispatch latency wake is the only pending event: strictly
     // in the future, not never.
-    EXPECT_GT(t, 0u);
+    EXPECT_GT(t, 1u);
     EXPECT_NE(t, cycleNever);
     // Stepping the claimed-inert span issues nothing...
-    for (Cycle c = 0; c < t; ++c)
+    for (Cycle c = 1; c < t; ++c)
         EXPECT_FALSE(sm.cycle(c, false));
     // ...and execution begins right at (or just after) the event.
     Cycle issued_at = t;
@@ -132,11 +147,14 @@ TEST_F(EngineSmFixture, QuotaGatedOnlySmIsInert)
     sm.dispatchTb(0, 0, 0, 0);
     run(2000); // drain the dispatch wakes; nothing can issue
     EXPECT_EQ(sm.kernelStats(0).threadInstrs, 0u);
-    EXPECT_EQ(sm.nextEventAt(now), cycleNever);
-    // Refilling the quota makes the ready-but-gated warps an
-    // immediate event again.
+    EXPECT_EQ(probe(), cycleNever);
+    // Refilling the quota invalidates every cached bound (a new
+    // mutation version) and makes the ready-but-gated warps issue
+    // right away.
+    std::uint64_t version = sm.mutVersion();
     sm.addQuota(0, 1e6);
-    EXPECT_EQ(sm.nextEventAt(now), now);
+    EXPECT_NE(sm.mutVersion(), version);
+    EXPECT_TRUE(sm.cycle(now, false));
 }
 
 TEST_F(EngineSmFixture, DrainIsAnEventUntilItCompletes)
@@ -144,30 +162,34 @@ TEST_F(EngineSmFixture, DrainIsAnEventUntilItCompletes)
     sm.dispatchTb(0, 0, 0, 0);
     run(100);
     ASSERT_TRUE(sm.startPreemption(0, now));
-    EXPECT_NE(sm.nextEventAt(now), cycleNever);
+    EXPECT_NE(probe(), cycleNever);
     run(8000); // drain completes, in-flight memory settles
     EXPECT_FALSE(sm.preemptionPending());
     EXPECT_EQ(sm.totalResidentTbs(), 0);
-    EXPECT_EQ(sm.nextEventAt(now), cycleNever);
+    EXPECT_EQ(probe(), cycleNever);
 }
 
 TEST_F(EngineSmFixture, SkipMatchesSteppingThroughGatedSpan)
 {
     // Two identical SMs reach a gated-idle state; one steps through
-    // the span, the other skips it. All statistics must agree.
+    // the span, the other skips it. All statistics, including the
+    // cycle attribution the skip replays from the last stepped
+    // cycle, must agree.
     MemSystem mem2(cfg);
     SmCore sm2(cfg, 0, mem2);
     sm2.bindKernels({&runC, &runM});
     for (SmCore *s : {&sm, &sm2}) {
+        s->setCycleAccounting(true);
         s->setQuotaGating(true);
         s->setQuota(0, -1.0);
         s->dispatchTb(0, 0, 0, 0);
     }
+    Cycle next = 0;
     for (Cycle c = 0; c < 2000; ++c) {
         sm.cycle(c, (c % 100) == 0);
-        sm2.cycle(c, (c % 100) == 0);
+        sm2.cycle(c, (c % 100) == 0, &next);
     }
-    ASSERT_EQ(sm.nextEventAt(2000), cycleNever);
+    ASSERT_EQ(next, cycleNever);
     // Span [2000, 12000): samples at 2000, 2100, ..., 11900.
     for (Cycle c = 2000; c < 12000; ++c)
         sm.cycle(c, (c % 100) == 0);
@@ -182,6 +204,8 @@ TEST_F(EngineSmFixture, SkipMatchesSteppingThroughGatedSpan)
         EXPECT_EQ(a.gatedCycles, b.gatedCycles) << "kernel " << k;
         EXPECT_DOUBLE_EQ(sm.gatedFraction(k), sm2.gatedFraction(k));
         EXPECT_DOUBLE_EQ(sm.iwAverage(k), sm2.iwAverage(k));
+        EXPECT_TRUE(sm.cycleBreakdown(k) == sm2.cycleBreakdown(k))
+            << "kernel " << k;
     }
 }
 
@@ -195,10 +219,21 @@ TEST(GpuEngine, IdleGpuWithZeroTargetsIsInert)
     KernelDesc d = test::tinyComputeKernel();
     Gpu gpu(cfg);
     gpu.launch({&d});
+    // Before any event-aware step no SM bound is cached: step now.
+    EXPECT_EQ(gpu.nextEventAt(), gpu.now());
     // Targets stay 0: the dispatcher has nothing to converge
     // toward, so after the first (no-op) pass the GPU is inert.
-    gpu.step();
+    gpu.step(true);
     EXPECT_EQ(gpu.nextEventAt(), cycleNever);
+    // An SM mutated since the last event-aware step has no valid
+    // bound: step now, and the step caches a fresh one.
+    gpu.sm(0).setQuota(0, 1.0);
+    EXPECT_EQ(gpu.nextEventAt(), gpu.now());
+    gpu.step(true);
+    EXPECT_EQ(gpu.nextEventAt(), cycleNever);
+    // A target move re-arms the dispatcher: step now again.
+    gpu.setTbTarget(0, 0, 1);
+    EXPECT_EQ(gpu.nextEventAt(), gpu.now());
 }
 
 TEST(GpuEngine, RunMatchesStepLoop)
@@ -208,6 +243,7 @@ TEST(GpuEngine, RunMatchesStepLoop)
     KernelDesc dm = test::tinyMemoryKernel();
     auto setup = [&](Gpu &gpu) {
         gpu.launch({&dc, &dm});
+        gpu.setCycleAccounting(true);
         for (int s = 0; s < gpu.numSms(); ++s) {
             gpu.setTbTarget(s, 0, 2);
             gpu.setTbTarget(s, 1, 2);
@@ -221,6 +257,9 @@ TEST(GpuEngine, RunMatchesStepLoop)
         stepped.step();
     skipped.run(horizon);
     ASSERT_EQ(stepped.now(), skipped.now());
+    // run() steps event-aware, so per-SM skips do happen.
+    EXPECT_EQ(stepped.smSkippedCycles(), 0u);
+    EXPECT_GT(skipped.smSkippedCycles(), 0u);
     for (KernelId k = 0; k < 2; ++k) {
         EXPECT_EQ(stepped.threadInstrs(k), skipped.threadInstrs(k));
         EXPECT_EQ(stepped.warpInstrs(k), skipped.warpInstrs(k));
@@ -229,6 +268,11 @@ TEST(GpuEngine, RunMatchesStepLoop)
         EXPECT_EQ(stepped.dispatchState(k).completedTbs,
                   skipped.dispatchState(k).completedTbs);
         EXPECT_DOUBLE_EQ(stepped.iwAverage(k), skipped.iwAverage(k));
+        EXPECT_DOUBLE_EQ(stepped.gatedFraction(k),
+                         skipped.gatedFraction(k));
+        EXPECT_TRUE(stepped.cycleBreakdown(k) ==
+                    skipped.cycleBreakdown(k))
+            << "kernel " << k;
     }
     for (int s = 0; s < stepped.numSms(); ++s) {
         EXPECT_EQ(stepped.sm(s).stats().cycles,

@@ -43,8 +43,11 @@ struct SmFixture : public ::testing::Test
     void
     run(Cycle cycles)
     {
-        for (Cycle c = 0; c < cycles; ++c)
-            sm.cycle(now++, (now % 100) == 0);
+        for (Cycle c = 0; c < cycles; ++c) {
+            bool sample = (now % 100) == 0;
+            sm.cycle(now, sample);
+            now++;
+        }
     }
 
     GpuConfig cfg;

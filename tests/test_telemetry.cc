@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -231,18 +232,22 @@ TEST(Trace, CaseLabelingSinkStampsEveryRecord)
 TEST(Trace, OpenTraceSinkParsesSpecs)
 {
     const std::string base = testing::TempDir() + "gqos_spec_test";
-    EXPECT_EQ(traceSpecPath(base + ".jsonl,csv"), base + ".jsonl");
+    EXPECT_EQ(traceSpecPath(base + ".jsonl,jsonl"), base + ".jsonl");
     EXPECT_EQ(traceSpecPath(base), base);
     auto bad = openTraceSink(base + ",yaml");
     EXPECT_FALSE(bad.ok());
-    auto csv = openTraceSink(base + ".csv");
-    ASSERT_TRUE(csv.ok());
-    csv.value()->flush();
-    std::ifstream in(base + ".csv");
-    std::string header;
-    ASSERT_TRUE(std::getline(in, header));
-    EXPECT_EQ(header.rfind("type,schema_version,case,epoch", 0), 0u)
-        << header;
+    // JSONL is the only backend: "csv" is an unknown format...
+    auto csv = openTraceSink(base + ".jsonl,csv");
+    ASSERT_FALSE(csv.ok());
+    EXPECT_EQ(csv.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(csv.error().message().find("'csv'"), std::string::npos)
+        << csv.error().message();
+    // ...and a .csv extension no longer selects anything: the file
+    // is JSONL, with no header row.
+    auto by_ext = openTraceSink(base + ".csv");
+    ASSERT_TRUE(by_ext.ok());
+    by_ext.value()->flush();
+    EXPECT_EQ(std::filesystem::file_size(base + ".csv"), 0u);
     std::remove((base + ".csv").c_str());
 }
 
