@@ -4,9 +4,11 @@
 # the plain Release preset, under ASan+UBSan, under standalone
 # UBSan, and under TSan, then smoke-check the parallel sweep
 # executor: a small bench_fig6 sweep must print byte-identical
-# stdout at --jobs 1 and --jobs 4, cold and warm cache (the TSan
-# binary runs the same sweep to catch races in the executor and
-# the shared result cache). Every preset also runs the serving
+# stdout at --jobs 1 and --jobs 4, cold and warm cache, and with
+# the cache off it must match the cold-cache run in stdout and
+# --trace JSONL (the TSan binary runs the same sweeps to catch
+# races in the executor, the shared result cache and the baseline
+# hand-off to workers). Every preset also runs the serving
 # smoke: a short Poisson arrival trace through bench_serving must
 # print byte-identical stdout and trace JSONL across two runs and
 # across --jobs 1 vs 4, with and without admission-path fault
@@ -72,6 +74,26 @@ sweep_smoke() {
         "$bin" $flags --jobs 4 --cache "$scratch/f4" \
         > "$scratch/fault.j4" 2>/dev/null
     cmp "$scratch/fault.j1" "$scratch/fault.j4"
+
+    # Cache off: the sweep still simulates each isolated baseline
+    # exactly once (the pre-pass seeds every worker's baseline memo),
+    # so stdout and trace match the cold-cache run: byte for byte at
+    # --jobs 1, as a sorted record set at --jobs 4.
+    echo "==> [$preset] sweep smoke (cache off matches cold cache)"
+    # shellcheck disable=SC2086
+    "$bin" $flags --jobs 1 --cache "$scratch/tc" \
+        --trace "$scratch/cold.jsonl" > "$scratch/cold.out" 2>/dev/null
+    # shellcheck disable=SC2086
+    "$bin" $flags --jobs 1 --no-cache \
+        --trace "$scratch/nc1.jsonl" > "$scratch/nc1.out" 2>/dev/null
+    # shellcheck disable=SC2086
+    "$bin" $flags --jobs 4 --no-cache \
+        --trace "$scratch/nc4.jsonl" > "$scratch/nc4.out" 2>/dev/null
+    cmp "$scratch/j1.cold" "$scratch/cold.out"
+    cmp "$scratch/cold.out" "$scratch/nc1.out"
+    cmp "$scratch/cold.jsonl" "$scratch/nc1.jsonl"
+    cmp "$scratch/cold.out" "$scratch/nc4.out"
+    cmp <(sort "$scratch/cold.jsonl") <(sort "$scratch/nc4.jsonl")
 
     trace_smoke "$preset"
 }

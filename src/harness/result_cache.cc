@@ -299,6 +299,7 @@ ResultCache::insert(const std::string &key, const CachedCase &c)
 
     std::lock_guard<std::mutex> guard(mutex_);
     entries_[key] = c;
+    inserted_.insert(key);
     if (drop_append)
         return;
     pending_.push_back(std::move(line));
@@ -380,6 +381,16 @@ ResultCache::artifact(const std::string &key) const
     std::lock_guard<std::mutex> guard(mutex_);
     auto it = artifacts_.find(key);
     return it == artifacts_.end() ? "" : it->second;
+}
+
+bool
+ResultCache::claimTraceBypassWarning(const std::string &key)
+{
+    std::lock_guard<std::mutex> guard(mutex_);
+    if (traceBypassWarned_ || inserted_.count(key))
+        return false;
+    traceBypassWarned_ = true;
+    return true;
 }
 
 } // namespace gqos

@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,15 @@ class ResultCache
     /** Artifact recorded for case @p key ("" if none). */
     std::string artifact(const std::string &key) const;
 
+    /**
+     * Whether a hit on @p key should warn that it bypassed a
+     * requested trace: only for an entry loaded from disk (one this
+     * process inserted was simulated, and traced, here), and only
+     * for the first such hit, so the Runners sharing this cache
+     * warn once, not once each.
+     */
+    bool claimTraceBypassWarning(const std::string &key);
+
     const std::string &path() const { return path_; }
 
     /** Lines quarantined while loading the file. */
@@ -123,10 +133,13 @@ class ResultCache
     std::string path_;
     mutable std::mutex mutex_;
     std::map<std::string, CachedCase> entries_;
+    /** Keys insert()ed by this process, as opposed to loaded. */
+    std::set<std::string> inserted_;
     std::vector<std::string> pending_;
     /** key -> artifact, mirrored in the .meta sidecar file. */
     std::map<std::string, std::string> artifacts_;
     int quarantined_ = 0;
+    bool traceBypassWarned_ = false;
 };
 
 } // namespace gqos

@@ -147,6 +147,8 @@ Runner::simulate(const std::vector<std::string> &kernels,
                  const std::vector<double> &goal_frac,
                  const std::string &policy)
 {
+    const Cycle warmup =
+        std::min(opts_.warmupCycles, opts_.cycles / 2);
     std::vector<const KernelDesc *> descs;
     std::vector<QosSpec> specs;
     for (std::size_t i = 0; i < kernels.size(); ++i) {
@@ -159,6 +161,18 @@ Runner::simulate(const std::vector<std::string> &kernels,
             Result<double> iso = isolatedIpc(kernels[i]);
             if (!iso.ok())
                 return iso.error();
+            // A window too short to retire anything leaves no goal
+            // to translate the fraction against.
+            if (iso.value() <= 0.0) {
+                return Error::format(
+                    ErrorCode::InvalidArgument,
+                    "QoS kernel '%s' has isolated IPC %g over the "
+                    "measured window (cycles %llu to %llu); "
+                    "lengthen the run",
+                    kernels[i].c_str(), iso.value(),
+                    static_cast<unsigned long long>(warmup),
+                    static_cast<unsigned long long>(opts_.cycles));
+            }
             specs.push_back(QosSpec::qos(goal_frac[i] *
                                          iso.value()));
         } else {
@@ -208,7 +222,6 @@ Runner::simulate(const std::vector<std::string> &kernels,
     // window while live warps exist.
     SimEngine engine(opts_.engine, cfg_.epochLength);
 
-    Cycle warmup = std::min(opts_.warmupCycles, opts_.cycles / 2);
     std::vector<std::uint64_t> instr_at_warmup(kernels.size(), 0);
     auto sim_t0 = std::chrono::steady_clock::now();
     bool stalled = engine.runUntil(gpu, *pol.value(), warmup);
@@ -301,10 +314,14 @@ Runner::simulate(const std::vector<std::string> &kernels,
 Result<double>
 Runner::isolatedIpc(const std::string &kernel)
 {
+    if (auto it = baselines_.find(kernel); it != baselines_.end())
+        return it->second;
     Result<CaseResult> r = run({kernel}, {0.0}, "even");
     if (!r.ok())
         return r.error();
-    return r.value().kernels[0].ipc;
+    const double ipc = r.value().kernels[0].ipc;
+    baselines_.emplace(kernel, ipc);
+    return ipc;
 }
 
 Result<CaseResult>
@@ -364,22 +381,18 @@ Runner::run(const std::vector<std::string> &kernels,
     } else {
         if (opts_.metrics)
             opts_.metrics->counter("harness.cache_hits").inc();
-        if (opts_.traceSink) {
+        if (opts_.traceSink &&
+            cache_->claimTraceBypassWarning(key)) {
             // A hit skips the simulation, so nothing lands in the
             // requested trace. Point at the recorded artifact of
             // the run that produced the entry, if any.
-            std::string prev =
-                cache_ ? cache_->artifact(key) : "";
-            if (!warnedTraceBypass_) {
-                warnedTraceBypass_ = true;
-                gqos_warn("cache hit for '%s' bypasses the "
-                          "requested trace%s%s; rerun with the "
-                          "cache disabled to re-trace cached cases",
-                          key.c_str(),
-                          prev.empty() ? ""
-                                       : " (earlier trace: ",
-                          prev.empty() ? "" : (prev + ")").c_str());
-            }
+            std::string prev = cache_->artifact(key);
+            gqos_warn("cache hit for '%s' bypasses the requested "
+                      "trace%s%s; rerun with the cache disabled to "
+                      "re-trace cached cases",
+                      key.c_str(),
+                      prev.empty() ? "" : " (earlier trace: ",
+                      prev.empty() ? "" : (prev + ")").c_str());
         }
     }
 

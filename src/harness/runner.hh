@@ -22,6 +22,7 @@
 #define GQOS_HARNESS_RUNNER_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -170,8 +171,32 @@ class Runner
     Runner(Runner &&) = default;
     Runner &operator=(Runner &&) = default;
 
-    /** Isolated (full-GPU, single-kernel) IPC of @p kernel. */
+    /**
+     * Isolated (full-GPU, single-kernel) IPC of @p kernel. Each
+     * kernel is looked up in the result cache or simulated at most
+     * once per Runner; successful results are memoized in memory,
+     * so a cache-off Runner does not re-simulate baselines per case.
+     */
     Result<double> isolatedIpc(const std::string &kernel);
+
+    /** Baselines memoized so far (kernel name -> isolated IPC). */
+    const std::map<std::string, double> &
+    isolatedBaselines() const
+    {
+        return baselines_;
+    }
+
+    /**
+     * Adopt @p baselines measured by a Runner with the same options
+     * (a sweep hands its pre-pass results to every worker Runner).
+     * Entries this Runner already holds are kept.
+     */
+    void
+    adoptIsolatedBaselines(
+        const std::map<std::string, double> &baselines)
+    {
+        baselines_.insert(baselines.begin(), baselines.end());
+    }
 
     /**
      * Run one co-run case.
@@ -225,6 +250,12 @@ class Runner
     GpuConfig cfg_;
     std::string cachePath_;
     std::shared_ptr<ResultCache> cache_;
+    /**
+     * isolatedIpc() memo. The kernel name is a complete key: config,
+     * cycles, warmup, free preemption and engine are fixed per
+     * Runner, and both engines are bit-identical by contract.
+     */
+    std::map<std::string, double> baselines_;
     int simulated_ = 0;
     /**
      * Simulated cycles per wall-clock second of the most recent
@@ -243,8 +274,6 @@ class Runner
      * run(), and only depth-1 calls are report-worthy cases.
      */
     int runDepth_ = 0;
-    /** Cache-hits-bypass-tracing warned once per runner. */
-    bool warnedTraceBypass_ = false;
 };
 
 /** Standard goal sweep of the paper: 50%..95% step 5%. */

@@ -57,6 +57,8 @@ struct BaselineJob
 {
     std::size_t ctx;
     std::string kernel;
+    std::size_t firstCase; //!< first case referencing the kernel
+    std::optional<double> ipc; //!< set once the job has succeeded
 };
 
 std::string
@@ -139,20 +141,24 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
         caseContext[i] = it->second;
     }
 
-    // ---- baseline warm-up jobs (cached contexts only) ----
-    // Computing every referenced kernel's isolated IPC up front
-    // means concurrent case workers always hit the shared cache for
-    // baselines instead of racing to simulate the same one twice.
+    // ---- baseline warm-up jobs ----
+    // Every referenced kernel's isolated IPC is computed once, up
+    // front, whether or not the cache is on; the results then seed
+    // the baseline memo of every case-phase Runner, so no worker
+    // simulates (or even looks up) a baseline again.
     std::vector<BaselineJob> baselines;
     std::set<std::pair<std::size_t, std::string>> seen;
     for (std::size_t i = 0; i < n; ++i) {
-        if (!contexts[caseContext[i]].cache)
-            continue;
         for (const std::string &kernel : cases[i].kernels) {
             if (seen.emplace(caseContext[i], kernel).second)
-                baselines.push_back({caseContext[i], kernel});
+                baselines.push_back({caseContext[i], kernel, i, {}});
         }
     }
+    // Per-context baselines handed to every worker Runner; context 0
+    // starts from whatever the caller's Runner already knows.
+    std::vector<std::map<std::string, double>> known(
+        contexts.size());
+    known[0] = runner.isolatedBaselines();
 
     // ---- shared execution state ----
     std::vector<CaseResult> results(n);
@@ -193,14 +199,18 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
     auto runBaseline = [&](Runner &r,
                            std::size_t j) -> Result<void> {
         FaultInjector::instance().beginScope(baselineScopeBase + j);
-        Result<double> iso = r.isolatedIpc(baselines[j].kernel);
+        BaselineJob &b = baselines[j];
+        Result<double> iso = r.isolatedIpc(b.kernel);
         if (!iso.ok()) {
             return Error::format(
                 iso.error().code(),
-                "isolated baseline for kernel '%s': %s",
-                baselines[j].kernel.c_str(),
-                iso.error().message().c_str());
+                "sweep case %zu/%zu (%s): isolated baseline for "
+                "kernel '%s': %s",
+                b.firstCase + 1, n,
+                cases[b.firstCase].describe().c_str(),
+                b.kernel.c_str(), iso.error().message().c_str());
         }
+        b.ipc = iso.value();
         return {};
     };
 
@@ -264,6 +274,8 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
                             continue;
                         }
                         slots[ctx].emplace(std::move(mr).value());
+                        slots[ctx]->adoptIsolatedBaselines(
+                            known[ctx]);
                     }
                     r = &*slots[ctx];
                 }
@@ -295,6 +307,11 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
     runPhase(baselines.size(),
              [&](std::size_t j) { return baselines[j].ctx; },
              runBaseline, 0);
+    for (const BaselineJob &b : baselines) {
+        if (b.ipc)
+            known[b.ctx].emplace(b.kernel, *b.ipc);
+    }
+    runner.adoptIsolatedBaselines(known[0]);
     runPhase(n, [&](std::size_t i) { return caseContext[i]; },
              runOneCase, baselines.size());
 

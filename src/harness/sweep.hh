@@ -22,9 +22,11 @@
  *    (in-flight cases finish, queued cases are skipped) and the
  *    sweep returns the failing case's Error annotated with its
  *    identity — never a fatal() from a worker thread.
- *  - Baseline warm-up: with caching enabled, isolated baselines of
- *    every referenced kernel are computed first (in parallel), so
- *    concurrent workers never race to simulate the same baseline.
+ *  - Baseline warm-up: isolated baselines of every referenced kernel
+ *    are computed first (in parallel), cache on or off, and handed
+ *    to every case-phase Runner and to the caller's. Each baseline
+ *    is simulated at most once per sweep context at any --jobs, so
+ *    a cache-off sweep traces the same records as a cold-cache one.
  */
 
 #ifndef GQOS_HARNESS_SWEEP_HH

@@ -17,6 +17,13 @@ Result<std::unique_ptr<SharingPolicy>>
 makePolicy(const std::string &scheme, std::vector<QosSpec> specs,
            const GpuConfig &cfg)
 {
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+        if (specs[k].hasGoal && !(specs[k].ipcGoal > 0.0)) {
+            return Error::format(ErrorCode::InvalidArgument,
+                                 "QoS kernel %zu has non-positive "
+                                 "IPC goal %g", k, specs[k].ipcGoal);
+        }
+    }
     if (scheme == "even") {
         return std::unique_ptr<SharingPolicy>(
             std::make_unique<EvenSharePolicy>());

@@ -30,8 +30,10 @@ namespace gqos
  *  - "spart": spatial partitioning with hill climbing
  *  - "even": QoS-oblivious even fine-grained sharing
  *
- * Unknown names come back as a NotFound error; callers on user-input
- * paths propagate it, the CLI boundary turns it into fatal().
+ * Unknown names come back as a NotFound error, and a QoS spec with a
+ * non-positive IPC goal as an InvalidArgument error; callers on
+ * user-input paths propagate them, the CLI boundary turns them into
+ * fatal().
  */
 Result<std::unique_ptr<SharingPolicy>> makePolicy(
     const std::string &scheme, std::vector<QosSpec> specs,

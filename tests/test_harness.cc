@@ -77,6 +77,34 @@ TEST_F(HarnessFixture, IsolatedIpcIsPositiveAndCached)
     double ipc2 = runner.isolatedIpc("sgemm").value();
     EXPECT_DOUBLE_EQ(ipc1, ipc2);
     EXPECT_EQ(runner.simulatedCases(), sims); // served from memory
+
+    // With the result cache off, the in-memory memo alone keeps the
+    // baseline from being simulated again, including by the co-run
+    // cases that translate their goals against it.
+    opts.useCache = false;
+    Runner uncached = makeRunner();
+    EXPECT_DOUBLE_EQ(uncached.isolatedIpc("sgemm").value(), ipc1);
+    EXPECT_EQ(uncached.simulatedCases(), 1);
+    EXPECT_DOUBLE_EQ(uncached.isolatedIpc("sgemm").value(), ipc1);
+    uncached.run({"sgemm", "lbm"}, {0.5, 0.0}, "rollover").value();
+    // The case itself plus lbm's baseline; sgemm's is memoized.
+    EXPECT_EQ(uncached.simulatedCases(), 3);
+    uncached.run({"sgemm", "lbm"}, {0.7, 0.0}, "rollover").value();
+    EXPECT_EQ(uncached.simulatedCases(), 4);
+    EXPECT_EQ(uncached.isolatedBaselines().size(), 2u);
+}
+
+TEST_F(HarnessFixture, FailedBaselineIsNotMemoized)
+{
+    opts.useCache = false;
+    Runner runner = makeRunner();
+    auto r = runner.isolatedIpc("no-such-kernel");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code(), ErrorCode::NotFound);
+    EXPECT_TRUE(runner.isolatedBaselines().empty());
+    // Asking again fails again rather than serving a stale value.
+    EXPECT_FALSE(runner.isolatedIpc("no-such-kernel").ok());
+    EXPECT_TRUE(runner.isolatedBaselines().empty());
 }
 
 TEST_F(HarnessFixture, CasePersistsAcrossRunners)
@@ -320,6 +348,26 @@ TEST(HarnessErrors, UnknownPolicyIsRecoverable)
     auto r = runner.run({"sgemm", "lbm"}, {0.5, 0.0}, "bogus");
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().code(), ErrorCode::NotFound);
+}
+
+TEST(HarnessErrors, ZeroIsolatedIpcIsRecoverable)
+{
+    // A 10-cycle measured window retires nothing, so the QoS kernel
+    // has no goal to translate against: an error, never a fatal().
+    Runner::Options opts;
+    opts.useCache = false;
+    opts.cycles = 20;
+    opts.warmupCycles = 10;
+    Runner runner = Runner::make(opts).value();
+    EXPECT_EQ(runner.isolatedIpc("sgemm").value(), 0.0);
+    auto r = runner.run({"sgemm", "lbm"}, {0.5, 0.0}, "rollover");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(r.error().message().find("'sgemm'"), std::string::npos)
+        << r.error().message();
+    EXPECT_NE(r.error().message().find("cycles 10 to 20"),
+              std::string::npos)
+        << r.error().message();
 }
 
 TEST(HarnessErrors, WarmupMustLeaveMeasuredWindow)

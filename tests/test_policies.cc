@@ -176,6 +176,24 @@ TEST(PolicyFactory, UnknownNameIsRecoverableError)
               std::string::npos);
 }
 
+TEST(PolicyFactory, NonPositiveGoalIsRecoverableError)
+{
+    // The quota controller's fatal() on such a goal stays out of
+    // reach: every scheme rejects the spec up front.
+    GpuConfig cfg = defaultConfig();
+    for (const std::string &name : knownPolicies()) {
+        for (double goal : {0.0, -1.0}) {
+            auto p = makePolicy(
+                name, {QosSpec::qos(goal), QosSpec::nonQos()}, cfg);
+            ASSERT_FALSE(p.ok()) << name << " goal " << goal;
+            EXPECT_EQ(p.error().code(), ErrorCode::InvalidArgument);
+            EXPECT_NE(p.error().message().find("QoS kernel 0"),
+                      std::string::npos)
+                << p.error().message();
+        }
+    }
+}
+
 TEST(FineGrainQos, AdjustmentGrowsStarvedQosKernel)
 {
     GpuConfig cfg = defaultConfig();

@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "common/fault_injection.hh"
+#include "common/metrics.hh"
 #include "harness/result_cache.hh"
 #include "harness/sweep.hh"
+#include "telemetry/trace.hh"
 
 namespace gqos
 {
@@ -156,8 +158,9 @@ TEST_F(SweepFixture, FailingCaseCancelsAndIsReported)
 
 TEST_F(SweepFixture, FailingBaselineNamesTheKernel)
 {
-    // With caching on, the unknown kernel already fails in the
-    // isolated-baseline warm-up phase.
+    // The unknown kernel already fails in the isolated-baseline
+    // warm-up phase, which runs whether or not the cache is on; the
+    // error names the first case that references it.
     Runner runner = Runner::make(makeOptions("errbase")).value();
     std::vector<SweepCase> cases = standardCases();
     cases[0].kernels[1] = "no-such-kernel";
@@ -172,6 +175,9 @@ TEST_F(SweepFixture, FailingBaselineNamesTheKernel)
               std::string::npos)
         << r.error().message();
     EXPECT_NE(r.error().message().find("no-such-kernel"),
+              std::string::npos)
+        << r.error().message();
+    EXPECT_NE(r.error().message().find("sweep case 1/6"),
               std::string::npos)
         << r.error().message();
 }
@@ -265,6 +271,113 @@ TEST_F(SweepFixture, FaultSweepIsIdenticalAcrossJobCounts)
         return keys;
     };
     EXPECT_EQ(cacheKeys("fault-seq"), cacheKeys("fault-par"));
+}
+
+// ---------------------------------------------------------------
+// (v) Each isolated baseline is simulated exactly once per sweep,
+// cache on or off, at any job count: the pre-pass results seed the
+// baseline memo of every worker Runner.
+// ---------------------------------------------------------------
+
+TEST_F(SweepFixture, BaselinesSimulateOncePerSweep)
+{
+    const std::vector<SweepCase> cases = standardCases();
+    std::set<std::string> kernels;
+    for (const SweepCase &c : cases)
+        kernels.insert(c.kernels.begin(), c.kernels.end());
+
+    std::vector<std::vector<CaseResult>> runs;
+    for (bool cache : {true, false}) {
+        for (int jobs : {1, 4}) {
+            SCOPED_TRACE(testing::Message()
+                         << "cache " << cache << " jobs " << jobs);
+            MetricsRegistry metrics;
+            Runner::Options opts = makeOptions(
+                "once-" + std::to_string(cache) + "-" +
+                    std::to_string(jobs),
+                cache);
+            opts.metrics = &metrics;
+            Runner runner = Runner::make(opts).value();
+            SweepOptions so;
+            so.jobs = jobs;
+            so.progress = false;
+            runs.push_back(runSweep(runner, cases, so).value());
+            EXPECT_EQ(metrics.counter("harness.cases_simulated")
+                          .value(),
+                      kernels.size() + cases.size());
+            // The caller's Runner holds every baseline afterwards.
+            EXPECT_EQ(runner.isolatedBaselines().size(),
+                      kernels.size());
+        }
+    }
+    for (std::size_t i = 1; i < runs.size(); ++i)
+        expectBitIdentical(runs[0], runs[i]);
+}
+
+TEST_F(SweepFixture, ZeroIsolatedIpcFailsTheSweepCleanly)
+{
+    // A 10-cycle measured window retires nothing: the QoS goal has
+    // no baseline to translate against. The error comes back from
+    // the worker threads as a Result, never a fatal().
+    Runner::Options opts = makeOptions("zero", /*useCache=*/false);
+    opts.cycles = 20;
+    opts.warmupCycles = 10;
+    Runner runner = Runner::make(opts).value();
+    SweepOptions so;
+    so.jobs = 4;
+    so.progress = false;
+    auto r = runSweep(runner, standardCases(), so);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(r.error().message().find("sweep case 1/6"),
+              std::string::npos)
+        << r.error().message();
+    EXPECT_NE(r.error().message().find("'sgemm'"), std::string::npos)
+        << r.error().message();
+}
+
+// ---------------------------------------------------------------
+// (vi) The "cache hit bypasses the requested trace" warning fires
+// only when a hit really skipped a simulation the user asked to
+// trace, and once per cache rather than once per worker.
+// ---------------------------------------------------------------
+
+TEST_F(SweepFixture, TraceBypassWarningOnlyForWarmHits)
+{
+    const std::string needle = "bypasses the requested trace";
+    auto countWarnings = [&](const std::string &out) {
+        int count = 0;
+        for (auto pos = out.find(needle); pos != std::string::npos;
+             pos = out.find(needle, pos + 1))
+            count++;
+        return count;
+    };
+    auto tracedSweep = [&](const std::string &tag, int jobs) {
+        RecordingTraceSink sink;
+        Runner::Options opts = makeOptions(tag);
+        opts.traceSink = &sink;
+        opts.tracePath = base + "/" + tag + ".jsonl";
+        Runner runner = Runner::make(opts).value();
+        SweepOptions so;
+        so.jobs = jobs;
+        so.progress = false;
+        // A repeated case hits an entry this sweep inserted (and
+        // traced): no warning for that either.
+        std::vector<SweepCase> cases = standardCases();
+        cases.push_back(cases[0]);
+        testing::internal::CaptureStderr();
+        auto r = runSweep(runner, cases, so);
+        std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_TRUE(r.ok());
+        return countWarnings(err);
+    };
+
+    for (int jobs : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << "jobs " << jobs);
+        const std::string tag = "bypass-" + std::to_string(jobs);
+        EXPECT_EQ(tracedSweep(tag, jobs), 0) << "cold cache";
+        EXPECT_EQ(tracedSweep(tag, jobs), 1) << "warm cache";
+    }
 }
 
 // ---------------------------------------------------------------
