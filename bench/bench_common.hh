@@ -29,7 +29,9 @@
  *                  https://ui.perfetto.dev. Composable with --trace.
  *   --stats-json=FILE
  *                  write a structured end-of-run report (cases,
- *                  sweeps, harness metrics) to FILE at exit
+ *                  sweeps, harness metrics) to FILE at exit; FILE
+ *                  is created empty at startup, so an unwritable
+ *                  FILE is fatal before any case runs
  *   --quiet / --verbose
  *                  lower / raise the log level
  *
@@ -45,6 +47,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -166,7 +169,17 @@ initBenchTelemetry(const CliArgs &args)
                                                    t.timeline.get());
         }
     }
-    t.statsJsonPath = args.getString("stats-json", "");
+    const std::string stats = args.getString("stats-json", "");
+    if (!stats.empty()) {
+        // Fail before the first case, not after the whole run. The
+        // file stays empty until exit writes the report, so a run that
+        // dies midway leaves nothing that passes for a report.
+        if (!std::ofstream(stats)) {
+            gqos_fatal("io-error: cannot open stats file '%s'",
+                       stats.c_str());
+        }
+        t.statsJsonPath = stats;
+    }
 }
 
 inline Runner::Options

@@ -53,7 +53,7 @@ struct LoadPoint
     std::string label;
     std::vector<Arrival> arrivals;
     ServingReport report;
-    BufferingTraceSink buffer;
+    RecordingTraceSink buffer;
     bool failed = false;
     std::string error;
 };

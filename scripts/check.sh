@@ -17,10 +17,11 @@
 # must leave stdout byte-identical, export one valid JSON document
 # that is byte-identical across --jobs 1 vs 4, and the cycle-
 # attribution breakdowns in --stats-json must conserve every SM
-# cycle. The default preset additionally runs the engine
-# differential smoke: every simulating figure bench must print
-# byte-identical stdout (and byte-identical --trace JSONL) under
-# --engine event and --engine reference.
+# cycle, and --stats-json to an unwritable path must fail at
+# startup with nothing on stdout. The default preset additionally
+# runs the engine differential smoke: every simulating figure bench
+# must print byte-identical stdout (and byte-identical --trace
+# JSONL) under --engine event and --engine reference.
 #
 #   scripts/check.sh            # all four presets + smokes
 #   scripts/check.sh default    # just the fast one
@@ -175,6 +176,21 @@ EOF
     else
         echo "trace smoke: python3 not found; skipping JSON validation"
     fi
+
+    # An unwritable --stats-json path is a startup error: non-zero
+    # exit before any case runs, so nothing reaches stdout.
+    echo "==> [$preset] stats-json smoke (unwritable path fails at startup)"
+    local fig5
+    fig5="$(builddir_for "$preset")/bench/bench_fig5"
+    if "$fig5" --stats-json /nonexistent/dir/s.json \
+        --cache "$scratch/unwritable" \
+        > "$scratch/unwritable.out" 2>/dev/null; then
+        echo "stats-json smoke: unwritable path did not fail" >&2
+        return 1
+    fi
+    [ ! -s "$scratch/unwritable.out" ] || {
+        echo "stats-json smoke: output before the failure" >&2
+        return 1; }
 
     timeline_smoke "$preset"
 }

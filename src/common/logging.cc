@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 namespace gqos
 {
@@ -15,6 +16,9 @@ namespace
 {
 
 LogLevel gLogLevel = LogLevel::Normal;
+
+/** The thread that ran static initialisation, i.e. main()'s. */
+const std::thread::id gMainThread = std::this_thread::get_id();
 
 void
 vreport(FILE *stream, const char *prefix, const char *fmt, va_list ap)
@@ -62,6 +66,13 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
     va_end(ap);
     std::fprintf(stderr, "\n");
     std::fflush(stderr);
+    // Off the main thread, exit() would run static destructors while
+    // other threads still use those objects. Flush every stdio stream
+    // (stdout, the JSONL trace) by hand, then leave without them.
+    if (std::this_thread::get_id() != gMainThread) {
+        std::fflush(nullptr);
+        std::_Exit(1);
+    }
     std::exit(1);
 }
 

@@ -40,7 +40,9 @@ void setLogLevel(LogLevel level);
 
 /**
  * Report an unrecoverable user-caused error (bad configuration,
- * invalid arguments), then exit(1).
+ * invalid arguments), then exit(1). Off the main thread it flushes
+ * every stdio stream and calls _Exit(1) instead, skipping atexit
+ * handlers and static destructors.
  */
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const char *fmt, ...);

@@ -10,24 +10,17 @@
 namespace gqos
 {
 
-namespace
-{
-
-/** JSON-safe number: %.17g round-trips doubles bit-exactly. */
 std::string
 jsonNumber(double v)
 {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // JSON has no inf/nan literals; clamp to null.
     for (const char *p = buf; *p; ++p) {
         if (*p == 'n' || *p == 'i')
             return "null";
     }
     return buf;
 }
-
-} // anonymous namespace
 
 MetricsRegistry::Counter &
 MetricsRegistry::counter(const std::string &name)

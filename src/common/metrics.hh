@@ -41,6 +41,14 @@ namespace gqos
 {
 
 /**
+ * A double as a JSON number: "%.17g" (round-trips bit-exactly), or
+ * null when non-finite, since JSON has no inf/nan literals. Every
+ * JSON writer in the repo (metrics, run report, trace, timeline)
+ * formats doubles with this.
+ */
+std::string jsonNumber(double v);
+
+/**
  * Registry of named metrics. Names are free-form strings; the
  * convention used by the simulator is dotted lower-case paths such
  * as "qos.epochs" or "harness.cache_hits".

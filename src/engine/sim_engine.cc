@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "common/metrics.hh"
 #include "gpu/gpu.hh"
 #include "policy/sharing_policy.hh"
 
@@ -94,6 +95,20 @@ SimEngine::runUntil(Gpu &gpu, SharingPolicy &policy, Cycle until)
         }
     }
     return false;
+}
+
+void
+exportEngineCounters(const SimEngine &engine, const Gpu &gpu,
+                     MetricsRegistry &metrics)
+{
+    metrics.counter("engine.stepped_cycles")
+        .inc(engine.stats().steppedCycles);
+    metrics.counter("engine.skipped_cycles")
+        .inc(engine.stats().skippedCycles);
+    metrics.counter("engine.control_points")
+        .inc(engine.stats().controlPoints);
+    metrics.counter("engine.sm_skipped_cycles")
+        .inc(gpu.smSkippedCycles());
 }
 
 } // namespace gqos

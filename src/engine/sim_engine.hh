@@ -42,6 +42,7 @@ namespace gqos
 {
 
 class Gpu;
+class MetricsRegistry;
 class SharingPolicy;
 
 /**
@@ -146,6 +147,14 @@ class SimEngine
      */
     bool lastStepActive_ = true;
 };
+
+/**
+ * Add how @p engine spent the simulated time of @p gpu to
+ * @p metrics: engine.stepped_cycles, engine.skipped_cycles,
+ * engine.control_points and engine.sm_skipped_cycles.
+ */
+void exportEngineCounters(const SimEngine &engine, const Gpu &gpu,
+                          MetricsRegistry &metrics);
 
 } // namespace gqos
 

@@ -18,18 +18,6 @@ namespace gqos
 namespace
 {
 
-std::string
-jsonNumber(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (const char *p = buf; *p; ++p) {
-        if (*p == 'n' || *p == 'i')
-            return "null";
-    }
-    return buf;
-}
-
 void
 writeKernel(std::ostream &os, const ReportKernel &k)
 {

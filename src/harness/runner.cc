@@ -198,16 +198,7 @@ Runner::simulate(const std::vector<std::string> &kernels,
     if (opts_.traceSink) {
         case_sink = std::make_unique<CaseLabelingSink>(
             opts_.traceSink, caseKey(kernels, goal_frac, policy));
-        gpu.setSmSliceCallback(
-            [&case_sink](SmId sm, KernelId k, Cycle start,
-                         Cycle end) {
-                SmSliceRecord rec;
-                rec.sm = sm;
-                rec.kernel = k;
-                rec.start = start;
-                rec.end = end;
-                case_sink->onSmSlice(rec);
-            });
+        gpu.setSmSliceCallback(smSliceEmitter(case_sink.get()));
     }
     if (case_sink || opts_.metrics) {
         pol.value()->attachTelemetry(case_sink.get(),
@@ -294,14 +285,7 @@ Runner::simulate(const std::vector<std::string> &kernels,
             }
         }
         opts_.metrics->counter("harness.cases_simulated").inc();
-        opts_.metrics->counter("engine.stepped_cycles")
-            .inc(engine.stats().steppedCycles);
-        opts_.metrics->counter("engine.skipped_cycles")
-            .inc(engine.stats().skippedCycles);
-        opts_.metrics->counter("engine.control_points")
-            .inc(engine.stats().controlPoints);
-        opts_.metrics->counter("engine.sm_skipped_cycles")
-            .inc(gpu.smSkippedCycles());
+        exportEngineCounters(engine, gpu, *opts_.metrics);
     }
     if (opts_.verbose) {
         gqos_inform("simulated %s [%d done]",

@@ -203,17 +203,8 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
     const bool accounting = opts_.metrics || sink;
     if (accounting)
         gpu.setCycleAccounting(true);
-    if (out) {
-        gpu.setSmSliceCallback([out](SmId sm, KernelId k, Cycle start,
-                                     Cycle end) {
-            SmSliceRecord rec;
-            rec.sm = sm;
-            rec.kernel = k;
-            rec.start = start;
-            rec.end = end;
-            out->onSmSlice(rec);
-        });
-    }
+    if (out)
+        gpu.setSmSliceCallback(smSliceEmitter(out));
     policy.onLaunch(gpu);
 
     SimEngine engine(opts_.engine, stallWindow);
@@ -472,6 +463,8 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
         }
     }
 
+    if (opts_.metrics)
+        exportEngineCounters(engine, gpu, *opts_.metrics);
     report.endCycle = gpu.now();
     report.finalLevel = admission.level();
     const double mcycles =

@@ -16,24 +16,13 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/metrics.hh"
+
 namespace gqos
 {
 
 namespace
 {
-
-/** JSON-safe number: null for non-finite (same as metrics.cc). */
-std::string
-jsonNumber(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (const char *p = buf; *p; ++p) {
-        if (*p == 'n' || *p == 'i')
-            return "null";
-    }
-    return buf;
-}
 
 /** tid of the per-SM occupancy track. */
 int
@@ -86,7 +75,13 @@ TimelineSink::nameThread(const std::string &case_key, int tid,
 }
 
 void
-TimelineSink::onEpochKernel(const EpochKernelRecord &rec)
+TimelineSink::onRecord(const TraceRecord &rec)
+{
+    std::visit([this](const auto &r) { render(r); }, rec);
+}
+
+void
+TimelineSink::render(const EpochKernelRecord &rec)
 {
     Cycle ts = rec.start + rec.length;
     std::ostringstream os;
@@ -120,7 +115,7 @@ TimelineSink::onEpochKernel(const EpochKernelRecord &rec)
 }
 
 void
-TimelineSink::onEpochMem(const EpochMemRecord &rec)
+TimelineSink::render(const EpochMemRecord &rec)
 {
     std::ostringstream os;
     os << "\"ph\":\"C\",\"tid\":" << controlTid
@@ -132,7 +127,7 @@ TimelineSink::onEpochMem(const EpochMemRecord &rec)
 }
 
 void
-TimelineSink::onAllocEvent(const AllocEventRecord &rec)
+TimelineSink::render(const AllocEventRecord &rec)
 {
     std::ostringstream os;
     os << "\"ph\":\"i\",\"tid\":" << controlTid
@@ -145,7 +140,7 @@ TimelineSink::onAllocEvent(const AllocEventRecord &rec)
 }
 
 void
-TimelineSink::onServingEvent(const ServingEventRecord &rec)
+TimelineSink::render(const ServingEventRecord &rec)
 {
     std::ostringstream os;
     os << "\"ph\":\"i\",\"tid\":" << controlTid
@@ -178,7 +173,7 @@ TimelineSink::onServingEvent(const ServingEventRecord &rec)
 }
 
 void
-TimelineSink::onSmSlice(const SmSliceRecord &rec)
+TimelineSink::render(const SmSliceRecord &rec)
 {
     std::ostringstream os;
     os << "\"ph\":\"X\",\"tid\":" << smTid(rec.sm)

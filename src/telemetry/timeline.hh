@@ -51,11 +51,7 @@ class TimelineSink : public TraceSink
 
     ~TimelineSink() override;
 
-    void onEpochKernel(const EpochKernelRecord &rec) override;
-    void onEpochMem(const EpochMemRecord &rec) override;
-    void onAllocEvent(const AllocEventRecord &rec) override;
-    void onServingEvent(const ServingEventRecord &rec) override;
-    void onSmSlice(const SmSliceRecord &rec) override;
+    void onRecord(const TraceRecord &rec) override;
 
     /** Rewrite the complete timeline JSON document. */
     void flush() override;
@@ -64,6 +60,13 @@ class TimelineSink : public TraceSink
     explicit TimelineSink(std::string path)
         : path_(std::move(path))
     {}
+
+    /** Turn one record into its trace events. */
+    void render(const EpochKernelRecord &rec);
+    void render(const EpochMemRecord &rec);
+    void render(const AllocEventRecord &rec);
+    void render(const ServingEventRecord &rec);
+    void render(const SmSliceRecord &rec);
 
     /**
      * Queue one trace event. @p fragment is the event's JSON body

@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace-sink backend: JSONL.
+ * Trace-record dispatch, the sink decorators and the JSONL backend.
  */
 
 #include "telemetry/trace.hh"
@@ -9,33 +9,30 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/metrics.hh"
+
 namespace gqos
 {
 
 namespace
 {
 
-/** JSON-safe number (see metrics.cc): null for non-finite. */
-std::string
-jsonNumber(double v)
+/** Open a JSONL object with the fields every record kind shares. */
+void
+beginJsonl(std::ostringstream &os, const char *type,
+           const std::string &case_key)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (const char *p = buf; *p; ++p) {
-        if (*p == 'n' || *p == 'i')
-            return "null";
-    }
-    return buf;
+    os << "{\"type\":\"" << type << "\""
+       << ",\"schema_version\":" << traceSchemaVersion
+       << ",\"case\":\"" << jsonEscape(case_key) << "\"";
 }
 
 std::string
-jsonlEpochKernel(const EpochKernelRecord &r)
+toJsonl(const EpochKernelRecord &r)
 {
     std::ostringstream os;
-    os << "{\"type\":\"epoch_kernel\""
-       << ",\"schema_version\":" << traceSchemaVersion
-       << ",\"case\":\"" << jsonEscape(r.caseKey) << "\""
-       << ",\"epoch\":" << r.epoch
+    beginJsonl(os, "epoch_kernel", r.caseKey);
+    os << ",\"epoch\":" << r.epoch
        << ",\"start\":" << r.start
        << ",\"length\":" << r.length
        << ",\"final_partial\":" << (r.finalPartial ? "true" : "false")
@@ -64,13 +61,11 @@ jsonlEpochKernel(const EpochKernelRecord &r)
 }
 
 std::string
-jsonlEpochMem(const EpochMemRecord &r)
+toJsonl(const EpochMemRecord &r)
 {
     std::ostringstream os;
-    os << "{\"type\":\"epoch_mem\""
-       << ",\"schema_version\":" << traceSchemaVersion
-       << ",\"case\":\"" << jsonEscape(r.caseKey) << "\""
-       << ",\"epoch\":" << r.epoch
+    beginJsonl(os, "epoch_mem", r.caseKey);
+    os << ",\"epoch\":" << r.epoch
        << ",\"start\":" << r.start
        << ",\"length\":" << r.length
        << ",\"final_partial\":" << (r.finalPartial ? "true" : "false")
@@ -84,13 +79,11 @@ jsonlEpochMem(const EpochMemRecord &r)
 }
 
 std::string
-jsonlAllocEvent(const AllocEventRecord &r)
+toJsonl(const AllocEventRecord &r)
 {
     std::ostringstream os;
-    os << "{\"type\":\"alloc_event\""
-       << ",\"schema_version\":" << traceSchemaVersion
-       << ",\"case\":\"" << jsonEscape(r.caseKey) << "\""
-       << ",\"epoch\":" << r.epoch
+    beginJsonl(os, "alloc_event", r.caseKey);
+    os << ",\"epoch\":" << r.epoch
        << ",\"cycle\":" << r.cycle
        << ",\"sm\":" << r.sm
        << ",\"kernel\":" << r.kernel
@@ -101,13 +94,11 @@ jsonlAllocEvent(const AllocEventRecord &r)
 }
 
 std::string
-jsonlServingEvent(const ServingEventRecord &r)
+toJsonl(const ServingEventRecord &r)
 {
     std::ostringstream os;
-    os << "{\"type\":\"serving_event\""
-       << ",\"schema_version\":" << traceSchemaVersion
-       << ",\"case\":\"" << jsonEscape(r.caseKey) << "\""
-       << ",\"cycle\":" << r.cycle
+    beginJsonl(os, "serving_event", r.caseKey);
+    os << ",\"cycle\":" << r.cycle
        << ",\"event\":\"" << jsonEscape(r.event) << "\""
        << ",\"tenant\":\"" << jsonEscape(r.tenant) << "\""
        << ",\"request\":" << r.request
@@ -119,29 +110,15 @@ jsonlServingEvent(const ServingEventRecord &r)
 }
 
 std::string
-jsonlSmSlice(const SmSliceRecord &r)
+toJsonl(const SmSliceRecord &r)
 {
     std::ostringstream os;
-    os << "{\"type\":\"sm_slice\""
-       << ",\"schema_version\":" << traceSchemaVersion
-       << ",\"case\":\"" << jsonEscape(r.caseKey) << "\""
-       << ",\"sm\":" << r.sm
+    beginJsonl(os, "sm_slice", r.caseKey);
+    os << ",\"sm\":" << r.sm
        << ",\"kernel\":" << r.kernel
        << ",\"start\":" << r.start
        << ",\"end\":" << r.end << "}";
     return os.str();
-}
-
-Result<std::FILE *>
-openFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        return Error(ErrorCode::IoError,
-                     "cannot open trace file '" + path +
-                         "': " + std::strerror(errno));
-    }
-    return f;
 }
 
 } // anonymous namespace
@@ -182,169 +159,55 @@ jsonEscape(const std::string &s)
 }
 
 void
-CaseLabelingSink::onEpochKernel(const EpochKernelRecord &rec)
+emit(TraceSink &sink, const TraceRecord &rec)
 {
-    EpochKernelRecord labeled = rec;
-    labeled.caseKey = caseKey_;
-    inner_->onEpochKernel(labeled);
-}
-
-void
-CaseLabelingSink::onEpochMem(const EpochMemRecord &rec)
-{
-    EpochMemRecord labeled = rec;
-    labeled.caseKey = caseKey_;
-    inner_->onEpochMem(labeled);
-}
-
-void
-CaseLabelingSink::onAllocEvent(const AllocEventRecord &rec)
-{
-    AllocEventRecord labeled = rec;
-    labeled.caseKey = caseKey_;
-    inner_->onAllocEvent(labeled);
-}
-
-void
-CaseLabelingSink::onServingEvent(const ServingEventRecord &rec)
-{
-    ServingEventRecord labeled = rec;
-    labeled.caseKey = caseKey_;
-    inner_->onServingEvent(labeled);
-}
-
-void
-CaseLabelingSink::onSmSlice(const SmSliceRecord &rec)
-{
-    SmSliceRecord labeled = rec;
-    labeled.caseKey = caseKey_;
-    inner_->onSmSlice(labeled);
-}
-
-void
-TeeTraceSink::onEpochKernel(const EpochKernelRecord &rec)
-{
-    a_->onEpochKernel(rec);
-    b_->onEpochKernel(rec);
-}
-
-void
-TeeTraceSink::onEpochMem(const EpochMemRecord &rec)
-{
-    a_->onEpochMem(rec);
-    b_->onEpochMem(rec);
-}
-
-void
-TeeTraceSink::onAllocEvent(const AllocEventRecord &rec)
-{
-    a_->onAllocEvent(rec);
-    b_->onAllocEvent(rec);
-}
-
-void
-TeeTraceSink::onServingEvent(const ServingEventRecord &rec)
-{
-    a_->onServingEvent(rec);
-    b_->onServingEvent(rec);
-}
-
-void
-TeeTraceSink::onSmSlice(const SmSliceRecord &rec)
-{
-    a_->onSmSlice(rec);
-    b_->onSmSlice(rec);
-}
-
-void
-TeeTraceSink::flush()
-{
-    a_->flush();
-    b_->flush();
-}
-
-void
-BufferingTraceSink::onEpochKernel(const EpochKernelRecord &rec)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    Entry e;
-    e.kind = Entry::Kind::EpochKernel;
-    e.epochKernel = rec;
-    records_.push_back(std::move(e));
-}
-
-void
-BufferingTraceSink::onEpochMem(const EpochMemRecord &rec)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    Entry e;
-    e.kind = Entry::Kind::EpochMem;
-    e.epochMem = rec;
-    records_.push_back(std::move(e));
-}
-
-void
-BufferingTraceSink::onAllocEvent(const AllocEventRecord &rec)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    Entry e;
-    e.kind = Entry::Kind::AllocEvent;
-    e.allocEvent = rec;
-    records_.push_back(std::move(e));
-}
-
-void
-BufferingTraceSink::onServingEvent(const ServingEventRecord &rec)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    Entry e;
-    e.kind = Entry::Kind::Serving;
-    e.serving = rec;
-    records_.push_back(std::move(e));
-}
-
-void
-BufferingTraceSink::onSmSlice(const SmSliceRecord &rec)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    Entry e;
-    e.kind = Entry::Kind::SmSlice;
-    e.smSlice = rec;
-    records_.push_back(std::move(e));
-}
-
-void
-BufferingTraceSink::replayTo(TraceSink &sink) const
-{
-    for (const Entry &e : records_) {
-        switch (e.kind) {
-          case Entry::Kind::EpochKernel:
-            sink.onEpochKernel(e.epochKernel);
-            break;
-          case Entry::Kind::EpochMem:
-            sink.onEpochMem(e.epochMem);
-            break;
-          case Entry::Kind::AllocEvent:
-            sink.onAllocEvent(e.allocEvent);
-            break;
-          case Entry::Kind::Serving:
-            sink.onServingEvent(e.serving);
-            break;
-          case Entry::Kind::SmSlice:
-            sink.onSmSlice(e.smSlice);
-            break;
+    struct Dispatch
+    {
+        TraceSink &sink;
+        void operator()(const EpochKernelRecord &r) { sink.onEpochKernel(r); }
+        void operator()(const EpochMemRecord &r) { sink.onEpochMem(r); }
+        void operator()(const AllocEventRecord &r) { sink.onAllocEvent(r); }
+        void
+        operator()(const ServingEventRecord &r)
+        {
+            sink.onServingEvent(r);
         }
-    }
+        void operator()(const SmSliceRecord &r) { sink.onSmSlice(r); }
+    };
+    std::visit(Dispatch{sink}, rec);
+}
+
+std::function<void(SmId, KernelId, Cycle, Cycle)>
+smSliceEmitter(TraceSink *sink)
+{
+    return [sink](SmId sm, KernelId k, Cycle start, Cycle end) {
+        SmSliceRecord rec;
+        rec.sm = sm;
+        rec.kernel = k;
+        rec.start = start;
+        rec.end = end;
+        sink->onSmSlice(rec);
+    };
+}
+
+void
+CaseLabelingSink::onRecord(const TraceRecord &rec)
+{
+    TraceRecord labeled = rec;
+    std::visit([this](auto &r) { r.caseKey = caseKey_; }, labeled);
+    emit(*inner_, labeled);
 }
 
 Result<std::unique_ptr<JsonlTraceSink>>
 JsonlTraceSink::open(const std::string &path)
 {
-    auto f = openFile(path);
-    if (!f.ok())
-        return f.error();
-    return std::unique_ptr<JsonlTraceSink>(
-        new JsonlTraceSink(f.value()));
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f) {
+        return Error(ErrorCode::IoError,
+                     "cannot open trace file '" + path +
+                         "': " + std::strerror(errno));
+    }
+    return std::unique_ptr<JsonlTraceSink>(new JsonlTraceSink(f));
 }
 
 JsonlTraceSink::~JsonlTraceSink()
@@ -353,41 +216,16 @@ JsonlTraceSink::~JsonlTraceSink()
 }
 
 void
-JsonlTraceSink::writeLine(const std::string &line)
+JsonlTraceSink::onRecord(const TraceRecord &rec)
 {
+    const std::string line =
+        std::visit([](const auto &r) { return toJsonl(r); }, rec);
+    // Keep fwrite + fputc: appending '\n' to line and writing it
+    // with one fwrite made epoch_kernel records several times slower
+    // inside a simulating process.
     std::lock_guard<std::mutex> guard(mutex_);
     std::fwrite(line.data(), 1, line.size(), file_);
     std::fputc('\n', file_);
-}
-
-void
-JsonlTraceSink::onEpochKernel(const EpochKernelRecord &rec)
-{
-    writeLine(jsonlEpochKernel(rec));
-}
-
-void
-JsonlTraceSink::onEpochMem(const EpochMemRecord &rec)
-{
-    writeLine(jsonlEpochMem(rec));
-}
-
-void
-JsonlTraceSink::onAllocEvent(const AllocEventRecord &rec)
-{
-    writeLine(jsonlAllocEvent(rec));
-}
-
-void
-JsonlTraceSink::onServingEvent(const ServingEventRecord &rec)
-{
-    writeLine(jsonlServingEvent(rec));
-}
-
-void
-JsonlTraceSink::onSmSlice(const SmSliceRecord &rec)
-{
-    writeLine(jsonlSmSlice(rec));
 }
 
 void
@@ -431,12 +269,9 @@ traceSpecPath(const std::string &spec)
 Result<std::unique_ptr<TraceSink>>
 openTraceSink(const std::string &spec)
 {
-    std::string path = spec;
-    auto comma = spec.rfind(',');
-    if (comma != std::string::npos &&
-        looksLikeFormatToken(spec.substr(comma + 1))) {
-        std::string format = spec.substr(comma + 1);
-        path = spec.substr(0, comma);
+    const std::string path = traceSpecPath(spec);
+    if (path.size() < spec.size()) {
+        const std::string format = spec.substr(path.size() + 1);
         if (format != "jsonl") {
             return Error(ErrorCode::InvalidArgument,
                          "unknown trace format '" + format +

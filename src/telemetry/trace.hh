@@ -5,23 +5,32 @@
  * The simulator computes rich per-epoch state — alpha correction,
  * elastic epoch lengths, rollover carry, the multiplicative non-QoS
  * goal search — and without a trace it is all discarded at the next
- * epoch boundary. A TraceSink receives one structured record per
- * (epoch, kernel), one memory-system record per epoch, and one event
- * per TB reallocation made by the static allocator, so a goal miss
- * or an oscillating non-QoS quota can be replayed offline.
+ * epoch boundary. Five record kinds carry it out, one TraceRecord
+ * variant holds any of them:
  *
- * Producers (QuotaController, StaticAllocator) hold a plain
- * `TraceSink *` that defaults to nullptr; every emission site is
- * guarded by that null check, so an untraced run pays one branch per
- * epoch and nothing else — simulation results are byte-identical
- * with tracing on or off, because sinks only observe.
+ *   - EpochKernelRecord: one per (epoch, kernel)
+ *   - EpochMemRecord: one memory-system record per epoch
+ *   - AllocEventRecord: one per static-allocator TB reallocation
+ *   - ServingEventRecord: serving-driver lifecycle and control events
+ *   - SmSliceRecord: one kernel-occupancy span on one SM
  *
- * Backend: JSONL (one JSON object per line, self-describing). It is
- * thread-safe: records are appended atomically under a mutex, so
- * sweep workers may share one sink — records from different cases
- * interleave but each carries its case key (stamped by
- * CaseLabelingSink). RecordingTraceSink keeps records in memory
- * for tests and programmatic consumers.
+ * so a goal miss or an oscillating non-QoS quota can be replayed
+ * offline.
+ *
+ * Producers (QuotaController, StaticAllocator, Runner,
+ * ServingDriver) hold a plain `TraceSink *` that defaults to
+ * nullptr; every emission site is guarded by that null check, so an
+ * untraced run pays one branch per epoch and nothing else —
+ * simulation results are byte-identical with tracing on or off,
+ * because sinks only observe.
+ *
+ * Sinks implement one hook, TraceSink::onRecord(). JsonlTraceSink
+ * writes one JSON object per line; it is thread-safe (lines are
+ * appended atomically under a mutex), so sweep workers may share
+ * one sink — records from different cases interleave but each
+ * carries its case key (stamped by CaseLabelingSink).
+ * RecordingTraceSink keeps records in memory, in emission order,
+ * for tests, programmatic consumers and ordered replay.
  */
 
 #ifndef GQOS_TELEMETRY_TRACE_HH
@@ -29,9 +38,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "arch/types.hh"
@@ -149,35 +160,59 @@ struct SmSliceRecord
     Cycle end = 0;
 };
 
+/** Any one trace record; the unit every sink consumes. */
+using TraceRecord =
+    std::variant<EpochKernelRecord, EpochMemRecord, AllocEventRecord,
+                 ServingEventRecord, SmSliceRecord>;
+
 /**
  * Telemetry consumer interface. Implementations must tolerate
  * concurrent calls from multiple sweep worker threads.
+ *
+ * Producers call the typed entry points (onEpochKernel, ...); a
+ * sink implements the single hook onRecord(), which every typed
+ * entry point forwards to by default. Decorators hand records on
+ * with emit(), which calls the inner sink's typed entry point, so
+ * a sink that overrides only typed entry points still sees every
+ * record. The typed entry points stay virtual for such sinks
+ * (perfbench's TimingTraceSink is one).
  */
 class TraceSink
 {
   public:
     virtual ~TraceSink() = default;
 
-    virtual void onEpochKernel(const EpochKernelRecord &rec) = 0;
-    virtual void onEpochMem(const EpochMemRecord &rec) = 0;
-    virtual void onAllocEvent(const AllocEventRecord &rec) = 0;
+    virtual void onEpochKernel(const EpochKernelRecord &rec)
+    {
+        onRecord(rec);
+    }
+    virtual void onEpochMem(const EpochMemRecord &rec) { onRecord(rec); }
+    virtual void onAllocEvent(const AllocEventRecord &rec)
+    {
+        onRecord(rec);
+    }
+    virtual void onServingEvent(const ServingEventRecord &rec)
+    {
+        onRecord(rec);
+    }
+    virtual void onSmSlice(const SmSliceRecord &rec) { onRecord(rec); }
 
-    /**
-     * Serving-driver lifecycle event. Default no-op so batch-only
-     * sinks (and out-of-tree implementations) need not care.
-     */
-    virtual void onServingEvent(const ServingEventRecord &) {}
-
-    /**
-     * Kernel-occupancy slice on one SM (timeline exporter input).
-     * Default no-op: line-oriented backends can record it, but most
-     * consumers only care about epoch records.
-     */
-    virtual void onSmSlice(const SmSliceRecord &) {}
+    /** Consume one record (default: ignore it). */
+    virtual void onRecord(const TraceRecord &) {}
 
     /** Make everything emitted so far durable (default no-op). */
     virtual void flush() {}
 };
+
+/** Hand @p rec to the typed entry point of @p sink it belongs to. */
+void emit(TraceSink &sink, const TraceRecord &rec);
+
+/**
+ * The Gpu::setSmSliceCallback callback that emits each closed
+ * kernel-occupancy span to @p sink as an SmSliceRecord.
+ */
+std::function<void(SmId, KernelId, Cycle, Cycle)>
+smSliceEmitter(TraceSink *sink);
 
 /**
  * Decorator stamping every record with a case key before forwarding
@@ -192,11 +227,7 @@ class CaseLabelingSink : public TraceSink
         : inner_(inner), caseKey_(std::move(case_key))
     {}
 
-    void onEpochKernel(const EpochKernelRecord &rec) override;
-    void onEpochMem(const EpochMemRecord &rec) override;
-    void onAllocEvent(const AllocEventRecord &rec) override;
-    void onServingEvent(const ServingEventRecord &rec) override;
-    void onSmSlice(const SmSliceRecord &rec) override;
+    void onRecord(const TraceRecord &rec) override;
     void flush() override { inner_->flush(); }
 
   private:
@@ -214,116 +245,80 @@ class TeeTraceSink : public TraceSink
   public:
     TeeTraceSink(TraceSink *a, TraceSink *b) : a_(a), b_(b) {}
 
-    void onEpochKernel(const EpochKernelRecord &rec) override;
-    void onEpochMem(const EpochMemRecord &rec) override;
-    void onAllocEvent(const AllocEventRecord &rec) override;
-    void onServingEvent(const ServingEventRecord &rec) override;
-    void onSmSlice(const SmSliceRecord &rec) override;
-    void flush() override;
+    void
+    onRecord(const TraceRecord &rec) override
+    {
+        emit(*a_, rec);
+        emit(*b_, rec);
+    }
+
+    void
+    flush() override
+    {
+        a_->flush();
+        b_->flush();
+    }
 
   private:
     TraceSink *a_;
     TraceSink *b_;
 };
 
-/** In-memory sink for tests and programmatic consumers. */
+/**
+ * Order-preserving in-memory sink. Tests read it back per kind; the
+ * serving harness gives each concurrently-simulated load point its
+ * own one, then replays them into the real output sink in submission
+ * order, so the trace file is byte-identical at any `--jobs` level.
+ */
 class RecordingTraceSink : public TraceSink
 {
   public:
     void
-    onEpochKernel(const EpochKernelRecord &rec) override
+    onRecord(const TraceRecord &rec) override
     {
         std::lock_guard<std::mutex> guard(mutex_);
-        epochKernel.push_back(rec);
+        records_.push_back(rec);
     }
 
+    /** Forward every recorded record to @p sink, in emission order. */
     void
-    onEpochMem(const EpochMemRecord &rec) override
+    replayTo(TraceSink &sink) const
     {
         std::lock_guard<std::mutex> guard(mutex_);
-        epochMem.push_back(rec);
+        for (const TraceRecord &rec : records_)
+            emit(sink, rec);
     }
 
-    void
-    onAllocEvent(const AllocEventRecord &rec) override
+    std::size_t
+    size() const
     {
         std::lock_guard<std::mutex> guard(mutex_);
-        allocEvents.push_back(rec);
+        return records_.size();
     }
 
-    void
-    onServingEvent(const ServingEventRecord &rec) override
+    /** Every recorded record of kind @p T, in emission order. */
+    template <class T>
+    std::vector<T>
+    all() const
     {
         std::lock_guard<std::mutex> guard(mutex_);
-        servingEvents.push_back(rec);
+        std::vector<T> out;
+        for (const TraceRecord &rec : records_) {
+            if (const T *r = std::get_if<T>(&rec))
+                out.push_back(*r);
+        }
+        return out;
     }
-
-    void
-    onSmSlice(const SmSliceRecord &rec) override
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        smSlices.push_back(rec);
-    }
-
-    std::vector<EpochKernelRecord> epochKernel;
-    std::vector<EpochMemRecord> epochMem;
-    std::vector<AllocEventRecord> allocEvents;
-    std::vector<ServingEventRecord> servingEvents;
-    std::vector<SmSliceRecord> smSlices;
 
   private:
-    std::mutex mutex_;
+    mutable std::mutex mutex_;
+    std::vector<TraceRecord> records_;
 };
 
 /**
- * Order-preserving buffer of every record kind. The serving harness
- * gives each concurrently-simulated load point its own buffer, then
- * replays the buffers into the real output sink in submission order
- * — so the trace file is byte-identical at any `--jobs` level even
- * though the simulations ran in parallel.
- */
-class BufferingTraceSink : public TraceSink
-{
-  public:
-    void onEpochKernel(const EpochKernelRecord &rec) override;
-    void onEpochMem(const EpochMemRecord &rec) override;
-    void onAllocEvent(const AllocEventRecord &rec) override;
-    void onServingEvent(const ServingEventRecord &rec) override;
-    void onSmSlice(const SmSliceRecord &rec) override;
-
-    /** Forward every buffered record to @p sink, in emission order. */
-    void replayTo(TraceSink &sink) const;
-
-    std::size_t size() const { return records_.size(); }
-
-  private:
-    struct Entry
-    {
-        // A tiny hand-rolled variant keeps the header dependency
-        // surface flat; exactly one member is populated per entry.
-        enum class Kind
-        {
-            EpochKernel,
-            EpochMem,
-            AllocEvent,
-            Serving,
-            SmSlice
-        };
-        Kind kind;
-        EpochKernelRecord epochKernel;
-        EpochMemRecord epochMem;
-        AllocEventRecord allocEvent;
-        ServingEventRecord serving;
-        SmSliceRecord smSlice;
-    };
-
-    std::mutex mutex_;
-    std::vector<Entry> records_;
-};
-
-/**
- * JSONL backend: one self-describing JSON object per line, with a
- * "type" field of "epoch_kernel", "epoch_mem" or "alloc_event".
+ * JSONL backend: one self-describing JSON object per line, whose
+ * "type" field names the record kind: "epoch_kernel", "epoch_mem",
+ * "alloc_event", "serving_event" or "sm_slice".
  */
 class JsonlTraceSink : public TraceSink
 {
@@ -334,17 +329,11 @@ class JsonlTraceSink : public TraceSink
 
     ~JsonlTraceSink() override;
 
-    void onEpochKernel(const EpochKernelRecord &rec) override;
-    void onEpochMem(const EpochMemRecord &rec) override;
-    void onAllocEvent(const AllocEventRecord &rec) override;
-    void onServingEvent(const ServingEventRecord &rec) override;
-    void onSmSlice(const SmSliceRecord &rec) override;
+    void onRecord(const TraceRecord &rec) override;
     void flush() override;
 
   private:
     explicit JsonlTraceSink(std::FILE *f) : file_(f) {}
-
-    void writeLine(const std::string &line);
 
     std::mutex mutex_;
     std::FILE *file_;

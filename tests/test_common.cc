@@ -8,11 +8,17 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <ostream>
 #include <set>
+#include <string>
+#include <thread>
 
 #include "common/bitops.hh"
 #include "common/cli.hh"
 #include "common/csv.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -208,6 +214,73 @@ TEST(CliDeath, RejectsTrailingGarbageInNumbers)
                 ::testing::ExitedWithCode(1), "");
     EXPECT_EXIT(args.getDouble("empty", 0.0),
                 ::testing::ExitedWithCode(1), "");
+}
+
+/** Death-test stderr matcher: says "fatal:", never @p marker. */
+class FatalWithout
+    : public ::testing::MatcherInterface<const std::string &>
+{
+  public:
+    explicit FatalWithout(std::string marker)
+        : marker_(std::move(marker))
+    {}
+
+    bool
+    MatchAndExplain(const std::string &err,
+                    ::testing::MatchResultListener *) const override
+    {
+        return err.find("fatal:") != std::string::npos &&
+               err.find(marker_) == std::string::npos;
+    }
+
+    void
+    DescribeTo(std::ostream *os) const override
+    {
+        *os << "contains \"fatal:\" but not \"" << marker_ << "\"";
+    }
+
+  private:
+    std::string marker_;
+};
+
+void
+printAtexitMarker()
+{
+    std::fputs("atexit-marker\n", stderr);
+}
+
+TEST(LoggingDeath, FatalOffTheMainThreadSkipsExitHandlers)
+{
+    EXPECT_EXIT(
+        {
+            std::atexit(printAtexitMarker);
+            std::thread([] { gqos_fatal("worker gave up"); }).join();
+        },
+        ::testing::ExitedWithCode(1),
+        ::testing::MakeMatcher(new FatalWithout("atexit-marker")));
+    // On the main thread the same fatal() runs exit handlers.
+    EXPECT_EXIT(
+        {
+            std::atexit(printAtexitMarker);
+            gqos_fatal("main gave up");
+        },
+        ::testing::ExitedWithCode(1), "fatal:.*main gave up.*\n"
+                                      "atexit-marker");
+    // Buffered stdout still reaches its file on the worker path.
+    const std::string out = ::testing::TempDir() + "gqos_fatal_stdout";
+    EXPECT_EXIT(
+        {
+            if (!std::freopen(out.c_str(), "w", stdout))
+                std::abort();
+            std::fputs("stdout-marker\n", stdout);
+            std::thread([] { gqos_fatal("worker gave up"); }).join();
+        },
+        ::testing::ExitedWithCode(1), "fatal:.*worker gave up");
+    std::ifstream in(out);
+    std::string line;
+    std::getline(in, line);
+    EXPECT_EQ(line, "stdout-marker");
+    std::remove(out.c_str());
 }
 
 TEST(Cli, AcceptsFullTokenNumbers)

@@ -402,12 +402,12 @@ class EngineDifferential : public ::testing::Test
         // Telemetry must match record by record, field by field
         // (isolated-baseline runs emit records too, so the streams
         // cover more than the co-run itself).
-        ASSERT_EQ(ev.trace.epochKernel.size(),
-                  ref.trace.epochKernel.size());
-        for (std::size_t i = 0; i < ev.trace.epochKernel.size();
-             ++i) {
-            const EpochKernelRecord &x = ev.trace.epochKernel[i];
-            const EpochKernelRecord &y = ref.trace.epochKernel[i];
+        const auto evKernel = ev.trace.all<EpochKernelRecord>();
+        const auto refKernel = ref.trace.all<EpochKernelRecord>();
+        ASSERT_EQ(evKernel.size(), refKernel.size());
+        for (std::size_t i = 0; i < evKernel.size(); ++i) {
+            const EpochKernelRecord &x = evKernel[i];
+            const EpochKernelRecord &y = refKernel[i];
             SCOPED_TRACE("epoch_kernel record " + std::to_string(i));
             EXPECT_EQ(x.caseKey, y.caseKey);
             EXPECT_EQ(x.epoch, y.epoch);
@@ -432,11 +432,12 @@ class EngineDifferential : public ::testing::Test
                 EXPECT_DOUBLE_EQ(x.leftoverPerSm[s],
                                  y.leftoverPerSm[s]);
         }
-        ASSERT_EQ(ev.trace.epochMem.size(),
-                  ref.trace.epochMem.size());
-        for (std::size_t i = 0; i < ev.trace.epochMem.size(); ++i) {
-            const EpochMemRecord &x = ev.trace.epochMem[i];
-            const EpochMemRecord &y = ref.trace.epochMem[i];
+        const auto evMem = ev.trace.all<EpochMemRecord>();
+        const auto refMem = ref.trace.all<EpochMemRecord>();
+        ASSERT_EQ(evMem.size(), refMem.size());
+        for (std::size_t i = 0; i < evMem.size(); ++i) {
+            const EpochMemRecord &x = evMem[i];
+            const EpochMemRecord &y = refMem[i];
             SCOPED_TRACE("epoch_mem record " + std::to_string(i));
             EXPECT_EQ(x.epoch, y.epoch);
             EXPECT_EQ(x.l1Accesses, y.l1Accesses);
@@ -444,12 +445,12 @@ class EngineDifferential : public ::testing::Test
             EXPECT_EQ(x.dramAccesses, y.dramAccesses);
             EXPECT_EQ(x.contextLines, y.contextLines);
         }
-        ASSERT_EQ(ev.trace.allocEvents.size(),
-                  ref.trace.allocEvents.size());
-        for (std::size_t i = 0; i < ev.trace.allocEvents.size();
-             ++i) {
-            const AllocEventRecord &x = ev.trace.allocEvents[i];
-            const AllocEventRecord &y = ref.trace.allocEvents[i];
+        const auto evAlloc = ev.trace.all<AllocEventRecord>();
+        const auto refAlloc = ref.trace.all<AllocEventRecord>();
+        ASSERT_EQ(evAlloc.size(), refAlloc.size());
+        for (std::size_t i = 0; i < evAlloc.size(); ++i) {
+            const AllocEventRecord &x = evAlloc[i];
+            const AllocEventRecord &y = refAlloc[i];
             SCOPED_TRACE("alloc_event record " + std::to_string(i));
             EXPECT_EQ(x.cycle, y.cycle);
             EXPECT_EQ(x.sm, y.sm);

@@ -11,10 +11,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/fault_injection.hh"
+#include "common/metrics.hh"
 #include "engine/sim_engine.hh"
 #include "gpu/gpu.hh"
 #include "policy/policy_factory.hh"
@@ -610,7 +612,8 @@ TEST(ServingDriver, HealthyLoadCompletesEverythingInOrder)
     // The structured trace narrates the run: every arrival has a
     // record, and per tenant the completions match the report.
     std::uint64_t arrivalEvents = 0, completeEvents = 0;
-    for (const ServingEventRecord &e : sink.servingEvents) {
+    for (const ServingEventRecord &e :
+         sink.all<ServingEventRecord>()) {
         EXPECT_EQ(e.caseKey, "test");
         if (e.event == "arrival")
             arrivalEvents++;
@@ -642,16 +645,14 @@ TEST(ServingDriver, SameSeedRunsAreIdentical)
         EXPECT_DOUBLE_EQ(a.tenants[i].goodput,
                          b.tenants[i].goodput);
     }
-    ASSERT_EQ(s1.servingEvents.size(), s2.servingEvents.size());
-    for (std::size_t i = 0; i < s1.servingEvents.size(); ++i) {
-        EXPECT_EQ(s1.servingEvents[i].cycle,
-                  s2.servingEvents[i].cycle);
-        EXPECT_EQ(s1.servingEvents[i].event,
-                  s2.servingEvents[i].event);
-        EXPECT_EQ(s1.servingEvents[i].tenant,
-                  s2.servingEvents[i].tenant);
-        EXPECT_EQ(s1.servingEvents[i].request,
-                  s2.servingEvents[i].request);
+    const auto e1 = s1.all<ServingEventRecord>();
+    const auto e2 = s2.all<ServingEventRecord>();
+    ASSERT_EQ(e1.size(), e2.size());
+    for (std::size_t i = 0; i < e1.size(); ++i) {
+        EXPECT_EQ(e1[i].cycle, e2[i].cycle);
+        EXPECT_EQ(e1[i].event, e2[i].event);
+        EXPECT_EQ(e1[i].tenant, e2[i].tenant);
+        EXPECT_EQ(e1[i].request, e2[i].request);
     }
 }
 
@@ -686,7 +687,8 @@ TEST(ServingDriver, OverloadDegradesElasticBeforeGuaranteed)
         EXPECT_LE(t.maxQueueDepth, 4u) << t.name;
     // Degradation shows up in the trace as structured records.
     bool sawDegrade = false;
-    for (const ServingEventRecord &ev : sink.servingEvents)
+    for (const ServingEventRecord &ev :
+         sink.all<ServingEventRecord>())
         sawDegrade |= ev.event == "degrade";
     EXPECT_TRUE(sawDegrade);
 }
@@ -707,13 +709,38 @@ TEST(ServingDriver, WatchdogTripsOnFrozenTenantAndShutsDownClean)
     EXPECT_TRUE(r.tenants[1].stalled);
     EXPECT_FALSE(r.tenants[0].stalled);
     bool sawStall = false;
-    for (const ServingEventRecord &ev : sink.servingEvents) {
+    for (const ServingEventRecord &ev :
+         sink.all<ServingEventRecord>()) {
         if (ev.event == "tenant_stalled") {
             sawStall = true;
             EXPECT_EQ(ev.tenant, "e");
         }
     }
     EXPECT_TRUE(sawStall);
+}
+
+TEST(ServingDriver, MetricsCarryEngineCounters)
+{
+    MetricsRegistry metrics;
+    ServingOptions opts = servingOpts();
+    opts.metrics = &metrics;
+    ServingReport r =
+        runServing(servingArrivals(0.02, 150000), nullptr, opts);
+    std::ostringstream json;
+    metrics.writeJson(json);
+    for (const char *name :
+         {"engine.stepped_cycles", "engine.skipped_cycles",
+          "engine.control_points", "engine.sm_skipped_cycles"}) {
+        EXPECT_NE(json.str().find(std::string("\"") + name + "\""),
+                  std::string::npos)
+            << name;
+    }
+    const std::uint64_t stepped =
+        metrics.counter("engine.stepped_cycles").value();
+    const std::uint64_t skipped =
+        metrics.counter("engine.skipped_cycles").value();
+    EXPECT_GT(stepped, 0u);
+    EXPECT_EQ(stepped + skipped, r.endCycle);
 }
 
 TEST(ServingDriver, RejectsInvalidOptions)
@@ -740,12 +767,12 @@ TEST(ServingDriver, ServingPolicyAliasIsKnown)
 }
 
 // ---------------------------------------------------------------
-// BufferingTraceSink replay
+// RecordingTraceSink replay
 // ---------------------------------------------------------------
 
 TEST(BufferingSink, ReplayPreservesOrderAcrossRecordKinds)
 {
-    BufferingTraceSink buf;
+    RecordingTraceSink buf;
     ServingEventRecord s;
     s.caseKey = "c";
     s.event = "arrival";
@@ -762,10 +789,12 @@ TEST(BufferingSink, ReplayPreservesOrderAcrossRecordKinds)
 
     RecordingTraceSink out;
     buf.replayTo(out);
-    ASSERT_EQ(out.servingEvents.size(), 2u);
-    ASSERT_EQ(out.epochMem.size(), 1u);
-    EXPECT_EQ(out.servingEvents[0].event, "arrival");
-    EXPECT_EQ(out.servingEvents[1].event, "complete");
+    const auto served = out.all<ServingEventRecord>();
+    ASSERT_EQ(out.size(), 3u);
+    ASSERT_EQ(served.size(), 2u);
+    ASSERT_EQ(out.all<EpochMemRecord>().size(), 1u);
+    EXPECT_EQ(served[0].event, "arrival");
+    EXPECT_EQ(served[1].event, "complete");
 }
 
 } // anonymous namespace

@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -107,10 +109,11 @@ TEST(Trace, InstrDeltasSumToRunTotal)
         12 * run.cfg.epochLength + run.cfg.epochLength / 3;
     run.run(&sink, nullptr, cycles);
 
-    ASSERT_FALSE(sink.epochKernel.empty());
+    const auto records = sink.all<EpochKernelRecord>();
+    ASSERT_FALSE(records.empty());
     std::vector<std::uint64_t> sums(2, 0);
     bool saw_final = false;
-    for (const EpochKernelRecord &rec : sink.epochKernel) {
+    for (const EpochKernelRecord &rec : records) {
         ASSERT_GE(rec.kernel, 0);
         ASSERT_LT(rec.kernel, 2);
         sums[rec.kernel] += rec.instrDelta;
@@ -131,13 +134,13 @@ TEST(Trace, EpochIndicesAreContiguous)
     run.run(&sink, nullptr, 10 * run.cfg.epochLength);
 
     std::vector<int> per_kernel_next(2, 0);
-    for (const EpochKernelRecord &rec : sink.epochKernel)
+    for (const EpochKernelRecord &rec : sink.all<EpochKernelRecord>())
         EXPECT_EQ(rec.epoch, per_kernel_next[rec.kernel]++);
     EXPECT_EQ(per_kernel_next[0], per_kernel_next[1]);
     EXPECT_GE(per_kernel_next[0], 9);
 
     int next_mem = 0;
-    for (const EpochMemRecord &rec : sink.epochMem)
+    for (const EpochMemRecord &rec : sink.all<EpochMemRecord>())
         EXPECT_EQ(rec.epoch, next_mem++);
     EXPECT_EQ(next_mem, per_kernel_next[0]);
 }
@@ -148,9 +151,10 @@ TEST(Trace, ElasticEpochLengthNeverExceedsNominal)
     RecordingTraceSink sink;
     run.run(&sink, nullptr, 15 * run.cfg.epochLength);
 
-    ASSERT_FALSE(sink.epochKernel.empty());
+    const auto records = sink.all<EpochKernelRecord>();
+    ASSERT_FALSE(records.empty());
     bool shortened = false;
-    for (const EpochKernelRecord &rec : sink.epochKernel) {
+    for (const EpochKernelRecord &rec : records) {
         EXPECT_GE(rec.length, 1u);
         EXPECT_LE(rec.length, run.cfg.epochLength);
         shortened = shortened || rec.length < run.cfg.epochLength;
@@ -213,20 +217,236 @@ TEST(Trace, SinkIsObserverOnly)
 
 TEST(Trace, CaseLabelingSinkStampsEveryRecord)
 {
+    const std::string key = "rollover|q:0.9000|b:0.0000";
     RecordingTraceSink inner;
-    CaseLabelingSink labeled(&inner, "rollover|q:0.9000|b:0.0000");
+    CaseLabelingSink labeled(&inner, key);
     labeled.onEpochKernel(EpochKernelRecord{});
     labeled.onEpochMem(EpochMemRecord{});
     labeled.onAllocEvent(AllocEventRecord{});
-    ASSERT_EQ(inner.epochKernel.size(), 1u);
-    ASSERT_EQ(inner.epochMem.size(), 1u);
-    ASSERT_EQ(inner.allocEvents.size(), 1u);
-    EXPECT_EQ(inner.epochKernel[0].caseKey,
-              "rollover|q:0.9000|b:0.0000");
-    EXPECT_EQ(inner.epochMem[0].caseKey,
-              "rollover|q:0.9000|b:0.0000");
-    EXPECT_EQ(inner.allocEvents[0].caseKey,
-              "rollover|q:0.9000|b:0.0000");
+    labeled.onServingEvent(ServingEventRecord{});
+    labeled.onSmSlice(SmSliceRecord{});
+    EXPECT_EQ(inner.size(), 5u);
+    // Exactly one record of each kind, each stamped.
+    const auto stampedOnce = [&](const auto &records) {
+        ASSERT_EQ(records.size(), 1u);
+        EXPECT_EQ(records[0].caseKey, key);
+    };
+    stampedOnce(inner.all<EpochKernelRecord>());
+    stampedOnce(inner.all<EpochMemRecord>());
+    stampedOnce(inner.all<AllocEventRecord>());
+    stampedOnce(inner.all<ServingEventRecord>());
+    stampedOnce(inner.all<SmSliceRecord>());
+}
+
+/**
+ * A decorator that overrides only the typed entry points and never
+ * onRecord(), the way an out-of-tree timing wrapper does. It logs
+ * "kind case" per record it receives.
+ */
+class TypedOnlySink : public TraceSink
+{
+  public:
+    void
+    onEpochKernel(const EpochKernelRecord &rec) override
+    {
+        seen.push_back("epoch_kernel " + rec.caseKey);
+    }
+    void
+    onEpochMem(const EpochMemRecord &rec) override
+    {
+        seen.push_back("epoch_mem " + rec.caseKey);
+    }
+    void
+    onAllocEvent(const AllocEventRecord &rec) override
+    {
+        seen.push_back("alloc_event " + rec.caseKey);
+    }
+    void
+    onServingEvent(const ServingEventRecord &rec) override
+    {
+        seen.push_back("serving_event " + rec.caseKey);
+    }
+    void
+    onSmSlice(const SmSliceRecord &rec) override
+    {
+        seen.push_back("sm_slice " + rec.caseKey);
+    }
+
+    std::vector<std::string> seen;
+};
+
+/** One record of each kind, in a fixed order, all keyed @p key. */
+void
+emitEveryKind(TraceSink &sink, const std::string &key)
+{
+    EpochKernelRecord ek;
+    ek.caseKey = key;
+    sink.onEpochKernel(ek);
+    SmSliceRecord sl;
+    sl.caseKey = key;
+    sink.onSmSlice(sl);
+    EpochMemRecord em;
+    em.caseKey = key;
+    sink.onEpochMem(em);
+    ServingEventRecord sv;
+    sv.caseKey = key;
+    sink.onServingEvent(sv);
+    AllocEventRecord al;
+    al.caseKey = key;
+    sink.onAllocEvent(al);
+}
+
+std::vector<std::string>
+everyKind(const std::string &key)
+{
+    return {"epoch_kernel " + key, "sm_slice " + key,
+            "epoch_mem " + key, "serving_event " + key,
+            "alloc_event " + key};
+}
+
+TEST(Trace, TypedOnlySinkSeesEveryKindBehindCaseLabeling)
+{
+    TypedOnlySink typed;
+    CaseLabelingSink labeled(&typed, "k");
+    emitEveryKind(labeled, "");
+    EXPECT_EQ(typed.seen, everyKind("k"));
+}
+
+TEST(Trace, TypedOnlySinkSeesEveryKindBehindTee)
+{
+    TypedOnlySink a, b;
+    TeeTraceSink tee(&a, &b);
+    emitEveryKind(tee, "t");
+    EXPECT_EQ(a.seen, everyKind("t"));
+    EXPECT_EQ(b.seen, everyKind("t"));
+}
+
+TEST(Trace, TypedOnlySinkSeesEveryKindOnReplay)
+{
+    RecordingTraceSink recorded;
+    emitEveryKind(recorded, "r");
+    EXPECT_EQ(recorded.size(), 5u);
+    TypedOnlySink typed;
+    recorded.replayTo(typed);
+    EXPECT_EQ(typed.seen, everyKind("r"));
+}
+
+TEST(Trace, JsonlGoldenLinePerKind)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::string key = "fig\"5\"\\a\tb";
+
+    EpochKernelRecord ek;
+    ek.caseKey = key;
+    ek.epoch = 3;
+    ek.start = 30000;
+    ek.length = 9000;
+    ek.finalPartial = true;
+    ek.kernel = 1;
+    ek.isQos = true;
+    ek.goalIpc = 512.5;
+    ek.nonQosGoal = 0.0;
+    ek.alpha = 1.25;
+    ek.ipcEpoch = 480.0;
+    ek.ipcHistory = 496.75;
+    ek.attainment = std::nan("");
+    ek.quotaGranted = 4.5e6;
+    ek.instrDelta = 4320000;
+    ek.completedTbs = 12;
+    ek.preemptedTbs = 2;
+    ek.quotaRefills = 1;
+    ek.tbTarget = 30;
+    ek.tbResident = 28;
+    ek.iwAverage = 3.5;
+    ek.gatedFraction = 0.25;
+    ek.leftoverPerSm = {1.5, -inf, 0.0};
+
+    EpochMemRecord em;
+    em.caseKey = key;
+    em.epoch = 3;
+    em.start = 30000;
+    em.length = 9000;
+    em.l1Accesses = 100;
+    em.l1Misses = 40;
+    em.l2Accesses = 40;
+    em.l2Misses = 10;
+    em.dramAccesses = 9;
+    em.contextLines = 7;
+
+    AllocEventRecord al;
+    al.caseKey = key;
+    al.epoch = 2;
+    al.cycle = 25000;
+    al.sm = 4;
+    al.kernel = 0;
+    al.delta = -1;
+    al.reason = "evict";
+    al.iwAverage = inf;
+
+    ServingEventRecord sv;
+    sv.caseKey = key;
+    sv.cycle = 777;
+    sv.event = "arrival";
+    sv.tenant = "t\n1";
+    sv.request = 42;
+    sv.latency = 0;
+    sv.level = 2;
+    sv.detail = "rejected_queue_full";
+    sv.queueDepth = 5;
+
+    SmSliceRecord sl;
+    sl.caseKey = key;
+    sl.sm = 14;
+    sl.kernel = 2;
+    sl.start = 100;
+    sl.end = 350;
+
+    const std::string path = testing::TempDir() + "gqos_golden.jsonl";
+    {
+        auto sink = okOrDie(JsonlTraceSink::open(path));
+        sink->onEpochKernel(ek);
+        sink->onEpochMem(em);
+        sink->onAllocEvent(al);
+        sink->onServingEvent(sv);
+        sink->onSmSlice(sl);
+    }
+    const std::string c = "\"case\":\"fig\\\"5\\\"\\\\a\\tb\"";
+    const std::vector<std::string> want = {
+        "{\"type\":\"epoch_kernel\",\"schema_version\":2," + c +
+            ",\"epoch\":3,\"start\":30000,\"length\":9000,"
+            "\"final_partial\":true,\"kernel\":1,\"is_qos\":true,"
+            "\"goal_ipc\":512.5,\"non_qos_goal\":0,\"alpha\":1.25,"
+            "\"ipc_epoch\":480,\"ipc_history\":496.75,"
+            "\"attainment\":null,\"quota_granted\":4500000,"
+            "\"instr_delta\":4320000,\"completed_tbs\":12,"
+            "\"preempted_tbs\":2,\"quota_refills\":1,"
+            "\"tb_target\":30,\"tb_resident\":28,"
+            "\"iw_average\":3.5,\"gated_fraction\":0.25,"
+            "\"leftover_per_sm\":[1.5,null,0]}",
+        "{\"type\":\"epoch_mem\",\"schema_version\":2," + c +
+            ",\"epoch\":3,\"start\":30000,\"length\":9000,"
+            "\"final_partial\":false,\"l1_accesses\":100,"
+            "\"l1_misses\":40,\"l2_accesses\":40,\"l2_misses\":10,"
+            "\"dram_accesses\":9,\"context_lines\":7}",
+        "{\"type\":\"alloc_event\",\"schema_version\":2," + c +
+            ",\"epoch\":2,\"cycle\":25000,\"sm\":4,\"kernel\":0,"
+            "\"delta\":-1,\"reason\":\"evict\",\"iw_average\":null}",
+        "{\"type\":\"serving_event\",\"schema_version\":2," + c +
+            ",\"cycle\":777,\"event\":\"arrival\","
+            "\"tenant\":\"t\\n1\",\"request\":42,\"latency\":0,"
+            "\"level\":2,\"queue_depth\":5,"
+            "\"detail\":\"rejected_queue_full\"}",
+        "{\"type\":\"sm_slice\",\"schema_version\":2," + c +
+            ",\"sm\":14,\"kernel\":2,\"start\":100,\"end\":350}",
+    };
+    std::ifstream in(path);
+    std::vector<std::string> got;
+    for (std::string line; std::getline(in, line);)
+        got.push_back(line);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(got[i], want[i]) << "line " << i + 1;
+    std::remove(path.c_str());
 }
 
 TEST(Trace, OpenTraceSinkParsesSpecs)
