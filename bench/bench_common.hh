@@ -200,7 +200,7 @@ runnerOptions(const CliArgs &args, const std::string &config = "default")
     std::string cache = args.getString("cache", ".qos_cache");
     bool cacheOn = cache != "false";
     opts.cacheDir = cacheOn ? cache : ".qos_cache";
-    opts.useCache = args.getBool("cache-enabled", cacheOn);
+    opts.useCache = cacheOn;
     opts.verbose = args.getBool("verbose", false);
     opts.engine = okOrDie(
         parseEngineKind(args.getString("engine", "event")));

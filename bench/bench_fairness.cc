@@ -55,9 +55,15 @@ main(int argc, char **argv)
             SmkFairPolicy fair({iso0, iso1}, SmkFairOptions{},
                                cfg.epochLength);
             fair.onLaunch(gpu);
-            for (Cycle c = 0; c < cycles; ++c) {
-                fair.onCycle(gpu);
-                gpu.step();
+            SimEngine engine(runner.options().engine, cfg.epochLength);
+            if (engine.runUntil(gpu, fair, cycles)) {
+                gqos_fatal("stalled: smk-fair %s+%s retired no "
+                           "instruction for %llu cycles (at cycle "
+                           "%llu)", k0.c_str(), k1.c_str(),
+                           static_cast<unsigned long long>(
+                               engine.stallWindow()),
+                           static_cast<unsigned long long>(
+                               gpu.now()));
             }
 
             total++;

@@ -19,9 +19,11 @@
 # attribution breakdowns in --stats-json must conserve every SM
 # cycle, and --stats-json to an unwritable path must fail at
 # startup with nothing on stdout. The default preset additionally
-# runs the engine differential smoke: every simulating figure bench
-# must print byte-identical stdout (and byte-identical --trace
-# JSONL) under --engine event and --engine reference.
+# runs the engine differential smoke: every simulating figure bench,
+# and bench_serving under the serving, elastic, rollover-time and
+# spart policies, must print byte-identical stdout (and
+# byte-identical --trace JSONL) under --engine event and --engine
+# reference.
 #
 #   scripts/check.sh            # all four presets + smokes
 #   scripts/check.sh default    # just the fast one
@@ -351,6 +353,28 @@ bench_ablations bench_fairness"
         cmp "$scratch/$b.ev.jsonl" "$scratch/$b.ref.jsonl" || {
             echo "engine smoke: $b trace differs" >&2; return 1; }
         echo "    $b: identical"
+    done
+
+    # Serving is the path with the most skips: between arrivals only
+    # the policy's control points need the clock.
+    local sflags="--launches 60 --loads 1.0,4.0 --rate 0.08 --jobs 1"
+    local p
+    for p in serving elastic rollover-time spart; do
+        local e
+        for e in event reference; do
+            # shellcheck disable=SC2086
+            "$bdir/bench_serving" $sflags --policy "$p" --engine "$e" \
+                --trace "$scratch/srv.$p.$e.jsonl" \
+                > "$scratch/srv.$p.$e.out" 2>/dev/null
+        done
+        cmp "$scratch/srv.$p.event.out" "$scratch/srv.$p.reference.out" || {
+            echo "engine smoke: bench_serving --policy $p stdout differs" >&2
+            return 1; }
+        cmp "$scratch/srv.$p.event.jsonl" \
+            "$scratch/srv.$p.reference.jsonl" || {
+            echo "engine smoke: bench_serving --policy $p trace differs" >&2
+            return 1; }
+        echo "    bench_serving --policy $p: identical"
     done
 }
 

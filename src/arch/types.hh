@@ -29,7 +29,7 @@ constexpr KernelId invalidKernel = -1;
 /**
  * Sentinel cycle meaning "never" / "no scheduled event". Next-event
  * bounds (SmCore::cycle(), Gpu::nextEventAt(),
- * SharingPolicy::nextControlAt()) return it when nothing will ever
+ * SharingPolicy::onCycle()) return it when nothing will ever
  * happen without external input (see engine/sim_engine.hh).
  */
 constexpr Cycle cycleNever = ~Cycle{0};

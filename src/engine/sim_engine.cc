@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "common/logging.hh"
 #include "common/metrics.hh"
 #include "gpu/gpu.hh"
 #include "policy/sharing_policy.hh"
@@ -61,18 +62,11 @@ SimEngine::runUntil(Gpu &gpu, SharingPolicy &policy, Cycle until)
             // that is a multiple of the stride, so a span may cover
             // at most one sample point, taken at the same cycle
             // with the same (frozen) instruction/liveness values.
-            Cycle target = std::min(until, nextObserveAt_ + 1);
-            target = std::min(target, gpu.nextEventAt());
-            if (target > now) {
-                // The machine is inert; the policy bounds the span.
-                Cycle control = policy.nextControlAt(gpu, now);
-                if (control <= now) {
-                    stats_.controlPoints++;
-                    target = now;
-                } else {
-                    target = std::min(target, control);
-                }
-            }
+            // The machine bound is read before onCycle(): an action
+            // mutates the SMs, which invalidates their bounds.
+            Cycle machine = std::min(until, nextObserveAt_ + 1);
+            machine = std::min(machine, gpu.nextEventAt());
+            Cycle target = std::min(machine, policy.onCycle(gpu));
             if (target > now) {
                 gpu.skipTo(target);
                 stats_.skippedCycles += target - now;
@@ -84,8 +78,12 @@ SimEngine::runUntil(Gpu &gpu, SharingPolicy &policy, Cycle until)
                 }
                 continue;
             }
+            // Only the policy needs this cycle of an inert machine.
+            if (machine > now)
+                stats_.controlPoints++;
+        } else {
+            policy.onCycle(gpu);
         }
-        policy.onCycle(gpu);
         lastStepActive_ = gpu.step(kind_ == EngineKind::Event);
         stats_.steppedCycles++;
         if (now == nextObserveAt_) {
@@ -109,6 +107,27 @@ exportEngineCounters(const SimEngine &engine, const Gpu &gpu,
         .inc(engine.stats().controlPoints);
     metrics.counter("engine.sm_skipped_cycles")
         .inc(gpu.smSkippedCycles());
+}
+
+std::vector<CycleBreakdown>
+exportCycleBreakdowns(const Gpu &gpu, MetricsRegistry *metrics)
+{
+    std::vector<CycleBreakdown> out;
+    for (KernelId k = 0; k < gpu.numKernels(); ++k) {
+        for (int s = 0; s < gpu.numSms(); ++s) {
+            gqos_assert(gpu.sm(s).cycleBreakdown(k).total() ==
+                        gpu.sm(s).stats().cycles);
+        }
+        out.push_back(gpu.cycleBreakdown(k));
+        if (!metrics)
+            continue;
+        for (int i = 0; i < numCycleCats; ++i) {
+            metrics->counter(std::string("cycles.") +
+                             toString(static_cast<CycleCat>(i)))
+                .inc(out.back().counts[i]);
+        }
+    }
+    return out;
 }
 
 } // namespace gqos

@@ -7,11 +7,12 @@
  * the earliest cycle at which it next needs the clock -- the SMs
  * through the bound each no-issue SmCore::cycle() hands back,
  * cached per SM by Gpu::step(true) and combined by
- * Gpu::nextEventAt(); the policy through
- * SharingPolicy::nextControlAt() -- and the engine fast-forwards
- * through the provably inert span in between with
- * Gpu::skipTo(), which batch-accounts idle cycles, epoch cycle
- * counters, gated-cycle counters and idle-warp samples.
+ * Gpu::nextEventAt(); the policy through the value
+ * SharingPolicy::onCycle() returns, called once per stepped or
+ * probed cycle -- and the engine fast-forwards through the
+ * provably inert span in between with Gpu::skipTo(), which
+ * batch-accounts idle cycles, epoch cycle counters, gated-cycle
+ * counters and idle-warp samples.
  *
  * Bit-identity invariant: a span [now, target) is skipped only if
  * every cycle in it is provably a no-op -- no SM would issue, wake,
@@ -34,9 +35,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "arch/types.hh"
 #include "common/result.hh"
+#include "telemetry/cycle_accounting.hh"
 
 namespace gqos
 {
@@ -155,6 +158,16 @@ class SimEngine
  */
 void exportEngineCounters(const SimEngine &engine, const Gpu &gpu,
                           MetricsRegistry &metrics);
+
+/**
+ * End-of-run cycle attribution of @p gpu (cycle accounting on):
+ * asserts that per (SM, kernel) the categories telescope exactly
+ * to the SM's cycle count, whichever engine ran, adds every
+ * kernel's breakdown to the cycles.* counters of @p metrics (if
+ * non-null) and returns the breakdowns, KernelId-indexed.
+ */
+std::vector<CycleBreakdown> exportCycleBreakdowns(
+    const Gpu &gpu, MetricsRegistry *metrics);
 
 } // namespace gqos
 

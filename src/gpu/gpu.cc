@@ -226,18 +226,6 @@ Gpu::skipTo(Cycle target)
 }
 
 void
-Gpu::run(Cycle until)
-{
-    while (now_ < until) {
-        Cycle t = nextEventAt();
-        if (t > now_)
-            skipTo(std::min(t, until));
-        else
-            step(true);
-    }
-}
-
-void
 Gpu::setTbTarget(SmId sm, KernelId k, int target)
 {
     gqos_assert(sm >= 0 && sm < numSms());

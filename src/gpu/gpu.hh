@@ -109,15 +109,6 @@ class Gpu
      */
     void skipTo(Cycle target);
 
-    /**
-     * Run the machine to cycle @p until, skipping inert spans
-     * between event-aware steps. Equivalent to
-     * `while (now() < until) step()` for policy-free execution
-     * (tests, micro-benchmarks); the harness uses SimEngine, which
-     * interleaves policy control points.
-     */
-    void run(Cycle until);
-
     // ---- policy control surface ----
 
     /** Set the desired resident-TB count of kernel @p k on @p sm. */

@@ -242,22 +242,8 @@ Runner::simulate(const std::vector<std::string> &kernels,
     gpu.closeOpenSmSlices();
 
     lastBreakdown_.clear();
-    if (accounting) {
-        // Conservation invariant: per (sm, kernel), the categories
-        // telescope exactly to the SM's cycle count, whichever
-        // stepping engine ran the case.
-        for (int s = 0; s < gpu.numSms(); ++s) {
-            for (std::size_t k = 0; k < kernels.size(); ++k) {
-                gqos_assert(
-                    gpu.sm(s)
-                        .cycleBreakdown(static_cast<KernelId>(k))
-                        .total() == gpu.sm(s).stats().cycles);
-            }
-        }
-        for (std::size_t k = 0; k < kernels.size(); ++k)
-            lastBreakdown_.push_back(
-                gpu.cycleBreakdown(static_cast<KernelId>(k)));
-    }
+    if (accounting)
+        lastBreakdown_ = exportCycleBreakdowns(gpu, opts_.metrics);
 
     Cycle window = opts_.cycles - warmup;
     CachedCase out;
@@ -276,14 +262,6 @@ Runner::simulate(const std::vector<std::string> &kernels,
         gpu.mem().totalDramAccesses() / std::max<Cycle>(1, gpu.now());
     simulated_++;
     if (opts_.metrics) {
-        for (const CycleBreakdown &b : lastBreakdown_) {
-            for (int i = 0; i < numCycleCats; ++i) {
-                opts_.metrics
-                    ->counter(std::string("cycles.") +
-                              toString(static_cast<CycleCat>(i)))
-                    .inc(b.counts[i]);
-            }
-        }
         opts_.metrics->counter("harness.cases_simulated").inc();
         exportEngineCounters(engine, gpu, *opts_.metrics);
     }

@@ -23,14 +23,9 @@ class EvenSharePolicy : public SharingPolicy
     EvenSharePolicy() = default;
 
     void onLaunch(Gpu &gpu) override;
-    void onCycle(Gpu &gpu) override { (void)gpu; }
 
     /** Static policy: never takes a runtime action. */
-    Cycle
-    nextControlAt(const Gpu &, Cycle) const override
-    {
-        return cycleNever;
-    }
+    Cycle onCycle(Gpu &) override { return cycleNever; }
 
     std::string name() const override { return "even"; }
 };

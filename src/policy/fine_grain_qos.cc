@@ -40,17 +40,19 @@ FineGrainQosPolicy::onLaunch(Gpu &gpu)
     quota_.onLaunch(gpu);
 }
 
-void
+Cycle
 FineGrainQosPolicy::onCycle(Gpu &gpu)
 {
-    bool new_epoch = quota_.onCycle(gpu);
-    if (new_epoch) {
+    int epoch = quota_.epochIndex();
+    Cycle next = quota_.onCycle(gpu);
+    if (quota_.epochIndex() != epoch) {
         // Use the idle-warp samples of the finished epoch, then
         // clear them for the next one.
         staticAlloc_.adjust(gpu, quota_);
         for (int s = 0; s < gpu.numSms(); ++s)
             gpu.sm(s).resetIwSamples();
     }
+    return next;
 }
 
 std::string

@@ -35,18 +35,13 @@ class FineGrainQosPolicy : public SharingPolicy
                        FineGrainOptions opts, Cycle epoch_length);
 
     void onLaunch(Gpu &gpu) override;
-    void onCycle(Gpu &gpu) override;
 
     /**
      * All runtime control (static TB adjustment, sample resets) is
      * driven by the quota controller's epoch events, so its control
      * points are this policy's control points.
      */
-    Cycle
-    nextControlAt(const Gpu &gpu, Cycle now) const override
-    {
-        return quota_.nextControlAt(gpu, now);
-    }
+    Cycle onCycle(Gpu &gpu) override;
 
     void attachTelemetry(TraceSink *trace,
                          MetricsRegistry *metrics) override;

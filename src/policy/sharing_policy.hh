@@ -13,9 +13,9 @@
  *
  * onCycle() runs before each executed step and must be cheap in
  * the common case; epoch-grained work triggers on epoch boundaries
- * internally. The event engine additionally asks nextControlAt()
- * when the machine is idle so it can fast-forward to the policy's
- * next boundary instead of polling onCycle() every cycle.
+ * internally. Its return value is the policy's next control point:
+ * the event engine fast-forwards an idle machine up to it instead
+ * of calling onCycle() every cycle.
  */
 
 #ifndef GQOS_POLICY_SHARING_POLICY_HH
@@ -45,24 +45,18 @@ class SharingPolicy
     /** Called once after Gpu::launch(), before the first cycle. */
     virtual void onLaunch(Gpu &gpu) = 0;
 
-    /** Called every cycle before Gpu::step(). */
-    virtual void onCycle(Gpu &gpu) = 0;
-
     /**
-     * Earliest cycle >= @p now at which onCycle() might take an
-     * action, assuming the machine does no work before then (the
-     * event engine re-queries after every executed cycle, so
-     * machine-state-dependent conditions may be evaluated against
-     * the current -- frozen -- state). Returning a value <= @p now
-     * means "call onCycle() this cycle"; cycleNever declares the
-     * policy permanently idle. The conservative default disables
-     * skipping entirely, keeping un-ported policies exact.
+     * Called before Gpu::step() on every executed cycle (the event
+     * engine also calls it on the first cycle of a span it then
+     * skips), at most once per cycle. Returns gpu.now() if the call
+     * changed any state; otherwise the earliest later cycle at
+     * which it might act if the machine does no work until then
+     * (cycleNever: never). Mid-epoch conditions may be judged
+     * against the current state: an idle machine's state is
+     * frozen, and the engine calls again after every executed
+     * cycle.
      */
-    virtual Cycle
-    nextControlAt(const Gpu &, Cycle now) const
-    {
-        return now;
-    }
+    virtual Cycle onCycle(Gpu &gpu) = 0;
 
     /**
      * Attach telemetry consumers (either may be null). Must be

@@ -95,16 +95,17 @@ SmkFairPolicy::beginEpoch(Gpu &gpu)
     epochStart_ = now;
 }
 
-void
+Cycle
 SmkFairPolicy::onCycle(Gpu &gpu)
 {
     Cycle now = gpu.now();
     if (now - epochStart_ >= epochLength_) {
         beginEpoch(gpu);
-        return;
+        return now;
     }
     // Work-conserving: once every kernel drained its fair quota,
     // hand out another equal round instead of idling the SM.
+    bool refilled = false;
     for (int s = 0; s < gpu.numSms(); ++s) {
         SmCore &sm = gpu.sm(s);
         if (!sm.allQuotasExhausted())
@@ -113,30 +114,11 @@ SmkFairPolicy::onCycle(Gpu &gpu)
             if (sm.residentTbs(k) > 0) {
                 sm.addQuota(k, rateTarget_[k] * isolatedIpc_[k] *
                                    epochLength_ / gpu.numSms());
+                refilled = true;
             }
         }
     }
-}
-
-Cycle
-SmkFairPolicy::nextControlAt(const Gpu &gpu, Cycle now) const
-{
-    Cycle boundary = epochStart_ + epochLength_;
-    if (now >= boundary)
-        return now;
-    // The work-conserving refill in onCycle() fires while any SM
-    // sits fully drained with resident work; quota counters are
-    // frozen when the machine is idle, so checking once is exact.
-    for (int s = 0; s < gpu.numSms(); ++s) {
-        const SmCore &sm = gpu.sm(s);
-        if (!sm.allQuotasExhausted())
-            continue;
-        for (int k = 0; k < gpu.numKernels(); ++k) {
-            if (sm.residentTbs(k) > 0)
-                return now;
-        }
-    }
-    return boundary;
+    return refilled ? now : epochStart_ + epochLength_;
 }
 
 double

@@ -46,9 +46,7 @@ class SmkFairPolicy : public SharingPolicy
                   SmkFairOptions opts, Cycle epoch_length);
 
     void onLaunch(Gpu &gpu) override;
-    void onCycle(Gpu &gpu) override;
-    Cycle nextControlAt(const Gpu &gpu,
-                        Cycle now) const override;
+    Cycle onCycle(Gpu &gpu) override;
     std::string name() const override { return "smk-fair"; }
 
     /** Normalized progress of kernel @p k over the last epoch. */

@@ -139,14 +139,14 @@ SpartPolicy::hillClimb(Gpu &gpu)
     }
 }
 
-void
+Cycle
 SpartPolicy::onCycle(Gpu &gpu)
 {
     Cycle now = gpu.now();
-    if (now - epochStart_ < epochLength_ *
-        static_cast<Cycle>(opts_.adjustInterval)) {
-        return;
-    }
+    Cycle due = epochStart_ + epochLength_ *
+        static_cast<Cycle>(opts_.adjustInterval);
+    if (now < due)
+        return due;
     Cycle window = now - epochStart_;
     for (int k = 0; k < gpu.numKernels(); ++k) {
         std::uint64_t instr = gpu.threadInstrs(k);
@@ -160,6 +160,7 @@ SpartPolicy::onCycle(Gpu &gpu)
     epochIndex_++;
     if (now > 0)
         hillClimb(gpu);
+    return now;
 }
 
 } // namespace gqos

@@ -41,17 +41,9 @@ class SpartPolicy : public SharingPolicy
                 Cycle epoch_length);
 
     void onLaunch(Gpu &gpu) override;
-    void onCycle(Gpu &gpu) override;
 
     /** Purely time-driven: acts every adjustInterval epochs. */
-    Cycle
-    nextControlAt(const Gpu &, Cycle now) const override
-    {
-        Cycle due = epochStart_ + epochLength_ *
-            static_cast<Cycle>(opts_.adjustInterval);
-        return due <= now ? now : due;
-    }
-
+    Cycle onCycle(Gpu &gpu) override;
     std::string name() const override { return "spart"; }
 
     /** Current owner kernel of each SM (tests/reports). */

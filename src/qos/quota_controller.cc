@@ -354,13 +354,19 @@ QuotaController::elasticReady(const Gpu &gpu, Cycle now) const
     // Elastic restart: every QoS quota drained on every SM, and
     // every (resident) non-QoS kernel has consumed at least its
     // base epoch quota. Refill-granted extra quota does not
-    // postpone the restart.
+    // postpone the restart. A GPU with no TB resident anywhere has
+    // consumed nothing, so its epochs run to the forced boundary.
     if (opts_.scheme != QuotaScheme::Elastic || now == 0)
         return false;
     for (int s = 0; s < gpu.numSms(); ++s) {
         if (!qosQuotasExhausted(gpu.sm(s)))
             return false;
     }
+    bool any_resident = false;
+    for (int k = 0; k < gpu.numKernels(); ++k)
+        any_resident |= gpu.totalResidentTbs(k) > 0;
+    if (!any_resident)
+        return false;
     for (int k : nonQosIds_) {
         if (gpu.totalResidentTbs(k) == 0)
             continue;
@@ -372,67 +378,20 @@ QuotaController::elasticReady(const Gpu &gpu, Cycle now) const
     return true;
 }
 
-bool
-QuotaController::timeMuxReleasePending(const Gpu &gpu) const
-{
-    if (!opts_.timeMux)
-        return false;
-    for (int s = 0; s < gpu.numSms(); ++s) {
-        if (!released_[s] && qosQuotasExhausted(gpu.sm(s)))
-            return true;
-    }
-    return false;
-}
-
-bool
-QuotaController::refillPending(const Gpu &gpu) const
-{
-    if (nonQosIds_.empty())
-        return false;
-    for (int s = 0; s < gpu.numSms(); ++s) {
-        if (opts_.timeMux && !released_[s])
-            continue;
-        const SmCore &sm = gpu.sm(s);
-        if (!sm.allQuotasExhausted())
-            continue;
-        for (int j : nonQosIds_) {
-            if (sm.residentTbs(j) > 0)
-                return true;
-        }
-    }
-    return false;
-}
-
 Cycle
-QuotaController::nextControlAt(const Gpu &gpu, Cycle now) const
-{
-    Cycle boundary = epochStart_ + epochLength_;
-    if (now >= boundary)
-        return now;
-    // The mid-epoch conditions below mirror onCycle() exactly; if
-    // none fires now, none can fire while the machine is idle, so
-    // the next control point is the forced boundary.
-    if (elasticReady(gpu, now) || timeMuxReleasePending(gpu) ||
-        refillPending(gpu)) {
-        return now;
-    }
-    return boundary;
-}
-
-bool
 QuotaController::onCycle(Gpu &gpu)
 {
     Cycle now = gpu.now();
-    bool new_epoch = false;
+    bool acted = false;
 
     if (now - epochStart_ >= epochLength_) {
         beginEpoch(gpu, false);
-        new_epoch = true;
+        acted = true;
     } else if (elasticReady(gpu, now)) {
         if (elasticRestartsCtr_)
             elasticRestartsCtr_->inc();
         beginEpoch(gpu, false);
-        new_epoch = true;
+        acted = true;
     }
 
     // Rollover-Time: release stashed non-QoS quota per SM once its
@@ -446,6 +405,7 @@ QuotaController::onCycle(Gpu &gpu)
                 for (int j : nonQosIds_)
                     sm.addQuota(j, pendingRelease_[s][j]);
                 released_[s] = true;
+                acted = true;
             }
         }
     }
@@ -473,10 +433,11 @@ QuotaController::onCycle(Gpu &gpu)
                 sm.addQuota(j, share);
                 if (refillGrantsCtr_)
                     refillGrantsCtr_->inc();
+                acted = true;
             }
         }
     }
-    return new_epoch;
+    return acted ? now : epochStart_ + epochLength_;
 }
 
 double

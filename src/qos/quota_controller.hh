@@ -117,20 +117,14 @@ class QuotaController
 
     /**
      * Per-cycle hook: epoch boundaries, elastic restarts, mid-epoch
-     * non-QoS refills and Rollover-Time release.
-     * @return true if a new epoch began this cycle
+     * non-QoS refills and Rollover-Time release. Returns gpu.now()
+     * if any of them acted, else the next forced epoch boundary
+     * (the SharingPolicy::onCycle() contract). Exact while the
+     * machine is idle: every mid-epoch condition depends only on
+     * quota counters, residency and instruction counts, which are
+     * frozen across an inert span.
      */
-    bool onCycle(Gpu &gpu);
-
-    /**
-     * Event-engine control point: @p now if any onCycle() condition
-     * (boundary, elastic restart, Rollover-Time release, mid-epoch
-     * refill) fires against the current machine state, else the
-     * next forced epoch boundary. Exact while the machine is idle:
-     * every mid-epoch condition depends only on quota counters and
-     * instruction counts, which are frozen across an inert span.
-     */
-    Cycle nextControlAt(const Gpu &gpu, Cycle now) const;
+    Cycle onCycle(Gpu &gpu);
 
     // ---- bookkeeping read by the static allocator & reports ----
 
@@ -166,8 +160,6 @@ class QuotaController
     void distributeQuota(Gpu &gpu, KernelId k, double total_quota);
     bool qosQuotasExhausted(const SmCore &sm) const;
     bool elasticReady(const Gpu &gpu, Cycle now) const;
-    bool timeMuxReleasePending(const Gpu &gpu) const;
-    bool refillPending(const Gpu &gpu) const;
     void emitEpochTrace(Gpu &gpu, bool final_partial);
 
     std::vector<QosSpec> specs_;

@@ -439,30 +439,11 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
     policy.onFinish(gpu);
     gpu.closeOpenSmSlices();
 
-    if (accounting) {
-        // Conservation: the profiler attributes every SM cycle to
-        // exactly one category, so per-SM totals must equal the SM's
-        // cycle count regardless of how the run ended.
-        for (int s = 0; s < gpu.numSms(); ++s) {
-            for (int t = 0; t < n; ++t) {
-                gqos_assert(gpu.sm(s).cycleBreakdown(t).total() ==
-                            gpu.sm(s).stats().cycles);
-            }
-        }
-        for (int t = 0; t < n; ++t) {
-            CycleBreakdown b = gpu.cycleBreakdown(t);
-            if (opts_.metrics) {
-                for (int i = 0; i < numCycleCats; ++i) {
-                    opts_.metrics->counter(
-                        std::string("cycles.") +
-                        toString(static_cast<CycleCat>(i)))
-                        .inc(b.counts[i]);
-                }
-            }
-            report.cycleBreakdown.push_back(b);
-        }
-    }
-
+    // Conservation holds however the run ended (drained, hard
+    // end, stall).
+    if (accounting)
+        report.cycleBreakdown =
+            exportCycleBreakdowns(gpu, opts_.metrics);
     if (opts_.metrics)
         exportEngineCounters(engine, gpu, *opts_.metrics);
     report.endCycle = gpu.now();

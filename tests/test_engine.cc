@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <tuple>
@@ -255,9 +256,13 @@ TEST(GpuEngine, RunMatchesStepLoop)
     constexpr Cycle horizon = 60000;
     for (Cycle c = 0; c < horizon; ++c)
         stepped.step();
-    skipped.run(horizon);
+    // Never launched, the even policy keeps the targets above and
+    // declares no control point: the engine drives a bare machine.
+    EvenSharePolicy pol;
+    SimEngine engine(EngineKind::Event, cfg.epochLength);
+    EXPECT_FALSE(engine.runUntil(skipped, pol, horizon));
     ASSERT_EQ(stepped.now(), skipped.now());
-    // run() steps event-aware, so per-SM skips do happen.
+    // The engine steps event-aware, so per-SM skips do happen.
     EXPECT_EQ(stepped.smSkippedCycles(), 0u);
     EXPECT_GT(skipped.smSkippedCycles(), 0u);
     for (KernelId k = 0; k < 2; ++k) {
@@ -334,6 +339,141 @@ TEST(SimEngineTest, ResumableAcrossWarmupBoundary)
             gpu.threadInstrs(0), gpu.threadInstrs(1));
     };
     EXPECT_EQ(run_split(10000), run_split(25000));
+}
+
+// ---------------------------------------------------------------
+// SimEngine against the SharingPolicy::onCycle() contract.
+// ---------------------------------------------------------------
+
+/**
+ * Acts (returns now) at the scripted cycles, otherwise returns the
+ * next scripted cycle, and logs every call. Never touches the
+ * machine, so acting is only a claim the engine must honour.
+ */
+class ScriptedPolicy : public SharingPolicy
+{
+  public:
+    explicit ScriptedPolicy(std::vector<Cycle> acts)
+        : acts_(std::move(acts))
+    {
+        std::sort(acts_.begin(), acts_.end());
+    }
+
+    void onLaunch(Gpu &) override {}
+
+    Cycle
+    onCycle(Gpu &gpu) override
+    {
+        Cycle now = gpu.now();
+        auto it = std::lower_bound(acts_.begin(), acts_.end(), now);
+        Cycle bound = it == acts_.end() ? cycleNever : *it;
+        calls.emplace_back(now, bound);
+        return bound;
+    }
+
+    std::string name() const override { return "scripted"; }
+
+    /** True if onCycle() ran at cycle @p c. */
+    bool
+    calledAt(Cycle c) const
+    {
+        return std::any_of(calls.begin(), calls.end(),
+                           [c](const auto &call) {
+                               return call.first == c;
+                           });
+    }
+
+    /** (cycle, returned bound) of every call, in call order. */
+    std::vector<std::pair<Cycle, Cycle>> calls;
+
+  private:
+    std::vector<Cycle> acts_;
+};
+
+/**
+ * Run @p pol on @p gpu to @p until and check the call log: one
+ * call per stepped or probed cycle, strictly increasing cycles, a
+ * step right after every acting call, no call later than the bound
+ * a non-acting call returned, and a call at every scripted cycle.
+ */
+EngineStats
+runScripted(EngineKind kind, Gpu &gpu, ScriptedPolicy &pol,
+            const std::vector<Cycle> &acts, Cycle until)
+{
+    SimEngine engine(kind, gpu.config().epochLength);
+    EXPECT_FALSE(engine.runUntil(gpu, pol, until));
+    const EngineStats &st = engine.stats();
+    EXPECT_EQ(pol.calls.size(), st.steppedCycles + st.skips);
+    for (std::size_t i = 1; i < pol.calls.size(); ++i) {
+        auto [at, bound] = pol.calls[i - 1];
+        Cycle next = pol.calls[i].first;
+        if (bound == at) {
+            // Acted: the engine must execute this very cycle.
+            EXPECT_EQ(next, at + 1);
+        } else {
+            EXPECT_GT(next, at);
+            EXPECT_LE(next, bound);
+        }
+    }
+    for (Cycle c : acts)
+        EXPECT_TRUE(pol.calledAt(c)) << "no call at cycle " << c;
+    return st;
+}
+
+TEST(SimEngineTest, IdleControlPointStepsOnce)
+{
+    GpuConfig cfg = defaultConfig();
+    KernelDesc d = test::tinyComputeKernel();
+    Gpu gpu(cfg);
+    gpu.launch({&d});
+    ScriptedPolicy pol({5000});
+    EngineStats st =
+        runScripted(EngineKind::Event, gpu, pol, {5000}, 10000);
+    // Cycle 0 (no bound cached yet) and the control point itself.
+    EXPECT_EQ(st.steppedCycles, 2u);
+    EXPECT_EQ(st.controlPoints, 1u);
+    EXPECT_EQ(st.skippedCycles, 10000u - 2u);
+}
+
+TEST(SimEngineTest, PolicyBoundIsNeverSkipped)
+{
+    GpuConfig cfg = defaultConfig();
+    KernelDesc d = test::tinyComputeKernel();
+    Gpu gpu(cfg);
+    gpu.launch({&d});
+    const std::vector<Cycle> acts = {3000, 3001, 7777, 20000, 45000};
+    ScriptedPolicy pol(acts);
+    EngineStats st =
+        runScripted(EngineKind::Event, gpu, pol, acts, 50000);
+    EXPECT_EQ(st.controlPoints, acts.size());
+    EXPECT_EQ(st.steppedCycles, 1u + acts.size());
+}
+
+TEST(SimEngineTest, OnCycleOncePerStepOnABusyMachine)
+{
+    GpuConfig cfg = defaultConfig();
+    KernelDesc dc = test::tinyComputeKernel();
+    KernelDesc dm = test::tinyMemoryKernel();
+    std::vector<Cycle> acts;
+    for (Cycle c = 1500; c < 30000; c += 1500)
+        acts.push_back(c);
+    for (EngineKind kind : {EngineKind::Event, EngineKind::Reference}) {
+        SCOPED_TRACE(toString(kind));
+        Gpu gpu(cfg);
+        gpu.launch({&dc, &dm});
+        for (int s = 0; s < gpu.numSms(); ++s) {
+            gpu.setTbTarget(s, 0, 2);
+            gpu.setTbTarget(s, 1, 2);
+        }
+        ScriptedPolicy pol(acts);
+        EngineStats st = runScripted(kind, gpu, pol, acts, 30000);
+        EXPECT_EQ(st.steppedCycles + st.skippedCycles, 30000u);
+        if (kind == EngineKind::Reference) {
+            EXPECT_EQ(pol.calls.size(), 30000u);
+        } else {
+            EXPECT_GT(st.skips, 0u);
+        }
+    }
 }
 
 // ---------------------------------------------------------------

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/sim_engine.hh"
 #include "gpu/gpu.hh"
+#include "policy/fine_grain_qos.hh"
 #include "qos/quota_controller.hh"
 #include "tests/test_util.hh"
 
@@ -169,6 +171,25 @@ TEST_F(QuotaFixture, ElasticRestartsEarly)
     drive(*gpu, qc, 5 * cfg.epochLength);
     // More epochs than nominal boundaries would allow.
     EXPECT_GT(qc.epochIndex(), 5);
+}
+
+TEST_F(QuotaFixture, ElasticIdleGpuKeepsForcedEpochs)
+{
+    // Manual launch with no grid started: no TB is ever resident,
+    // so no quota drains and only forced boundaries end epochs.
+    Gpu gpu(cfg);
+    gpu.launch({&a, &b});
+    gpu.setManualLaunch(0);
+    gpu.setManualLaunch(1);
+    FineGrainOptions opts;
+    opts.quota.scheme = QuotaScheme::Elastic;
+    FineGrainQosPolicy pol({QosSpec::qos(500.0), QosSpec::nonQos()},
+                           opts, cfg.epochLength);
+    pol.onLaunch(gpu);
+    SimEngine engine(EngineKind::Event, cfg.epochLength);
+    EXPECT_FALSE(
+        engine.runUntil(gpu, pol, 5 * cfg.epochLength + 1));
+    EXPECT_EQ(pol.quota().epochIndex(), 5);
 }
 
 TEST_F(QuotaFixture, RolloverTimeBlocksNonQosFirst)
