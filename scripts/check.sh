@@ -23,13 +23,21 @@
 # and bench_serving under the serving, elastic, rollover-time and
 # spart policies, must print byte-identical stdout (and
 # byte-identical --trace JSONL) under --engine event and --engine
-# reference.
+# reference. The same event-engine runs are also the golden stage:
+# their stdout must equal tests/golden/<bench>.out and the digest of
+# their --stats-json (scripts/golden_digest.py) must equal
+# tests/golden/<bench>.digest, so a model change that moves both
+# engines the same way still fails until the golden files are
+# regenerated and the diff is reviewed.
 #
 #   scripts/check.sh            # all four presets + smokes
 #   scripts/check.sh default    # just the fast one
 #   scripts/check.sh asan       # just the address-sanitized one
 #   scripts/check.sh ubsan      # just the UB-sanitized one
 #   scripts/check.sh tsan       # just the thread-sanitized one
+#   scripts/check.sh --update-golden   # default preset; rewrite
+#                                      # tests/golden/ instead of
+#                                      # comparing against it
 #
 # Each preset's sweep smoke runs with --jobs 4, so every check.sh
 # invocation exercises the multi-threaded path.
@@ -37,10 +45,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-presets=("$@")
+update_golden=0
+presets=()
+for arg in "$@"; do
+    case "$arg" in
+        --update-golden) update_golden=1 ;;
+        *) presets+=("$arg") ;;
+    esac
+done
 if [ ${#presets[@]} -eq 0 ]; then
-    presets=(default asan ubsan tsan)
+    if [ "$update_golden" = 1 ]; then
+        presets=(default)
+    else
+        presets=(default asan ubsan tsan)
+    fi
 fi
+golden=tests/golden
 
 builddir_for() {
     case "$1" in
@@ -317,6 +337,28 @@ EOF
     fi
 }
 
+# golden_check NAME STDOUT STATS_JSON: compare one event-engine run
+# with tests/golden/NAME.{out,digest}, or rewrite both files under
+# --update-golden.
+golden_check() {
+    local name="$1" out="$2" stats="$3"
+    local digest
+    digest="$(python3 scripts/golden_digest.py "$stats")"
+    if [ "$update_golden" = 1 ]; then
+        mkdir -p "$golden"
+        cp "$out" "$golden/$name.out"
+        echo "$digest" > "$golden/$name.digest"
+        return 0
+    fi
+    cmp "$out" "$golden/$name.out" || {
+        echo "golden: $name stdout differs from $golden/$name.out" >&2
+        return 1; }
+    [ "$digest" = "$(cat "$golden/$name.digest")" ] || {
+        echo "golden: $name stats digest differs from" \
+             "$golden/$name.digest" >&2
+        return 1; }
+}
+
 engine_smoke() {
     local preset="$1"
     local bdir
@@ -326,7 +368,8 @@ engine_smoke() {
     scratch="$(mktemp -d)"
     trap 'rm -rf "$scratch"' RETURN
 
-    echo "==> [$preset] engine smoke (event vs reference, byte-identical)"
+    echo "==> [$preset] engine smoke (event vs reference, byte-identical;" \
+         "event vs $golden)"
     # The event engine must be an unobservable optimization: every
     # simulating figure bench prints byte-identical stdout and emits
     # a byte-identical --trace JSONL under both engines. Each engine
@@ -342,6 +385,7 @@ bench_ablations bench_fairness"
         "$bdir/$b" $flags --engine event \
             --cache "$scratch/$b.ev" \
             --trace "$scratch/$b.ev.jsonl" \
+            --stats-json "$scratch/$b.ev.json" \
             > "$scratch/$b.ev.out" 2>/dev/null
         # shellcheck disable=SC2086
         "$bdir/$b" $flags --engine reference \
@@ -352,6 +396,7 @@ bench_ablations bench_fairness"
             echo "engine smoke: $b stdout differs" >&2; return 1; }
         cmp "$scratch/$b.ev.jsonl" "$scratch/$b.ref.jsonl" || {
             echo "engine smoke: $b trace differs" >&2; return 1; }
+        golden_check "$b" "$scratch/$b.ev.out" "$scratch/$b.ev.json"
         echo "    $b: identical"
     done
 
@@ -361,12 +406,15 @@ bench_ablations bench_fairness"
     local p
     for p in serving elastic rollover-time spart; do
         local e
-        for e in event reference; do
-            # shellcheck disable=SC2086
-            "$bdir/bench_serving" $sflags --policy "$p" --engine "$e" \
-                --trace "$scratch/srv.$p.$e.jsonl" \
-                > "$scratch/srv.$p.$e.out" 2>/dev/null
-        done
+        # shellcheck disable=SC2086
+        "$bdir/bench_serving" $sflags --policy "$p" --engine event \
+            --trace "$scratch/srv.$p.event.jsonl" \
+            --stats-json "$scratch/srv.$p.event.json" \
+            > "$scratch/srv.$p.event.out" 2>/dev/null
+        # shellcheck disable=SC2086
+        "$bdir/bench_serving" $sflags --policy "$p" --engine reference \
+            --trace "$scratch/srv.$p.reference.jsonl" \
+            > "$scratch/srv.$p.reference.out" 2>/dev/null
         cmp "$scratch/srv.$p.event.out" "$scratch/srv.$p.reference.out" || {
             echo "engine smoke: bench_serving --policy $p stdout differs" >&2
             return 1; }
@@ -374,6 +422,8 @@ bench_ablations bench_fairness"
             "$scratch/srv.$p.reference.jsonl" || {
             echo "engine smoke: bench_serving --policy $p trace differs" >&2
             return 1; }
+        golden_check "bench_serving.$p" "$scratch/srv.$p.event.out" \
+            "$scratch/srv.$p.event.json"
         echo "    bench_serving --policy $p: identical"
     done
 }
@@ -383,6 +433,11 @@ for preset in "${presets[@]}"; do
     cmake --preset "$preset"
     echo "==> [$preset] build"
     cmake --build --preset "$preset" -j "$(nproc)"
+    if [ "$update_golden" = 1 ]; then
+        engine_smoke "$preset"
+        echo "==> rewrote $golden/"
+        continue
+    fi
     echo "==> [$preset] test"
     ctest --preset "$preset"
     sweep_smoke "$preset"
