@@ -26,10 +26,26 @@ namespace gqos
 struct SchedulerState
 {
     std::uint64_t ready = 0;     //!< lanes with an issuable warp
-    std::uint64_t loadMask = 0;  //!< lanes whose next instr is a load
-    std::uint64_t storeMask = 0; //!< lanes whose next instr is a store
+    /**
+     * Class of each Live warp's next instruction: lanes whose next
+     * instruction is a global load / store. Set whenever a warp
+     * decodes its next instruction, cleared only when the warp stops
+     * being Live (finish, preemption, free) -- not on issue, so a
+     * waiting warp keeps its bits. Every reader ANDs these masks
+     * with `ready` (candidate masking, the blocked-candidate bound,
+     * the attribution snapshot, idle-warp sampling), so bits of
+     * waiting lanes never change a result.
+     */
+    std::uint64_t loadMask = 0;
+    std::uint64_t storeMask = 0;
     /** Lanes belonging to each kernel (for EWS quota gating). */
     std::uint64_t kernelMask[maxKernels] = {};
+    /**
+     * Issue view (SmCore::rebuildView): lanes of kernels allowed by
+     * EWS quota gating, and lanes of kernels at their MSHR cap.
+     */
+    std::uint64_t allowMask = 0;
+    std::uint64_t mshrBlock = 0;
     /**
      * Occupied lanes in oldest-first dispatch order. Rebuilt only
      * when warps enter or leave the scheduler, so the per-cycle GTO

@@ -48,8 +48,9 @@ SmCore::SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem)
       warps_(cfg.maxWarpsPerSm()),
       tbs_(cfg.maxTbsPerSm),
       scheds_(cfg.warpSchedulersPerSm),
-      wakeRing_(wakeRingSize_),
-      wakeToken_(cfg.maxWarpsPerSm(), 0),
+      wheel_(static_cast<std::size_t>(wakeHorizon_) *
+             cfg.warpSchedulersPerSm),
+      farMask_(cfg.warpSchedulersPerSm),
       mshrFree_(cfg.l1Mshrs)
 {
 }
@@ -61,6 +62,7 @@ SmCore::bindKernels(const std::vector<const KernelRun *> &runs)
     gqos_assert(totalResidentTbs() == 0);
     settle();
     mutVersion_++;
+    viewDirty_ = true;
     runs_ = runs;
     for (auto &kc : kernels_)
         kc = KernelCtx();
@@ -101,6 +103,7 @@ SmCore::dispatchTb(KernelId k, std::uint64_t tb_seq,
         return false;
     settle();
     mutVersion_++;
+    viewDirty_ = true;
     const KernelRun &run = *runs_[k];
     const KernelDesc &d = run.desc();
     int warps_needed = d.warpsPerTb();
@@ -143,10 +146,11 @@ SmCore::dispatchTb(KernelId k, std::uint64_t tb_seq,
         w.coldBase = run.coldBase() + (sid << 20);
         w.state = WarpState::Live;
         generateNext(w, run);
+        refreshInstrMasks(wslot);
         w.readyAt = now + tbDispatchLatency;
         SchedulerState &sc = scheds_[schedOf(wslot)];
         sc.kernelMask[k] = setBit(sc.kernelMask[k], laneOf(wslot));
-        scheduleWake(wslot, w.readyAt);
+        scheduleWake(wslot, w.readyAt, now);
         found++;
     }
     gqos_assert(found == warps_needed);
@@ -185,13 +189,13 @@ SmCore::startPreemption(KernelId k, Cycle now)
     kernels_[k].drainingTbs++;
     for (int wslot : tb.warpSlots) {
         Warp &w = warps_[wslot];
-        if (w.state == WarpState::Live)
+        if (w.state == WarpState::Live) {
+            // A waiting warp's one pending wake goes with it.
+            if (!testBit(scheds_[schedOf(wslot)].ready, laneOf(wslot)))
+                cancelWake(wslot);
             w.state = WarpState::Draining;
-        SchedulerState &sc = scheds_[schedOf(wslot)];
-        int lane = laneOf(wslot);
-        sc.ready = clearBit(sc.ready, lane);
-        sc.loadMask = clearBit(sc.loadMask, lane);
-        sc.storeMask = clearBit(sc.storeMask, lane);
+        }
+        clearSchedBits(wslot);
     }
 
     Cycle finish = now + drainCycles_;
@@ -242,15 +246,16 @@ SmCore::freeTb(int tb_slot, TbExit exit, Cycle now)
 
     for (int wslot : tb.warpSlots) {
         Warp &w = warps_[wslot];
+        // A freed TB's warps all finished or were drained, and
+        // startPreemption() cancelled the wakes of the drained ones,
+        // so no wake of this slot is pending.
+        gqos_assert(w.state != WarpState::Live);
         w.state = WarpState::Invalid;
-        wakeToken_[wslot]++; // invalidate outstanding wake entries
+        clearSchedBits(wslot);
         SchedulerState &sc = scheds_[schedOf(wslot)];
-        int lane = laneOf(wslot);
-        sc.ready = clearBit(sc.ready, lane);
-        sc.loadMask = clearBit(sc.loadMask, lane);
-        sc.storeMask = clearBit(sc.storeMask, lane);
-        sc.kernelMask[k] = clearBit(sc.kernelMask[k], lane);
+        sc.kernelMask[k] = clearBit(sc.kernelMask[k], laneOf(wslot));
     }
+    viewDirty_ = true;
     bool was_draining = tb.draining;
     tb.valid = false;
     tb.draining = false;
@@ -308,55 +313,92 @@ SmCore::rebuildAgeOrder(int sched)
 }
 
 void
-SmCore::scheduleWake(int warp_slot, Cycle at)
+SmCore::placeWake(int sched, int lane, Cycle at)
 {
-    std::uint32_t token = ++wakeToken_[warp_slot];
-    std::size_t idx = at & (wakeRingSize_ - 1);
-    wakeRing_[idx].push_back(
-        {static_cast<std::uint16_t>(warp_slot), token});
-    wakeBits_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-    pendingWakes_++;
+    std::size_t idx = at & (wakeHorizon_ - 1);
+    std::uint64_t &row = wheel_[idx * numScheds_ + sched];
+    row = setBit(row, lane);
+    wheelBits_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+}
+
+void
+SmCore::scheduleWake(int warp_slot, Cycle at, Cycle now)
+{
+    // Every latency is >= 1 cycle (KernelDesc::check()), so a wake
+    // never lands in the slot processWakes() is consuming.
+    gqos_assert(at > now);
+    int sched = schedOf(warp_slot);
+    int lane = laneOf(warp_slot);
+    if (at - now >= wakeHorizon_) {
+        farMask_[sched] = setBit(farMask_[sched], lane);
+        farMin_ = std::min(farMin_, at);
+    } else {
+        placeWake(sched, lane, at);
+    }
+}
+
+void
+SmCore::cancelWake(int warp_slot)
+{
+    int sched = schedOf(warp_slot);
+    int lane = laneOf(warp_slot);
+    if (testBit(farMask_[sched], lane)) {
+        farMask_[sched] = clearBit(farMask_[sched], lane);
+        recomputeFarMin(); // keeps nextWakeAfter() exact
+        return;
+    }
+    std::size_t idx = warps_[warp_slot].readyAt & (wakeHorizon_ - 1);
+    std::uint64_t *row = &wheel_[idx * numScheds_];
+    gqos_assert(testBit(row[sched], lane));
+    row[sched] = clearBit(row[sched], lane);
+    for (int s = 0; s < numScheds_; ++s) {
+        if (row[s])
+            return;
+    }
+    wheelBits_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+}
+
+void
+SmCore::recomputeFarMin()
+{
+    farMin_ = cycleNever;
+    for (int s = 0; s < numScheds_; ++s) {
+        for (std::uint64_t far = farMask_[s]; far; far &= far - 1)
+            farMin_ = std::min(
+                farMin_, warps_[slotOf(s, firstSetBit(far))].readyAt);
+    }
 }
 
 void
 SmCore::processWakes(Cycle now)
 {
-    auto &bucket = wakeRing_[now & (wakeRingSize_ - 1)];
-    if (bucket.empty())
-        return;
-    pendingWakes_ -= static_cast<std::int64_t>(bucket.size());
-    gqos_assert(pendingWakes_ >= 0);
-    // A wake scheduled more than one ring revolution ahead would
-    // alias; scheduleWakeClamped() below prevents that.
-    for (const WakeEntry &e : bucket) {
-        if (wakeToken_[e.warp] != e.token)
-            continue;
-        Warp &w = warps_[e.warp];
-        if (w.state != WarpState::Live)
-            continue;
-        if (w.readyAt <= now) {
-            markReady(e.warp);
-        } else {
-            Cycle at = w.readyAt;
-            if (at - now >= wakeRingSize_)
-                at = now + wakeRingSize_ - 1;
-            scheduleWake(e.warp, at);
+    // Far lanes enter the wheel once within the horizon. The next-
+    // event bound never skips past farMin_, so none is overdue; one
+    // due right now lands in this cycle's slot, consumed below.
+    if (farMin_ < now + wakeHorizon_) {
+        for (int s = 0; s < numScheds_; ++s) {
+            for (std::uint64_t far = farMask_[s]; far; far &= far - 1) {
+                int lane = firstSetBit(far);
+                Cycle at = warps_[slotOf(s, lane)].readyAt;
+                if (at < now + wakeHorizon_) {
+                    farMask_[s] = clearBit(farMask_[s], lane);
+                    placeWake(s, lane, at);
+                }
+            }
         }
+        recomputeFarMin();
     }
-    bucket.clear();
-    // Re-wakes above always land in a different bucket (0 < at - now
-    // < ring size), so clearing this bucket's occupancy bit last is
-    // safe.
-    std::size_t idx = now & (wakeRingSize_ - 1);
-    wakeBits_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-}
-
-void
-SmCore::markReady(int warp_slot)
-{
-    SchedulerState &sc = scheds_[schedOf(warp_slot)];
-    sc.ready = setBit(sc.ready, laneOf(warp_slot));
-    refreshInstrMasks(warp_slot);
+    std::size_t idx = now & (wakeHorizon_ - 1);
+    std::uint64_t &occupied = wheelBits_[idx >> 6];
+    std::uint64_t bit = std::uint64_t{1} << (idx & 63);
+    if (!(occupied & bit))
+        return;
+    occupied &= ~bit;
+    std::uint64_t *row = &wheel_[idx * numScheds_];
+    for (int s = 0; s < numScheds_; ++s) {
+        scheds_[s].ready |= row[s];
+        row[s] = 0;
+    }
 }
 
 void
@@ -446,8 +488,14 @@ SmCore::retireInstr(Warp &w, KernelCtx &kc, Cycle ready_at)
 {
     kc.stats.threadInstrs += w.next.lanes;
     kc.stats.warpInstrs++;
-    if (quotaGating_)
+    if (quotaGating_) {
+        // Exhaustion gates the kernel from the next cycle on: the
+        // running cycle keeps the view it started with.
+        bool allowed = kc.quota > 0.0;
         kc.quota -= w.next.lanes;
+        if (allowed && !(kc.quota > 0.0))
+            viewDirty_ = true;
+    }
     w.instrIdx++;
     w.readyAt = ready_at;
 }
@@ -470,7 +518,8 @@ SmCore::issueWarp(int warp_slot, Cycle now)
     Warp &w = warps_[warp_slot];
     KernelCtx &kc = kernels_[w.kernel];
     const KernelRun &run = *kc.run;
-    clearSchedBits(warp_slot);
+    SchedulerState &sc = scheds_[schedOf(warp_slot)];
+    sc.ready = clearBit(sc.ready, laneOf(warp_slot));
 
     switch (w.next.cls) {
       case InstrClass::Alu:
@@ -488,7 +537,8 @@ SmCore::issueWarp(int warp_slot, Cycle now)
             finishWarp(warp_slot, now);
         } else {
             generateNext(w, run);
-            scheduleWake(warp_slot, ready_at);
+            refreshInstrMasks(warp_slot);
+            scheduleWake(warp_slot, ready_at, now);
         }
         break;
       }
@@ -502,7 +552,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
             MemAccess acc = mem_->load(id_, w.kernel, addr, now);
             if (acc.l1Miss) {
                 mshrFree_--;
-                kc.mshrHeld++;
+                adjustMshrHeld(kc, +1);
                 mshrRelease_.emplace(acc.readyAt, w.kernel);
             }
             if (acc.readyAt > w.memDoneAt)
@@ -514,7 +564,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
             // Replay: remaining transactions re-arbitrate for the
             // LSU next cycle (access-splitting, as in GPGPU-Sim).
             w.readyAt = now + 1;
-            scheduleWake(warp_slot, w.readyAt);
+            scheduleWake(warp_slot, w.readyAt, now);
         } else {
             stats_.issuedLoads++;
             Cycle ready_at = std::max(w.memDoneAt, now + 1);
@@ -524,7 +574,8 @@ SmCore::issueWarp(int warp_slot, Cycle now)
                 finishWarp(warp_slot, now);
             } else {
                 generateNext(w, run);
-                scheduleWake(warp_slot, ready_at);
+                refreshInstrMasks(warp_slot);
+                scheduleWake(warp_slot, ready_at, now);
             }
         }
         break;
@@ -541,7 +592,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
             static_cast<std::uint8_t>(w.next.transLeft - burst);
         if (w.next.transLeft > 0) {
             w.readyAt = now + 1;
-            scheduleWake(warp_slot, w.readyAt);
+            scheduleWake(warp_slot, w.readyAt, now);
         } else {
             stats_.issuedStores++;
             Cycle ready_at = now + 4; // store-buffer latency
@@ -550,7 +601,8 @@ SmCore::issueWarp(int warp_slot, Cycle now)
                 finishWarp(warp_slot, now);
             } else {
                 generateNext(w, run);
-                scheduleWake(warp_slot, ready_at);
+                refreshInstrMasks(warp_slot);
+                scheduleWake(warp_slot, ready_at, now);
             }
         }
         break;
@@ -558,39 +610,50 @@ SmCore::issueWarp(int warp_slot, Cycle now)
     }
 }
 
-std::uint32_t
-SmCore::allowedKernelMask() const
+void
+SmCore::rebuildView()
 {
-    // Kernels eligible under EWS quota gating this cycle.
-    std::uint32_t allowed = 0;
-    int nk = static_cast<int>(runs_.size());
-    for (int k = 0; k < nk; ++k) {
-        if (!quotaGating_ || kernels_[k].quota > 0.0)
-            allowed |= 1u << k;
-    }
-    return allowed;
-}
-
-std::uint32_t
-SmCore::mshrOkKernelMask() const
-{
-    // Per-kernel MSHR cap: leave a few credits reachable for every
-    // co-resident kernel so memory-intensive sharers cannot starve
-    // the others' loads.
+    // Kernels eligible under EWS quota gating, and the per-kernel
+    // MSHR cap: leave a few credits reachable for every co-resident
+    // kernel so memory-intensive sharers cannot starve the others'
+    // loads.
     int nk = static_cast<int>(runs_.size());
     int resident_kernels = 0;
     for (int k = 0; k < nk; ++k) {
         if (kernels_[k].residentTbs > 0)
             resident_kernels++;
     }
-    int mshr_cap = mshrMax_ -
+    viewMshrCap_ = mshrMax_ -
         mshrReserve * std::max(0, resident_kernels - 1);
+    std::uint32_t allowed = 0;
     std::uint32_t mshr_ok = 0;
     for (int k = 0; k < nk; ++k) {
-        if (kernels_[k].mshrHeld < mshr_cap)
+        if (!quotaGating_ || kernels_[k].quota > 0.0)
+            allowed |= 1u << k;
+        if (kernels_[k].mshrHeld < viewMshrCap_)
             mshr_ok |= 1u << k;
     }
-    return mshr_ok;
+    viewAllowed_ = allowed;
+    for (SchedulerState &sc : scheds_) {
+        sc.allowMask = 0;
+        sc.mshrBlock = 0;
+        for (int k = 0; k < nk; ++k) {
+            if (allowed & (1u << k))
+                sc.allowMask |= sc.kernelMask[k];
+            if (!(mshr_ok & (1u << k)))
+                sc.mshrBlock |= sc.kernelMask[k];
+        }
+    }
+    viewDirty_ = false;
+}
+
+void
+SmCore::adjustMshrHeld(KernelCtx &kc, int delta)
+{
+    bool was_ok = kc.mshrHeld < viewMshrCap_;
+    kc.mshrHeld += delta;
+    if (was_ok != (kc.mshrHeld < viewMshrCap_))
+        viewDirty_ = true;
 }
 
 bool
@@ -610,13 +673,14 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         processDrains(now);
     while (!mshrRelease_.empty() && mshrRelease_.top().first <= now) {
         mshrFree_++;
-        kernels_[mshrRelease_.top().second].mshrHeld--;
+        adjustMshrHeld(kernels_[mshrRelease_.top().second], -1);
         mshrRelease_.pop();
     }
 
     int nk = static_cast<int>(runs_.size());
-    std::uint32_t allowed = allowedKernelMask();
-    std::uint32_t mshr_ok = mshrOkKernelMask();
+    // The issue loop reads the view as of the cycle's start; events
+    // inside the loop only mark it dirty for the next cycle.
+    const std::uint32_t allowed = allowedKernels();
     bool store_blocked = storeThrottled(now);
 
     int lsu_used = 0;
@@ -656,15 +720,9 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
             s -= numScheds_;
         SchedulerState &sc = scheds_[s];
 
-        std::uint64_t allow_mask = 0;
-        std::uint64_t mshr_block = 0;
-        for (int k = 0; k < nk; ++k) {
-            if (allowed & (1u << k))
-                allow_mask |= sc.kernelMask[k];
-            if (!(mshr_ok & (1u << k)))
-                mshr_block |= sc.kernelMask[k];
-        }
-        std::uint64_t cand_pre = sc.ready & allow_mask;
+        // A TB freed earlier in this loop leaves its lanes in the
+        // view's masks, but those lanes are no longer ready.
+        std::uint64_t cand_pre = sc.ready & sc.allowMask;
         std::uint64_t cand = cand_pre;
         if (lsu_used >= lsuPorts_) {
             cand &= ~(sc.loadMask | sc.storeMask);
@@ -672,7 +730,7 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
             if (mshrFree_ <= 0)
                 cand &= ~sc.loadMask;
             else
-                cand &= ~(sc.loadMask & mshr_block);
+                cand &= ~(sc.loadMask & sc.mshrBlock);
             if (store_blocked)
                 cand &= ~sc.storeMask;
         }
@@ -745,11 +803,7 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         }
         for (const Drain &d : drains_)
             next = std::min(next, d.finishAt);
-        // Never skip across a nonempty wake bucket (stale-token
-        // entries only make this conservative).
-        if (pendingWakes_ > 0)
-            next = std::min(next, nextWakeAfter(now));
-        *next_event = next;
+        *next_event = std::min(next, nextWakeAfter(now));
     }
 
     epochCycles_++;
@@ -785,34 +839,38 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
 // ---------------------------------------------------------------
 
 /**
- * First nonempty wake bucket strictly after @p now, or cycleNever.
- * Word-at-a-time scan over the occupancy bitmap; the wrap
- * iteration (i == nwords) re-visits the start word's low bits,
- * which map to the far end of the ring revolution.
+ * Earliest pending wake strictly after @p now, or cycleNever: the
+ * first occupied wheel slot or the earliest far wake. Every wheel
+ * lane wakes inside (now, now + wakeHorizon_), so slot order from
+ * now + 1 is wake order. Word-at-a-time scan over the occupancy
+ * bitmap; the wrap iteration (i == nwords) re-visits the start
+ * word's low bits, which map to the far end of the horizon.
  */
 Cycle
 SmCore::nextWakeAfter(Cycle now) const
 {
-    constexpr int nwords = wakeRingSize_ / 64;
+    constexpr int nwords = wakeHorizon_ / 64;
     const int start =
-        static_cast<int>((now + 1) & (wakeRingSize_ - 1));
+        static_cast<int>((now + 1) & (wakeHorizon_ - 1));
     int wi = start >> 6;
     std::uint64_t word =
-        wakeBits_[wi] & (~std::uint64_t{0} << (start & 63));
+        wheelBits_[wi] & (~std::uint64_t{0} << (start & 63));
     for (int i = 0; i <= nwords; ++i) {
         if (i == nwords)
-            word = wakeBits_[start >> 6] &
+            word = wheelBits_[start >> 6] &
                    ~(~std::uint64_t{0} << (start & 63));
         if (word) {
             int idx = (wi << 6) + std::countr_zero(word);
-            return now + 1 +
-                   static_cast<Cycle>(
-                       (idx - start) & (wakeRingSize_ - 1));
+            return std::min(
+                farMin_,
+                now + 1 +
+                    static_cast<Cycle>(
+                        (idx - start) & (wakeHorizon_ - 1)));
         }
         wi = (wi + 1) & (nwords - 1);
-        word = wakeBits_[wi];
+        word = wheelBits_[wi];
     }
-    return cycleNever;
+    return farMin_;
 }
 
 CycleCat
@@ -849,7 +907,7 @@ SmCore::applyInertSpan(Cycle span)
     for (int s = 0; s < numScheds_; ++s)
         scheds_[s].lastIssued = -1;
 
-    addGatedCycles(allowedKernelMask(), span);
+    addGatedCycles(allowedKernels(), span);
 
     if (accounting_) {
         // Every classification input (ready/instr masks, residency,
@@ -882,7 +940,7 @@ SmCore::skipCycles(Cycle now, Cycle span, Cycle samples)
     // applyInertSpan), so each sample contributes the same value.
     // The LSU is never full on a no-issue cycle.
     if (samples > 0)
-        sampleIdleWarps(allowedKernelMask(), false, storeThrottled(now),
+        sampleIdleWarps(allowedKernels(), false, storeThrottled(now),
                         samples);
 }
 
@@ -947,6 +1005,7 @@ SmCore::setQuotaGating(bool on)
 {
     settle();
     quotaGating_ = on;
+    viewDirty_ = true;
     mutVersion_++;
 }
 
@@ -967,6 +1026,7 @@ SmCore::setQuota(KernelId k, double q)
     gqos_assert(k >= 0 && k < maxKernels);
     settle();
     kernels_[k].quota = q;
+    viewDirty_ = true;
     mutVersion_++;
 }
 
@@ -977,6 +1037,7 @@ SmCore::addQuota(KernelId k, double q)
     settle();
     kernels_[k].quota += q;
     kernels_[k].stats.quotaRefills++;
+    viewDirty_ = true;
     mutVersion_++;
 }
 

@@ -268,13 +268,14 @@ class SmCore
         std::int16_t slot;
     };
 
-    struct WakeEntry
-    {
-        std::uint16_t warp;
-        std::uint32_t token;
-    };
-
-    static constexpr int wakeRingSize_ = 4096;
+    /**
+     * Wake-wheel horizon in cycles (a power of two). Wakes nearer
+     * than this land in the wheel; L2 hits fit. Farther ones (DRAM
+     * under queueing) take the far path.
+     */
+    static constexpr int wakeHorizon_ = 512;
+    static_assert((wakeHorizon_ & (wakeHorizon_ - 1)) == 0 &&
+                  wakeHorizon_ % 64 == 0);
 
     int schedOf(int warp_slot) const
     {
@@ -323,13 +324,26 @@ class SmCore
 
     void rebuildAgeOrder(int sched);
     Cycle nextWakeAfter(Cycle now) const;
-    std::uint32_t allowedKernelMask() const;
-    std::uint32_t mshrOkKernelMask() const;
+    /** Recompute the issue view from its inputs; clears viewDirty_. */
+    void rebuildView();
+    /** The EWS-allowed kernel mask, rebuilding a stale view first. */
+    std::uint32_t allowedKernels()
+    {
+        if (viewDirty_)
+            rebuildView();
+        return viewAllowed_;
+    }
+    /** Change @p kc's MSHR count, invalidating the view on a flip. */
+    void adjustMshrHeld(KernelCtx &kc, int delta);
     bool storeThrottled(Cycle now) const;
-    void scheduleWake(int warp_slot, Cycle at);
+    /** Queue the one pending wake of a waiting warp, at @p at > @p now. */
+    void scheduleWake(int warp_slot, Cycle at, Cycle now);
+    /** Remove the pending wake of a Live, not-ready warp. */
+    void cancelWake(int warp_slot);
+    void placeWake(int sched, int lane, Cycle at);
+    void recomputeFarMin();
     void processWakes(Cycle now);
     void processDrains(Cycle now);
-    void markReady(int warp_slot);
     void clearSchedBits(int warp_slot);
     void refreshInstrMasks(int warp_slot);
     void generateNext(Warp &w, const KernelRun &run);
@@ -368,21 +382,35 @@ class SmCore
     int smemUsed_ = 0;
     int tbSlotsUsed_ = 0;
 
-    // wake machinery
-    std::vector<std::vector<WakeEntry>> wakeRing_;
-    std::vector<std::uint32_t> wakeToken_;
-    /**
-     * Entries currently sitting in the ring (including stale ones
-     * whose token no longer matches). Lets cycle()'s next-event
-     * bound skip the ring scan entirely on a wake-free SM.
-     */
-    std::int64_t pendingWakes_ = 0;
-    /**
-     * Occupancy bitmap over the wake ring: bit i set iff
-     * wakeRing_[i] is nonempty. Turns nextWakeAfter()'s
-     * next-nonempty-bucket scan into a word-at-a-time search.
-     */
-    std::array<std::uint64_t, wakeRingSize_ / 64> wakeBits_{};
+    // Wake wheel. Every Live warp that is not ready has exactly one
+    // pending wake, at its readyAt, so a wake is one lane bit: no
+    // entry lists, no stale entries to filter. A lane whose wake is
+    // less than wakeHorizon_ cycles out sits in wheel_ at slot
+    // readyAt % wakeHorizon_; processWakes() ORs a slot's masks into
+    // the schedulers' ready masks. Farther lanes wait in farMask_
+    // until they come within the horizon. Preemption cancels a
+    // pending wake by clearing its bit.
+    /** Lane masks, slot-major: wheel_[slot * numScheds_ + sched]. */
+    std::vector<std::uint64_t> wheel_;
+    /** Bit i set iff some scheduler's lanes wait in wheel slot i. */
+    std::array<std::uint64_t, wakeHorizon_ / 64> wheelBits_{};
+    /** Per scheduler: lanes waking at or beyond the horizon. */
+    std::vector<std::uint64_t> farMask_;
+    /** Earliest readyAt in farMask_ (cycleNever when empty). */
+    Cycle farMin_ = cycleNever;
+
+    // Issue view: the per-cycle arbitration masks, derived from the
+    // quotas, gating switch, residency, kernel lane masks and MSHR
+    // counts (SchedulerState::allowMask / mshrBlock hold the
+    // per-scheduler part). Every event that changes one of those
+    // inputs sets viewDirty_, and cycle() rebuilds the view at its
+    // start only then: kernel binding, TB dispatch and free, quota
+    // set/add, gating toggle, a quota crossing <= 0 in retireInstr,
+    // and an MSHR count crossing the per-kernel cap. While viewDirty_
+    // is false the view equals a fresh recomputation.
+    std::uint32_t viewAllowed_ = 0; //!< EWS-allowed kernels
+    int viewMshrCap_ = 0; //!< per-kernel MSHR cap at the last rebuild
+    bool viewDirty_ = true;
 
     // MSHR release queue: (completion cycle, owning kernel). When
     // kernels share an SM, each kernel's in-flight misses are capped

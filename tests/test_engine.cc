@@ -210,6 +210,40 @@ TEST_F(EngineSmFixture, SkipMatchesSteppingThroughGatedSpan)
     }
 }
 
+TEST_F(EngineSmFixture, FarWakeIsTheNoIssueBound)
+{
+    // One warp that only loads, from cold lines, behind an
+    // interconnect congested by 4 MB of context traffic: every load
+    // completes thousands of cycles out, far beyond the wake
+    // wheel's horizon. While the warp waits, that far wake is the
+    // SM's only pending event, so it alone must set the bound.
+    KernelDesc d = test::tinyMemoryKernel("far");
+    d.threadsPerTb = 32;
+    d.phases[0].memRatio = 1.0;
+    d.phases[0].storeFraction = 0.0;
+    d.phases[0].avgTransPerMem = 1.0;
+    d.phases[0].hotFraction = 0.0;
+    KernelRun run_far(d, 0, cfg);
+    sm.bindKernels({&run_far});
+    mem.injectContextTraffic(0, 4u << 20, 0);
+    sm.dispatchTb(0, 0, 0, 0);
+
+    // Step until a no-issue cycle whose bound lies > 4096 cycles out:
+    // the warp is then waiting on a far wake.
+    Cycle bound = cycleNever;
+    for (; now < 20000 && bound == cycleNever; ++now) {
+        Cycle next = cycleNever;
+        if (!sm.cycle(now, false, &next) && next != cycleNever &&
+            next > now + 4096)
+            bound = next;
+    }
+    ASSERT_NE(bound, cycleNever);
+    ASSERT_GT(sm.stats().issuedLoads, 0u);
+    for (; now < bound; ++now)
+        ASSERT_FALSE(sm.cycle(now, false)) << "issued at cycle " << now;
+    EXPECT_TRUE(sm.cycle(bound, false));
+}
+
 // ---------------------------------------------------------------
 // Gpu-level control points.
 // ---------------------------------------------------------------

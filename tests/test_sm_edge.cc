@@ -1,8 +1,9 @@
 /**
  * @file
- * Edge-case tests for subtle SM mechanics: wake-ring wrap-around
- * under extreme memory latency, per-kernel MSHR fairness caps, and
- * store throttling under interconnect backlog.
+ * Edge-case tests for subtle SM mechanics: wakes beyond the wake
+ * wheel's horizon under extreme memory latency, wake cancellation on
+ * preemption, per-kernel MSHR fairness caps, and store throttling
+ * under interconnect backlog.
  */
 
 #include <gtest/gtest.h>
@@ -19,9 +20,10 @@ namespace
 
 TEST(SmEdge, WarpsSurviveLatenciesBeyondTheWakeRing)
 {
-    // Congest DRAM so badly that load latencies exceed the 4096-
-    // entry wake ring; warps must still wake (via re-insertion)
-    // and the kernel must finish its work.
+    // Congest DRAM so badly that load latencies run far beyond the
+    // wake wheel's horizon; those warps wait on the far path, enter
+    // the wheel once their wake comes within the horizon, and must
+    // still wake and finish the kernel's work.
     GpuConfig cfg = defaultConfig();
     cfg.dramSlotsPerCycle = 0.02; // pathological bandwidth
     KernelDesc d = test::tinyMemoryKernel();
@@ -160,6 +162,65 @@ TEST(SmEdge, ReusedWarpSlotsStartClean)
     EXPECT_EQ(sm.kernelStats(0).warpInstrs,
               3u * d.warpsPerTb() * d.warpInstrPerTb);
 }
+
+/**
+ * Preempt a memory TB while its loads are in flight, then dispatch a
+ * new TB into the same warp slots. The drained warps' pending wakes
+ * must have been cancelled: a leftover one would wake a new warp
+ * before its dispatch latency or corrupt its instruction count.
+ * Parameter: DRAM slots per cycle (0 = default). At 0.02 the loads
+ * wait beyond the wake wheel's horizon, so preemption cancels far
+ * wakes as well as wheel wakes.
+ */
+class PreemptedSlotReuse : public ::testing::TestWithParam<double>
+{
+};
+
+TEST_P(PreemptedSlotReuse, NewTbWaitsItsDispatchLatencyAndRetiresItsBudget)
+{
+    GpuConfig cfg = defaultConfig();
+    if (GetParam() > 0.0)
+        cfg.dramSlotsPerCycle = GetParam();
+    KernelDesc d = test::tinyMemoryKernel();
+    d.warpInstrPerTb = 300;
+    MemSystem mem(cfg);
+    SmCore sm(cfg, 0, mem);
+    KernelRun run(d, 0, cfg);
+    sm.bindKernels({&run});
+    int preempted = 0;
+    int completed = 0;
+    sm.setTbEventCallback(
+        [&](SmId, KernelId, TbExit e) {
+            (e == TbExit::Preempted ? preempted : completed)++;
+        });
+
+    sm.dispatchTb(0, 0, 0, 0);
+    Cycle now = 0;
+    // Run until loads are outstanding, then preempt mid-flight.
+    for (; now < 400; ++now)
+        sm.cycle(now, false);
+    ASSERT_GT(sm.stats().issuedLoads, 0u);
+    ASSERT_EQ(completed, 0);
+    ASSERT_TRUE(sm.startPreemption(0, now));
+    for (Cycle end = now + 400000; now < end && !preempted; ++now)
+        sm.cycle(now, false);
+    ASSERT_EQ(preempted, 1);
+    std::uint64_t before = sm.kernelStats(0).warpInstrs;
+
+    const Cycle t = now;
+    ASSERT_TRUE(sm.dispatchTb(0, 1, 1, t));
+    for (; now < t + 30; ++now)
+        EXPECT_FALSE(sm.cycle(now, false)) << "issued at cycle " << now;
+    for (Cycle end = now + 400000; now < end && !completed; ++now)
+        sm.cycle(now, false);
+    ASSERT_EQ(completed, 1);
+    EXPECT_EQ(sm.kernelStats(0).warpInstrs - before,
+              static_cast<std::uint64_t>(d.warpsPerTb()) *
+                  d.warpInstrPerTb);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dram, PreemptedSlotReuse,
+                         ::testing::Values(0.0, 0.02));
 
 } // anonymous namespace
 } // namespace gqos
