@@ -21,8 +21,11 @@
  *                      arrivals (default 300; 0 = use --horizon)
  *   --horizon H        arrival window in cycles (default 400000)
  *   --arrival K        poisson | bursty | diurnal | file:PATH
- *   --tenants S        ";"-separated name:kernel:class:goal:slo:queue
- *                      specs (default: the 4-tenant standard mix)
+ *   --tenants S        ";"-separated
+ *                      name:kernel[:class[:goal[:slo[:queue]]]]
+ *                      specs; slo 0 = no SLO (no deadline),
+ *                      queue >= 1 (default: the 4-tenant standard
+ *                      mix)
  *   --policy P         sharing policy (default "serving")
  *   --tick N           control-loop tick, cycles (default 256)
  *   --watchdog-ms M    per-tenant stall window, simulated ms

@@ -44,7 +44,7 @@ def canonical(report):
 
 def main(argv):
     if len(argv) != 2:
-        print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
+        print("usage: scripts/golden_digest.py STATS.json", file=sys.stderr)
         return 2
     with open(argv[1]) as f:
         report = json.load(f)

@@ -108,7 +108,8 @@ parseTenantSpec(const std::string &text)
         return Error::format(
             ErrorCode::InvalidArgument,
             "tenant spec '%s': want "
-            "name:kernel[:class[:goal[:slo[:queue]]]]",
+            "name:kernel[:class[:goal[:slo[:queue]]]] "
+            "(slo 0 = no SLO, queue >= 1)",
             text.c_str());
     }
     TenantSpec spec;

@@ -69,7 +69,8 @@ struct TenantSpec
 /**
  * Parse one "name:kernel:class:goal:slo:queue" spec. goal, slo and
  * queue may be omitted from the right ("web:sgemm:guaranteed" uses
- * the defaults above).
+ * the defaults above). An slo of 0 means no SLO; a queue of 0 is
+ * rejected.
  */
 Result<TenantSpec> parseTenantSpec(const std::string &text);
 

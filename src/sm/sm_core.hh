@@ -383,8 +383,8 @@ class SmCore
     int tbSlotsUsed_ = 0;
 
     // Wake wheel. Every Live warp that is not ready has exactly one
-    // pending wake, at its readyAt, so a wake is one lane bit: no
-    // entry lists, no stale entries to filter. A lane whose wake is
+    // pending wake, at its readyAt, so a wake is one lane bit and a
+    // slot never holds a stale one. A lane whose wake is
     // less than wakeHorizon_ cycles out sits in wheel_ at slot
     // readyAt % wakeHorizon_; processWakes() ORs a slot's masks into
     // the schedulers' ready masks. Farther lanes wait in farMask_

@@ -67,6 +67,17 @@ TEST(TenantSpec, RejectsMalformedSpecs)
     EXPECT_FALSE(parseTenantSpec("t:sgemm:elastic:0.3:100:0").ok());
 }
 
+TEST(TenantSpec, SloZeroMeansNoSloButQueueZeroIsRejected)
+{
+    auto r = parseTenantSpec("w:sgemm:guaranteed:0.5:0");
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().sloCycles, 0u);
+    auto q = parseTenantSpec("w:sgemm:guaranteed:0.5:0:0");
+    ASSERT_FALSE(q.ok());
+    EXPECT_NE(q.error().message().find("bad queue"), std::string::npos)
+        << q.error().message();
+}
+
 TEST(TenantSpec, ListParsingAndDefaultMix)
 {
     auto r = parseTenantList("a:sgemm;b:lbm:besteffort");

@@ -166,8 +166,9 @@ TEST(SmEdge, ReusedWarpSlotsStartClean)
 /**
  * Preempt a memory TB while its loads are in flight, then dispatch a
  * new TB into the same warp slots. The drained warps' pending wakes
- * must have been cancelled: a leftover one would wake a new warp
- * before its dispatch latency or corrupt its instruction count.
+ * must have been cancelled: a leftover one would let a draining warp
+ * issue, wake a new warp before its dispatch latency, or corrupt the
+ * new TB's instruction count.
  * Parameter: DRAM slots per cycle (0 = default). At 0.02 the loads
  * wait beyond the wake wheel's horizon, so preemption cancels far
  * wakes as well as wheel wakes.
@@ -181,8 +182,14 @@ TEST_P(PreemptedSlotReuse, NewTbWaitsItsDispatchLatencyAndRetiresItsBudget)
     GpuConfig cfg = defaultConfig();
     if (GetParam() > 0.0)
         cfg.dramSlotsPerCycle = GetParam();
+    // 16 warps streaming cold lines, mostly loads of 4 transactions:
+    // at 0.02 DRAM slots per cycle their queue runs past the wheel.
     KernelDesc d = test::tinyMemoryKernel();
+    d.threadsPerTb = 512;
     d.warpInstrPerTb = 300;
+    d.phases[0].memRatio = 0.9;
+    d.phases[0].avgTransPerMem = 4.0;
+    d.phases[0].hotFraction = 0.0;
     MemSystem mem(cfg);
     SmCore sm(cfg, 0, mem);
     KernelRun run(d, 0, cfg);
@@ -202,8 +209,9 @@ TEST_P(PreemptedSlotReuse, NewTbWaitsItsDispatchLatencyAndRetiresItsBudget)
     ASSERT_GT(sm.stats().issuedLoads, 0u);
     ASSERT_EQ(completed, 0);
     ASSERT_TRUE(sm.startPreemption(0, now));
+    // The only TB is draining, so nothing may issue until it exits.
     for (Cycle end = now + 400000; now < end && !preempted; ++now)
-        sm.cycle(now, false);
+        ASSERT_FALSE(sm.cycle(now, false)) << "issued at cycle " << now;
     ASSERT_EQ(preempted, 1);
     std::uint64_t before = sm.kernelStats(0).warpInstrs;
 
