@@ -28,7 +28,8 @@
 # their --stats-json (scripts/golden_digest.py) must equal
 # tests/golden/<bench>.digest, so a model change that moves both
 # engines the same way still fails until the golden files are
-# regenerated and the diff is reviewed.
+# regenerated and the diff is reviewed. bench_table1, which only
+# prints the machine configuration, is golden by stdout alone.
 #
 #   scripts/check.sh            # all four presets + smokes
 #   scripts/check.sh default    # just the fast one
@@ -374,8 +375,9 @@ engine_smoke() {
     # simulating figure bench prints byte-identical stdout and emits
     # a byte-identical --trace JSONL under both engines. Each engine
     # gets its own cold cache so both actually simulate.
-    # (bench_table1 is excluded: it prints a static table and never
-    # runs the cycle loop.)
+    # (bench_table1 prints a static table and never runs the cycle
+    # loop, so it has no engine pair; its stdout alone is golden,
+    # checked below.)
     local benches="bench_fig5 bench_fig6 bench_fig7 bench_fig8 \
 bench_fig9 bench_fig10 bench_fig11 bench_fig12_13 bench_fig14 \
 bench_ablations bench_fairness"
@@ -399,6 +401,17 @@ bench_ablations bench_fairness"
         golden_check "$b" "$scratch/$b.ev.out" "$scratch/$b.ev.json"
         echo "    $b: identical"
     done
+
+    "$bdir/bench_table1" > "$scratch/bench_table1.out"
+    if [ "$update_golden" = 1 ]; then
+        cp "$scratch/bench_table1.out" "$golden/bench_table1.out"
+    else
+        cmp "$scratch/bench_table1.out" "$golden/bench_table1.out" || {
+            echo "golden: bench_table1 stdout differs from" \
+                 "$golden/bench_table1.out" >&2
+            return 1; }
+    fi
+    echo "    bench_table1: matches golden"
 
     # Serving is the path with the most skips: between arrivals only
     # the policy's control points need the clock.
