@@ -5,7 +5,8 @@
  * Every bench binary accepts the same options:
  *   --cycles N     simulated cycles per case (default 200000)
  *   --warmup N     warmup cycles excluded from IPC (default 40000,
- *                  capped at cycles/5 when not given explicitly)
+ *                  capped at cycles/5 when not given explicitly;
+ *                  an explicit value must be <= cycles/2)
  *   --pairs N      number of kernel pairs (default 18; the full
  *                  set is 90)
  *   --trios N      number of kernel trios (default 12; the full

@@ -52,8 +52,7 @@ main(int argc, char **argv)
             const KernelDesc &d0 = parboilKernel(k0);
             const KernelDesc &d1 = parboilKernel(k1);
             gpu.launch({&d0, &d1});
-            SmkFairPolicy fair({iso0, iso1}, SmkFairOptions{},
-                               cfg.epochLength);
+            SmkFairPolicy fair({iso0, iso1}, cfg.epochLength);
             fair.onLaunch(gpu);
             SimEngine engine(runner.options().engine, cfg.epochLength);
             if (engine.runUntil(gpu, fair, cycles)) {

@@ -29,6 +29,8 @@
  *   --policy P         sharing policy (default "serving")
  *   --tick N           control-loop tick, cycles (default 256)
  *   --watchdog-ms M    per-tenant stall window, simulated ms
+ *   --drain-grace N    cycles after the last arrival before the
+ *                      hard stop (default 150000)
  *   --seed N           arrival-stream seed (default 1)
  *   --record-arrivals P  write each point's arrival trace to
  *                        P.<label>.jsonl (replayable via file:)
@@ -177,12 +179,8 @@ servingMain(const CliArgs &args)
         args.getString("arrival", "poisson");
     const bool fromFile = arrivalSpec.rfind("file:", 0) == 0;
 
-    std::vector<double> loads;
-    for (const std::string &tok :
-         splitList(args.getString("loads", "0.5,1.0,2.0,4.0"))) {
-        if (!tok.empty())
-            loads.push_back(std::strtod(tok.c_str(), nullptr));
-    }
+    std::vector<double> loads =
+        okOrDie(args.getPositiveList("loads", "0.5,1.0,2.0,4.0"));
     if (fromFile && loads.size() != 1) {
         // A file trace carries its own absolute load; multipliers
         // do not apply.

@@ -21,8 +21,7 @@ main()
     std::printf("  %-22s %g GHz\n", "Mem. Freq.", cfg.memFreqGhz);
     std::printf("  %-22s %d\n", "# of SMs", cfg.numSms);
     std::printf("  %-22s %d\n", "# of MC", cfg.numMemPartitions);
-    std::printf("  %-22s %s\n", "Sched. Policy",
-                cfg.schedPolicy == SchedPolicy::Gto ? "GTO" : "LRR");
+    std::printf("  %-22s %s\n", "Sched. Policy", "GTO");
     std::printf("  %-22s %d KB\n", "Registers",
                 cfg.regFileBytes / 1024);
     std::printf("  %-22s %d KB\n", "Shared Memory",

@@ -12,9 +12,9 @@
 #
 # Methodology: wall-clock on a loaded single-core box is noisy, so
 # bench_micro runs with 8 repetitions under random interleaving and
-# reports aggregates only; medians are compared. A small fig6 sweep
-# per engine cross-checks the microbenchmark against the end-to-end
-# harness throughput (sim_cycles_per_sec in --stats-json).
+# reports aggregates only; medians are compared. The end-to-end
+# number is perfbench's sweep_cold workload (perfbench/run.py), not
+# this script.
 #
 #   scripts/bench_speed.sh [builddir]   # default: ./build (Release)
 
@@ -35,25 +35,13 @@ echo "==> bench_micro BM_Engine + BM_Attribution (8 interleaved repetitions)"
     --benchmark_format=json \
     > "$scratch/micro.json"
 
-echo "==> fig6 harness cross-check (per-engine sim_cycles_per_sec)"
-flags="--cycles 20000 --warmup 4000 --pairs 2 --jobs 1"
-# shellcheck disable=SC2086 # word-splitting of $flags is wanted
-"$builddir/bench/bench_fig6" $flags --engine event \
-    --cache "$scratch/ev" --stats-json "$scratch/ev.json" \
-    > /dev/null 2>&1
-# shellcheck disable=SC2086
-"$builddir/bench/bench_fig6" $flags --engine reference \
-    --cache "$scratch/ref" --stats-json "$scratch/ref.json" \
-    > /dev/null 2>&1
-
 commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 
-python3 - "$scratch/micro.json" "$scratch/ev.json" \
-    "$scratch/ref.json" "$out" "$commit" <<'EOF'
+python3 - "$scratch/micro.json" "$out" "$commit" <<'EOF'
 import json
 import sys
 
-micro_path, ev_path, ref_path, out_path, commit = sys.argv[1:6]
+micro_path, out_path, commit = sys.argv[1:4]
 
 with open(micro_path) as f:
     micro = json.load(f)
@@ -76,13 +64,6 @@ missing = [c for c in ("event_mem", "reference_mem",
 assert not missing, f"missing medians for {missing}"
 
 
-def harness(path):
-    with open(path) as f:
-        rep = json.load(f)
-    vals = [c["sim_cycles_per_sec"] for c in rep["cases"]]
-    return sum(vals) / len(vals) if vals else 0.0
-
-
 entry = {
     "commit": commit,
     "source": "bench_micro BM_Engine, medians of 8 interleaved "
@@ -92,10 +73,6 @@ entry = {
         "memory_bound": med["event_mem"] / med["reference_mem"],
         "compute_bound":
             med["event_compute"] / med["reference_compute"],
-    },
-    "harness_fig6": {
-        "event_sim_cycles_per_sec": harness(ev_path),
-        "reference_sim_cycles_per_sec": harness(ref_path),
     },
     # Cycle-attribution profiler cost. "off" is the default bench
     # path (profiler branch untaken) and must stay within 2% of the

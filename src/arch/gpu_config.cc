@@ -65,8 +65,7 @@ GpuConfig::summary() const
 {
     std::ostringstream os;
     os << numSms << " SMs @" << coreFreqGhz << "GHz, "
-       << warpSchedulersPerSm << " sched/SM ("
-       << (schedPolicy == SchedPolicy::Gto ? "GTO" : "LRR") << "), "
+       << warpSchedulersPerSm << " sched/SM (GTO), "
        << maxThreadsPerSm << " thr/SM, " << maxTbsPerSm << " TB/SM, "
        << regFileBytes / 1024 << "KB regs, "
        << sharedMemBytes / 1024 << "KB smem, "

@@ -17,13 +17,6 @@
 namespace gqos
 {
 
-/** Warp scheduling policies supported by the SM model. */
-enum class SchedPolicy : std::uint8_t
-{
-    Gto, //!< greedy-then-oldest (Table 1 default)
-    Lrr  //!< loose round-robin
-};
-
 /**
  * Full machine configuration.
  *
@@ -40,7 +33,6 @@ struct GpuConfig
     double memFreqGhz = 7.0;        //!< memory data clock, GHz
     int numSms = 16;                //!< streaming multiprocessors
     int numMemPartitions = 4;       //!< memory controllers (w/ L2)
-    SchedPolicy schedPolicy = SchedPolicy::Gto;
     int regFileBytes = 256 * 1024;  //!< register file per SM
     int sharedMemBytes = 96 * 1024; //!< scratchpad per SM
     int maxThreadsPerSm = 2048;     //!< thread slots per SM

@@ -6,6 +6,7 @@
 #include "common/cli.hh"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -112,6 +113,32 @@ CliArgs::getDouble(const std::string &name, double def) const
         gqos_fatal("option --%s expects a number, got '%s'",
                    name.c_str(), it->second.c_str());
     return v;
+}
+
+Result<std::vector<double>>
+CliArgs::getPositiveList(const std::string &name,
+                         const std::string &def) const
+{
+    std::vector<double> out;
+    for (const std::string &tok : splitList(getString(name, def))) {
+        if (tok.empty())
+            continue;
+        double v = 0.0;
+        if (!parseFullDouble(tok, v) || !std::isfinite(v) ||
+            !(v > 0.0)) {
+            return Error::format(ErrorCode::InvalidArgument,
+                                 "option --%s expects positive finite "
+                                 "numbers, got '%s'",
+                                 name.c_str(), tok.c_str());
+        }
+        out.push_back(v);
+    }
+    if (out.empty()) {
+        return Error::format(ErrorCode::InvalidArgument,
+                             "option --%s expects at least one value",
+                             name.c_str());
+    }
+    return out;
 }
 
 bool

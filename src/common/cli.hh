@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "common/result.hh"
+
 namespace gqos
 {
 
@@ -38,6 +40,15 @@ class CliArgs
 
     /** Double value, or @p def if absent. fatal() on parse error. */
     double getDouble(const std::string &name, double def) const;
+
+    /**
+     * Comma-separated list of positive, finite numbers (@p def if
+     * absent). Each token must parse whole, as in getDouble(); empty
+     * tokens are skipped. A bad token or an empty list is an
+     * InvalidArgument naming the option and the token.
+     */
+    Result<std::vector<double>> getPositiveList(
+        const std::string &name, const std::string &def) const;
 
     /**
      * Boolean flag: --name => true, --no-name => false, --name=0/1,

@@ -81,13 +81,13 @@ Runner::make(Options opts, std::shared_ptr<ResultCache> cache)
         return Error::format(ErrorCode::InvalidArgument,
                              "cycles must be >= 1");
     }
-    if (opts.warmupCycles >= opts.cycles) {
+    if (opts.warmupCycles > opts.cycles / 2) {
         return Error::format(
             ErrorCode::InvalidArgument,
-            "cycles (%llu) must exceed warmupCycles (%llu); "
-            "nothing would be measured",
-            static_cast<unsigned long long>(opts.cycles),
-            static_cast<unsigned long long>(opts.warmupCycles));
+            "warmupCycles (%llu) must be at most half of cycles "
+            "(%llu)",
+            static_cast<unsigned long long>(opts.warmupCycles),
+            static_cast<unsigned long long>(opts.cycles));
     }
     if (opts.useCache) {
         std::error_code ec;
@@ -147,8 +147,7 @@ Runner::simulate(const std::vector<std::string> &kernels,
                  const std::vector<double> &goal_frac,
                  const std::string &policy)
 {
-    const Cycle warmup =
-        std::min(opts_.warmupCycles, opts_.cycles / 2);
+    const Cycle warmup = opts_.warmupCycles;
     std::vector<const KernelDesc *> descs;
     std::vector<QosSpec> specs;
     for (std::size_t i = 0; i < kernels.size(); ++i) {

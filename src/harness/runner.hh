@@ -115,7 +115,7 @@ class Runner
          * converge. The paper's 2M-cycle runs make convergence
          * negligible; at our scaled-down window the warmup must be
          * excluded explicitly (applied identically to isolated
-         * baselines and co-runs). Must be < cycles.
+         * baselines and co-runs). Must be <= cycles / 2.
          */
         Cycle warmupCycles = 50000;
         std::string configName = "default"; //!< or "large"
@@ -152,7 +152,8 @@ class Runner
     };
 
     /**
-     * Validate @p opts (config name exists, cycles > warmupCycles)
+     * Validate @p opts (config name exists, warmupCycles <=
+     * cycles / 2)
      * and build a runner. All user-input problems come back as
      * errors; nothing in the harness exits the process.
      */

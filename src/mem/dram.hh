@@ -31,13 +31,6 @@ struct DramStats
     double queueDelaySum = 0.0;
 
     double
-    rowMissRate() const
-    {
-        return accesses ? static_cast<double>(rowMisses) / accesses
-                        : 0.0;
-    }
-
-    double
     avgQueueDelay() const
     {
         return accesses ? queueDelaySum / accesses : 0.0;

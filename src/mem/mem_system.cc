@@ -110,13 +110,6 @@ MemSystem::invalidateKernelL1(SmId sm, KernelId kernel)
     l1s_[sm].invalidateKernel(kernel);
 }
 
-void
-MemSystem::invalidateSmL1(SmId sm)
-{
-    gqos_assert(sm >= 0 && sm < static_cast<int>(l1s_.size()));
-    l1s_[sm].invalidateAll();
-}
-
 Cache &
 MemSystem::l1(SmId sm)
 {

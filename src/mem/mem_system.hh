@@ -73,9 +73,6 @@ class MemSystem
     /** Drop a kernel's L1 lines on SM @p sm (TB preempted away). */
     void invalidateKernelL1(SmId sm, KernelId kernel);
 
-    /** Drop all L1 lines of SM @p sm (SM reassigned wholesale). */
-    void invalidateSmL1(SmId sm);
-
     /** L1 cache of SM @p sm (tests and detailed stats). */
     Cache &l1(SmId sm);
     const Cache &l1(SmId sm) const;

@@ -13,10 +13,20 @@
 namespace gqos
 {
 
+namespace
+{
+
+/** Per-epoch multiplicative step toward the fair point. */
+constexpr double gain = 0.5;
+
+/** Quota headroom over the fair rate (keeps the GPU busy). */
+constexpr double slack = 1.10;
+
+} // anonymous namespace
+
 SmkFairPolicy::SmkFairPolicy(std::vector<double> isolated_ipc,
-                             SmkFairOptions opts,
                              Cycle epoch_length)
-    : isolatedIpc_(std::move(isolated_ipc)), opts_(opts),
+    : isolatedIpc_(std::move(isolated_ipc)),
       epochLength_(epoch_length)
 {
     for (double ipc : isolatedIpc_) {
@@ -75,13 +85,13 @@ SmkFairPolicy::beginEpoch(Gpu &gpu)
         // freeing resources that lift the one behind.
         for (int k = 0; k < nk; ++k) {
             double target = rateTarget_[k] +
-                opts_.gain * (min_rate - rateTarget_[k]);
+                gain * (min_rate - rateTarget_[k]);
             rateTarget_[k] = std::clamp(target, 1e-4, 1.0);
         }
     }
 
     for (int k = 0; k < nk; ++k) {
-        double quota = rateTarget_[k] * opts_.slack *
+        double quota = rateTarget_[k] * slack *
                        isolatedIpc_[k] * epochLength_;
         int total_tbs = gpu.totalResidentTbs(k);
         for (int s = 0; s < gpu.numSms(); ++s) {

@@ -23,15 +23,6 @@
 namespace gqos
 {
 
-/** Options of the fairness policy. */
-struct SmkFairOptions
-{
-    /** Per-epoch multiplicative step toward the fair point. */
-    double gain = 0.5;
-    /** Quota headroom over the fair rate (keeps the GPU busy). */
-    double slack = 1.10;
-};
-
 /**
  * Fairness by slowdown equalization over EWS quotas.
  */
@@ -43,7 +34,7 @@ class SmkFairPolicy : public SharingPolicy
      *        (KernelId-indexed), used to normalize progress
      */
     SmkFairPolicy(std::vector<double> isolated_ipc,
-                  SmkFairOptions opts, Cycle epoch_length);
+                  Cycle epoch_length);
 
     void onLaunch(Gpu &gpu) override;
     Cycle onCycle(Gpu &gpu) override;
@@ -62,7 +53,6 @@ class SmkFairPolicy : public SharingPolicy
     void beginEpoch(Gpu &gpu);
 
     std::vector<double> isolatedIpc_;
-    SmkFairOptions opts_;
     Cycle epochLength_;
     Cycle epochStart_ = 0;
     std::vector<std::uint64_t> instrAtEpochStart_;

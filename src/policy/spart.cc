@@ -12,15 +12,19 @@
 namespace gqos
 {
 
-SpartPolicy::SpartPolicy(std::vector<QosSpec> specs,
-                         SpartOptions opts, Cycle epoch_length)
-    : specs_(std::move(specs)), opts_(opts),
-      epochLength_(epoch_length)
+namespace
+{
+
+/** Relative margin required before a QoS kernel donates an SM. */
+constexpr double donateMargin = 0.05;
+
+} // anonymous namespace
+
+SpartPolicy::SpartPolicy(std::vector<QosSpec> specs, Cycle epoch_length)
+    : specs_(std::move(specs)), epochLength_(epoch_length)
 {
     qosIds_ = qosKernels(specs_);
     nonQosIds_ = nonQosKernels(specs_);
-    if (opts_.adjustInterval < 1)
-        gqos_fatal("adjustInterval must be >= 1");
 }
 
 int
@@ -95,7 +99,7 @@ SpartPolicy::pickDonor(KernelId needy) const
         int n = smsOf(j);
         if (n > 1 &&
             ipcEpoch_[j] * (n - 1) / n >
-                specs_[j].ipcGoal * (1.0 + opts_.donateMargin)) {
+                specs_[j].ipcGoal * (1.0 + donateMargin)) {
             return j;
         }
     }
@@ -120,8 +124,7 @@ SpartPolicy::hillClimb(Gpu &gpu)
             }
         } else if (!nonQosIds_.empty() && n > 1 &&
                    ipcEpoch_[k] * (n - 1) / n >
-                       specs_[k].ipcGoal *
-                           (1.0 + opts_.donateMargin)) {
+                       specs_[k].ipcGoal * (1.0 + donateMargin)) {
             // Comfortable margin: donate one SM to the smallest
             // non-QoS partition.
             int recv = nonQosIds_[0];
@@ -143,8 +146,7 @@ Cycle
 SpartPolicy::onCycle(Gpu &gpu)
 {
     Cycle now = gpu.now();
-    Cycle due = epochStart_ + epochLength_ *
-        static_cast<Cycle>(opts_.adjustInterval);
+    Cycle due = epochStart_ + epochLength_;
     if (now < due)
         return due;
     Cycle window = now - epochStart_;

@@ -22,32 +22,19 @@
 namespace gqos
 {
 
-/** Tuning options for the Spart baseline. */
-struct SpartOptions
-{
-    /** Epochs between hill-climbing steps. */
-    int adjustInterval = 1;
-    /** Relative margin required before a QoS kernel donates an SM. */
-    double donateMargin = 0.05;
-};
-
 /**
  * Spatial partitioning with QoS-aware hill climbing.
  */
 class SpartPolicy : public SharingPolicy
 {
   public:
-    SpartPolicy(std::vector<QosSpec> specs, SpartOptions opts,
-                Cycle epoch_length);
+    SpartPolicy(std::vector<QosSpec> specs, Cycle epoch_length);
 
     void onLaunch(Gpu &gpu) override;
 
-    /** Purely time-driven: acts every adjustInterval epochs. */
+    /** Purely time-driven: hill-climbs once per epoch. */
     Cycle onCycle(Gpu &gpu) override;
     std::string name() const override { return "spart"; }
-
-    /** Current owner kernel of each SM (tests/reports). */
-    const std::vector<int> &owners() const { return owner_; }
 
     /** Number of SMs currently owned by kernel @p k. */
     int smsOf(KernelId k) const;
@@ -58,7 +45,6 @@ class SpartPolicy : public SharingPolicy
     int pickDonor(KernelId needy) const;
 
     std::vector<QosSpec> specs_;
-    SpartOptions opts_;
     Cycle epochLength_;
     std::vector<int> qosIds_;
     std::vector<int> nonQosIds_;

@@ -62,7 +62,7 @@ QuotaController::QuotaController(std::vector<QosSpec> specs,
     alpha_.assign(n, 1.0);
     nonQosGoal_.assign(n, 0.0);
     for (int k : nonQosIds_)
-        nonQosGoal_[k] = opts_.nonQosInitialIpc;
+        nonQosGoal_[k] = nonQosInitialIpc;
 }
 
 void
@@ -250,7 +250,7 @@ QuotaController::beginEpoch(Gpu &gpu, bool initial)
     }
 
     // History baseline starts once the settle window has passed.
-    if (!settled_ && epochIndex_ >= opts_.settleEpochs && !initial) {
+    if (!settled_ && epochIndex_ >= settleEpochs && !initial) {
         settled_ = true;
         settleCycle_ = now;
         for (std::size_t k = 0; k < specs_.size(); ++k)
@@ -262,7 +262,7 @@ QuotaController::beginEpoch(Gpu &gpu, bool initial)
         double hist = historyAt(k, now);
         if (opts_.historyAdjust && hist > 0.0) {
             alpha_[k] = std::max(
-                specs_[k].ipcGoal * opts_.goalMargin / hist, 1.0);
+                specs_[k].ipcGoal * goalMargin / hist, 1.0);
         } else {
             alpha_[k] = 1.0;
         }
@@ -274,7 +274,7 @@ QuotaController::beginEpoch(Gpu &gpu, bool initial)
             double factor = 1.0;
             for (int k : qosIds_) {
                 double target = alpha_[k] *
-                    specs_[k].ipcGoal * opts_.goalMargin;
+                    specs_[k].ipcGoal * goalMargin;
                 if (target > 0.0)
                     factor *= ipcEpoch_[k] / target;
             }
@@ -289,7 +289,7 @@ QuotaController::beginEpoch(Gpu &gpu, bool initial)
         KernelId kid = static_cast<KernelId>(k);
         bool is_qos = specs_[k].hasGoal;
         double total = is_qos
-            ? alpha_[k] * specs_[k].ipcGoal * opts_.goalMargin *
+            ? alpha_[k] * specs_[k].ipcGoal * goalMargin *
                   epochLength_
             : nonQosGoal_[k] * epochLength_;
         epochTotalQuota_[k] = total;

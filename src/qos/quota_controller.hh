@@ -59,23 +59,6 @@ struct QuotaOptions
      * exhausted their quotas.
      */
     bool timeMux = false;
-    /** Initial artificial IPCepoch of non-QoS kernels (Section 3.5). */
-    double nonQosInitialIpc = 1.0;
-    /**
-     * Internal goal headroom: quotas target goal x margin so that
-     * workload fluctuation (phases, grid tails) cannot drag the
-     * achieved average just below the goal. The paper's Rollover
-     * lands 2.8% above its goals on average (Figure 9), which this
-     * margin reproduces.
-     */
-    double goalMargin = 1.02;
-    /**
-     * Epochs excluded from the IPChistory baseline while TB dispatch
-     * and caches settle. The paper's 200-epoch runs make the settle
-     * window negligible; at a scaled-down window the history metric
-     * must not be dominated by the fill transient.
-     */
-    int settleEpochs = 2;
 };
 
 /**
@@ -87,6 +70,24 @@ struct QuotaOptions
 class QuotaController
 {
   public:
+    /** Initial artificial IPCepoch of non-QoS kernels (Section 3.5). */
+    static constexpr double nonQosInitialIpc = 1.0;
+    /**
+     * Internal goal headroom: quotas target goal x margin so that
+     * workload fluctuation (phases, grid tails) cannot drag the
+     * achieved average just below the goal. The paper's Rollover
+     * lands 2.8% above its goals on average (Figure 9), which this
+     * margin reproduces.
+     */
+    static constexpr double goalMargin = 1.02;
+    /**
+     * Epochs excluded from the IPChistory baseline while TB dispatch
+     * and caches settle. The paper's 200-epoch runs make the settle
+     * window negligible; at a scaled-down window the history metric
+     * must not be dominated by the fill transient.
+     */
+    static constexpr int settleEpochs = 2;
+
     /**
      * @param specs QoS goals by KernelId
      * @param opts scheme selection and tuning

@@ -66,20 +66,7 @@ struct QueuedRequest
 class AdmissionController
 {
   public:
-    struct Options
-    {
-        /** Backlog fractions (of aggregate queue capacity) at which
-         *  the ladder steps up to L1 / L2 / L3. */
-        double l1Frac = 0.50;
-        double l2Frac = 0.75;
-        double l3Frac = 0.95;
-        /** Hysteresis subtracted from a threshold when stepping
-         *  back down, as a backlog fraction. */
-        double downHysteresis = 0.10;
-    };
-
-    AdmissionController(std::vector<TenantSpec> tenants,
-                        Options opts);
+    explicit AdmissionController(std::vector<TenantSpec> tenants);
 
     /**
      * Decide one arrival. @p projected_service is the tenant's
@@ -127,7 +114,6 @@ class AdmissionController
     bool guaranteedBacklogged() const;
 
     std::vector<TenantSpec> tenants_;
-    Options opts_;
     std::vector<std::deque<QueuedRequest>> queues_;
     std::size_t capTotal_ = 0;
     int level_ = 0;

@@ -65,41 +65,37 @@ ArrivalConfig::check() const
                              "tenant count %d out of [1, %d]",
                              numTenants, maxKernels);
     }
-    if (kind == ArrivalKind::Bursty) {
-        if (!(burstFactor > 1.0)) {
-            return Error::format(ErrorCode::InvalidArgument,
-                                 "burst factor %g must be > 1",
-                                 burstFactor);
-        }
-        if (!(burstFraction > 0.0) || !(burstFraction < 1.0) ||
-            burstFactor * burstFraction >= 1.0) {
-            return Error::format(
-                ErrorCode::InvalidArgument,
-                "burst fraction %g must be in (0, 1) with "
-                "factor*fraction < 1 (calm rate stays positive)",
-                burstFraction);
-        }
-        if (phaseMean == 0) {
-            return Error(ErrorCode::InvalidArgument,
-                         "burst phase mean must be > 0");
-        }
-    }
-    if (kind == ArrivalKind::Diurnal) {
-        if (depth < 0.0 || depth >= 1.0) {
-            return Error::format(ErrorCode::InvalidArgument,
-                                 "diurnal depth %g out of [0, 1)",
-                                 depth);
-        }
-        if (period == 0) {
-            return Error(ErrorCode::InvalidArgument,
-                         "diurnal period must be > 0");
-        }
-    }
     return {};
 }
 
 namespace
 {
+
+// ---- bursty (MMPP-2) ----
+
+/** Burst-phase rate multiplier (> 1). */
+constexpr double burstFactor = 4.0;
+
+/** Long-run fraction of time spent in the burst phase. */
+constexpr double burstFraction = 0.2;
+
+/** Mean calm+burst phase-pair period, cycles. */
+constexpr Cycle phaseMean = 16000;
+
+static_assert(burstFactor > 1.0 && burstFraction > 0.0 &&
+                  burstFactor * burstFraction < 1.0,
+              "the calm-phase rate must stay positive");
+
+// ---- diurnal ----
+
+/** Sinusoid period, cycles (one compressed "day"). */
+constexpr Cycle period = 100000;
+
+/** Peak-to-mean modulation depth in [0, 1). */
+constexpr double depth = 0.8;
+
+static_assert(depth >= 0.0 && depth < 1.0,
+              "the diurnal rate must stay positive");
 
 /** Exponential draw with mean @p mean (cycles, as double). */
 double
@@ -134,14 +130,13 @@ genBursty(Rng &rng, const ArrivalConfig &cfg,
           std::vector<Cycle> *out)
 {
     const double rate = cfg.ratePerKcycle;
-    const double rateBurst = rate * cfg.burstFactor;
-    const double rateCalm = rate *
-        (1.0 - cfg.burstFactor * cfg.burstFraction) /
-        (1.0 - cfg.burstFraction);
+    const double rateBurst = rate * burstFactor;
+    const double rateCalm = rate * (1.0 - burstFactor * burstFraction) /
+        (1.0 - burstFraction);
     const double calmDwell =
-        static_cast<double>(cfg.phaseMean) * (1.0 - cfg.burstFraction);
+        static_cast<double>(phaseMean) * (1.0 - burstFraction);
     const double burstDwell =
-        static_cast<double>(cfg.phaseMean) * cfg.burstFraction;
+        static_cast<double>(phaseMean) * burstFraction;
 
     bool inBurst = false;
     double t = 0.0;
@@ -174,17 +169,15 @@ genDiurnal(Rng &rng, const ArrivalConfig &cfg,
            std::vector<Cycle> *out)
 {
     const double rate = cfg.ratePerKcycle;
-    const double peak = rate * (1.0 + cfg.depth);
+    const double peak = rate * (1.0 + depth);
     const double mean = 1000.0 / peak;
     const double twoPi = 6.283185307179586;
     const double horizon = static_cast<double>(cfg.horizon);
     double t = expDraw(rng, mean);
     while (t < horizon) {
         const double lambda =
-            rate * (1.0 + cfg.depth *
-                              std::sin(twoPi * t /
-                                       static_cast<double>(
-                                           cfg.period)));
+            rate * (1.0 + depth * std::sin(twoPi * t /
+                                           static_cast<double>(period)));
         if (rng.uniform() < lambda / peak)
             out->push_back(static_cast<Cycle>(t));
         t += expDraw(rng, mean);

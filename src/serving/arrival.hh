@@ -47,7 +47,11 @@ enum class ArrivalKind : std::uint8_t
 const char *toString(ArrivalKind kind);
 Result<ArrivalKind> parseArrivalKind(const std::string &name);
 
-/** Parameters of one generated arrival stream. */
+/**
+ * Parameters of one generated arrival stream. The bursty and
+ * diurnal shapes (burst factor and fraction, phase period, diurnal
+ * period and depth) are fixed constants of the generators.
+ */
 struct ArrivalConfig
 {
     ArrivalKind kind = ArrivalKind::Poisson;
@@ -57,20 +61,6 @@ struct ArrivalConfig
     Cycle horizon = 500000;
     int numTenants = 4;
     std::uint64_t seed = 1;
-
-    // ---- bursty (MMPP-2) ----
-    /** Burst-phase rate multiplier (> 1). */
-    double burstFactor = 4.0;
-    /** Long-run fraction of time spent in the burst phase. */
-    double burstFraction = 0.2;
-    /** Mean calm+burst phase-pair period, cycles. */
-    Cycle phaseMean = 16000;
-
-    // ---- diurnal ----
-    /** Sinusoid period, cycles (one compressed "day"). */
-    Cycle period = 100000;
-    /** Peak-to-mean modulation depth in [0, 1). */
-    double depth = 0.8;
 
     Result<void> check() const;
 };

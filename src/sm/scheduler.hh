@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-warp-scheduler state and the GTO/LRR pick policies.
+ * Per-warp-scheduler state and the GTO pick policy.
  *
  * Each SM has several warp schedulers; warp slot w belongs to
  * scheduler (w % numSchedulers) with local lane (w / numSchedulers),
@@ -77,24 +77,6 @@ pickGto(const SchedulerState &sched, std::uint64_t candidates)
             return lane;
     }
     return -1;
-}
-
-/**
- * Pick a lane using loose round-robin: the first candidate after the
- * previously issued lane.
- */
-inline int
-pickLrr(const SchedulerState &sched, std::uint64_t candidates)
-{
-    int start = sched.lastIssued + 1;
-    if (start >= 64)
-        start = 0;
-    std::uint64_t rotated = (candidates >> start) |
-        (start ? (candidates << (64 - start)) : 0);
-    if (!rotated)
-        return -1;
-    int off = firstSetBit(rotated);
-    return (start + off) & 63;
 }
 
 } // namespace gqos

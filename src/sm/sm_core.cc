@@ -43,7 +43,6 @@ SmCore::SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem)
       sfuLatency_(cfg.sfuLatency),
       drainCycles_(cfg.preemptDrainCycles),
       chargePreemptTraffic_(cfg.chargePreemptTraffic),
-      policy_(cfg.schedPolicy),
       mem_(&mem),
       warps_(cfg.maxWarpsPerSm()),
       tbs_(cfg.maxTbsPerSm),
@@ -691,7 +690,6 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
     // could have masked a ready candidate.
     bool blocked_load = false;
     bool blocked_store = false;
-    bool pick_declined = false;
 
     // Attribution snapshot: the issue loop consumes scheduler bits
     // (clearSchedBits / freeTb), so the per-kernel ready facts must
@@ -748,17 +746,10 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
             continue;
         }
 
-        int lane;
-        if (policy_ == SchedPolicy::Gto) {
-            lane = pickGto(sc, cand);
-        } else {
-            lane = pickLrr(sc, cand);
-        }
-        if (lane < 0) {
-            pick_declined = true;
-            sc.lastIssued = -1;
-            continue;
-        }
+        // cand is a subset of ready, ready holds only Live lanes
+        // and every Live lane is in ageOrder, so GTO always picks.
+        int lane = pickGto(sc, cand);
+        gqos_assert(lane >= 0);
         int slot = slotOf(s, lane);
         bool is_mem =
             warps_[slot].next.cls == InstrClass::GlobalLoad ||
@@ -781,25 +772,17 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         // MSHR release that unblocks a load (or is due next cycle,
         // since the pop mutates the pool), or the icnt backlog
         // decaying below the store threshold. Those are also the
-        // idle-warp sampling inputs, so a skip must stop there. A
-        // declined pick is not derivable from the masks and forces
-        // a step next cycle.
+        // idle-warp sampling inputs, so a skip must stop there.
         Cycle next = cycleNever;
-        if (pick_declined) {
-            next = now + 1;
-        } else {
-            if (!mshrRelease_.empty() &&
-                (blocked_load ||
-                 mshrRelease_.top().first <= now + 1)) {
-                next = std::min(next, mshrRelease_.top().first);
-            } else if (blocked_load) {
-                next = now + 1; // empty queue: never over-skip
-            }
-            if (blocked_store) {
-                next = std::min(
-                    next, mem_->interconnect().unblockCycle(
-                              storeThrottleBacklog));
-            }
+        if (!mshrRelease_.empty() &&
+            (blocked_load || mshrRelease_.top().first <= now + 1)) {
+            next = mshrRelease_.top().first;
+        } else if (blocked_load) {
+            next = now + 1; // empty queue: never over-skip
+        }
+        if (blocked_store) {
+            next = std::min(next, mem_->interconnect().unblockCycle(
+                                      storeThrottleBacklog));
         }
         for (const Drain &d : drains_)
             next = std::min(next, d.finishAt);

@@ -197,7 +197,6 @@ class SmCore
     int residentTbs(KernelId k) const;
     int residentWarps(KernelId k) const;
     int totalResidentTbs() const;
-    int freeThreads() const { return maxThreads_ - threadsUsed_; }
     int threadsUsed() const { return threadsUsed_; }
     int numKernels() const { return static_cast<int>(runs_.size()); }
 
@@ -367,7 +366,6 @@ class SmCore
     int sfuLatency_;
     int drainCycles_;
     bool chargePreemptTraffic_;
-    SchedPolicy policy_;
 
     MemSystem *mem_;
     std::vector<const KernelRun *> runs_;

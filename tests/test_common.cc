@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common utility layer: RNG, bit operations,
- * statistics and CSV handling.
+ * statistics and CLI parsing.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 
 #include "common/bitops.hh"
 #include "common/cli.hh"
-#include "common/csv.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -293,33 +292,45 @@ TEST(Cli, AcceptsFullTokenNumbers)
     EXPECT_EQ(args.getInt("neg", 0), -7);
 }
 
+TEST(Cli, PositiveListParsesEveryToken)
+{
+    const char *argv[] = {"prog", "--loads", "0.5,1.0,,4"};
+    CliArgs args(3, argv);
+    auto v = args.getPositiveList("loads", "9");
+    ASSERT_TRUE(v.ok()) << v.error().message();
+    ASSERT_EQ(v.value().size(), 3u);
+    EXPECT_DOUBLE_EQ(v.value()[0], 0.5);
+    EXPECT_DOUBLE_EQ(v.value()[2], 4.0);
+    auto d = args.getPositiveList("absent", "2.5");
+    ASSERT_TRUE(d.ok());
+    ASSERT_EQ(d.value().size(), 1u);
+    EXPECT_DOUBLE_EQ(d.value()[0], 2.5);
+}
+
+TEST(Cli, PositiveListNamesOptionAndBadToken)
+{
+    for (const char *bad : {"1.0,abc", "1e400", "2,0", "-1", "1x",
+                            "inf", "nan", ","}) {
+        const char *argv[] = {"prog", "--loads", bad};
+        CliArgs args(3, argv);
+        auto v = args.getPositiveList("loads", "1");
+        ASSERT_FALSE(v.ok()) << bad;
+        EXPECT_EQ(v.error().code(), ErrorCode::InvalidArgument);
+        const std::string &msg = v.error().message();
+        EXPECT_NE(msg.find("--loads"), std::string::npos) << msg;
+    }
+    const char *argv[] = {"prog", "--loads", "1.0,abc"};
+    CliArgs args(3, argv);
+    EXPECT_NE(args.getPositiveList("loads", "1").error().message().find(
+                  "'abc'"),
+              std::string::npos);
+}
+
 TEST(Cli, SplitList)
 {
     auto v = splitList("a,b, c");
     ASSERT_EQ(v.size(), 3u);
     EXPECT_EQ(v[2], "c");
-}
-
-TEST(Csv, RoundTrip)
-{
-    CsvTable t({"a", "b"});
-    t.append({{"a", "1"}, {"b", "x"}});
-    t.append({{"a", "2"}, {"b", "y"}, {"c", "z"}});
-    std::string path = "/tmp/gqos_csv_test.csv";
-    t.save(path);
-
-    CsvTable u;
-    ASSERT_TRUE(u.load(path));
-    ASSERT_EQ(u.rows().size(), 2u);
-    EXPECT_EQ(u.rows()[1].at("c"), "z");
-    EXPECT_EQ(u.rows()[0].at("a"), "1");
-    std::remove(path.c_str());
-}
-
-TEST(Csv, LoadMissingFileFails)
-{
-    CsvTable t;
-    EXPECT_FALSE(t.load("/tmp/does_not_exist_gqos.csv"));
 }
 
 } // anonymous namespace

@@ -22,10 +22,10 @@ TEST(GpuConfig, DefaultMatchesTable1)
     EXPECT_EQ(cfg.maxTbsPerSm, 32);
     EXPECT_EQ(cfg.regFileBytes, 256 * 1024);
     EXPECT_EQ(cfg.sharedMemBytes, 96 * 1024);
-    EXPECT_EQ(cfg.schedPolicy, SchedPolicy::Gto);
     EXPECT_DOUBLE_EQ(cfg.coreFreqGhz, 1.216);
     EXPECT_EQ(cfg.epochLength, 10000u);
     EXPECT_EQ(cfg.iwSamplesPerEpoch, 100);
+    EXPECT_NE(cfg.summary().find("(GTO)"), std::string::npos);
 }
 
 TEST(GpuConfig, DerivedValues)

@@ -383,6 +383,26 @@ TEST(HarnessErrors, WarmupMustLeaveMeasuredWindow)
               std::string::npos);
 }
 
+TEST(HarnessErrors, WarmupAboveHalfOfCyclesIsRejected)
+{
+    // The measured window is [warmup, cycles); a warm-up past
+    // cycles / 2 is an error that names both values.
+    Runner::Options opts;
+    opts.useCache = false;
+    opts.cycles = 20000;
+    opts.warmupCycles = 15000;
+    auto r = Runner::make(opts);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(r.error().message().find("15000"), std::string::npos)
+        << r.error().message();
+    EXPECT_NE(r.error().message().find("20000"), std::string::npos)
+        << r.error().message();
+
+    opts.warmupCycles = 10000; // exactly half is allowed
+    EXPECT_TRUE(Runner::make(opts).ok());
+}
+
 TEST(HarnessSweeps, PaperGoalLists)
 {
     auto g = paperGoalSweep();

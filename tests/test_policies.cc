@@ -74,7 +74,7 @@ TEST(Spart, InitialPartitionCoversAllSms)
     KernelDesc b = test::tinyMemoryKernel("b");
     gpu.launch({&a, &b});
     SpartPolicy spart({QosSpec::qos(100), QosSpec::nonQos()},
-                      SpartOptions{}, cfg.epochLength);
+                      cfg.epochLength);
     spart.onLaunch(gpu);
     EXPECT_EQ(spart.smsOf(0) + spart.smsOf(1), gpu.numSms());
     EXPECT_GE(spart.smsOf(0), 1);
@@ -98,7 +98,7 @@ TEST(Spart, HillClimbingGrowsUnderperformingQosKernel)
     // Demand near-isolated performance: Spart must give the QoS
     // kernel nearly all SMs.
     SpartPolicy spart({QosSpec::qos(1e5), QosSpec::nonQos()},
-                      SpartOptions{}, cfg.epochLength);
+                      cfg.epochLength);
     spart.onLaunch(gpu);
     int initial = spart.smsOf(0);
     test::drive(gpu, spart, 20 * cfg.epochLength);
@@ -116,7 +116,7 @@ TEST(Spart, GenerousGoalDonatesSmsBack)
     b.gridTbs = 4000;
     gpu.launch({&a, &b});
     SpartPolicy spart({QosSpec::qos(20.0), QosSpec::nonQos()},
-                      SpartOptions{}, cfg.epochLength);
+                      cfg.epochLength);
     spart.onLaunch(gpu);
     test::drive(gpu, spart, 25 * cfg.epochLength);
     // Trivial goal: hill climbing shrinks the QoS partition.

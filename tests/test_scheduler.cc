@@ -1,6 +1,6 @@
 /**
  * @file
- * Warp-scheduler pick-policy unit tests (GTO and LRR).
+ * Warp-scheduler pick-policy unit tests (GTO).
  */
 
 #include <gtest/gtest.h>
@@ -50,40 +50,6 @@ TEST(Gto, NoCandidateInOrderReturnsMinusOne)
 {
     SchedulerState sc = withOrder({3});
     EXPECT_EQ(pickGto(sc, setBit(0, 9)), -1);
-}
-
-TEST(Lrr, RotatesPastLastIssued)
-{
-    SchedulerState sc;
-    sc.lastIssued = 3;
-    std::uint64_t cand = setBit(setBit(0, 2), 5);
-    EXPECT_EQ(pickLrr(sc, cand), 5); // first after lane 3
-    sc.lastIssued = 5;
-    EXPECT_EQ(pickLrr(sc, cand), 2); // wraps around
-}
-
-TEST(Lrr, StartsAtZeroInitially)
-{
-    SchedulerState sc;
-    sc.lastIssued = -1;
-    std::uint64_t cand = setBit(setBit(0, 1), 60);
-    EXPECT_EQ(pickLrr(sc, cand), 1);
-}
-
-TEST(Lrr, HandlesHighLanes)
-{
-    SchedulerState sc;
-    sc.lastIssued = 62;
-    std::uint64_t cand = setBit(setBit(0, 63), 0);
-    EXPECT_EQ(pickLrr(sc, cand), 63);
-    sc.lastIssued = 63;
-    EXPECT_EQ(pickLrr(sc, cand), 0);
-}
-
-TEST(Lrr, EmptyCandidatesReturnsMinusOne)
-{
-    SchedulerState sc;
-    EXPECT_EQ(pickLrr(sc, 0), -1);
 }
 
 } // anonymous namespace

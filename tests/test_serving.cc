@@ -288,7 +288,7 @@ admissionMix()
 
 struct AdmissionFixture : public ::testing::Test
 {
-    AdmissionFixture() : ctrl(admissionMix(), {})
+    AdmissionFixture() : ctrl(admissionMix())
     {
         FaultInjector::instance().clear();
     }
@@ -329,7 +329,7 @@ TEST_F(AdmissionFixture, LadderStepsUpAndDownWithHysteresis)
     std::vector<TenantSpec> mix = admissionMix();
     mix[0].queueCap = 6;
     mix[2].queueCap = 2;
-    AdmissionController c(mix, {});
+    AdmissionController c(mix);
     auto admit = [&](int tenant, int n) {
         for (int i = 0; i < n; ++i)
             ASSERT_EQ(c.onArrival(tenant, seq++, 0, 0.0),
@@ -367,7 +367,7 @@ TEST_F(AdmissionFixture, LadderShedsByClass)
     // L3 needs the full aggregate (>= 0.95*12 = 11.4), which the
     // shed best-effort queue can no longer contribute to — fill all
     // three queues while the ladder still reads L0.
-    AdmissionController c2(admissionMix(), {});
+    AdmissionController c2(admissionMix());
     for (int t = 0; t < 3; ++t) {
         for (int i = 0; i < 4; ++i)
             ASSERT_EQ(c2.onArrival(t, i, 0, 0.0),
@@ -758,9 +758,6 @@ TEST(ServingDriver, RejectsInvalidOptions)
 {
     ServingOptions opts = servingOpts();
     opts.tick = 0;
-    EXPECT_FALSE(ServingDriver::make(servingMix(), opts).ok());
-    opts = servingOpts();
-    opts.ewmaAlpha = 1.5;
     EXPECT_FALSE(ServingDriver::make(servingMix(), opts).ok());
     opts = servingOpts();
     opts.policy = "nosuchpolicy";
