@@ -530,5 +530,139 @@ TEST(RunReport, WritesSortedCasesSweepsAndMetrics)
     EXPECT_NE(json.find("harness.cases_simulated"), std::string::npos);
 }
 
+/**
+ * The whole --stats-json document, byte for byte: one two-kernel
+ * case with a cycle breakdown, one sweep, one two-tenant serving
+ * entry and a registry holding a counter and a sample.
+ */
+TEST(RunReport, GoldenDocument)
+{
+    RunReport report;
+
+    ReportCase c;
+    c.key = "rollover|a:0.5000|b:0.0000";
+    c.policy = "rollover";
+    c.config = "default";
+    c.engine = "event";
+    c.wallSec = 0.25;
+    c.simCyclesPerSec = 1000;
+    c.instrPerWatt = 2.5;
+    c.dramPerKcycle = 0.75;
+    c.preemptions = 3;
+    c.tracePath = "t.jsonl";
+    ReportKernel ka;
+    ka.name = "a";
+    ka.isQos = true;
+    ka.goalFrac = 0.5;
+    ka.goalIpc = 100;
+    ka.ipc = 90;
+    ka.ipcIsolated = 200;
+    ka.reached = false;
+    ReportKernel kb;
+    kb.name = "b";
+    kb.ipc = 80;
+    kb.ipcIsolated = 160;
+    c.kernels = {ka, kb};
+    CycleBreakdown ba;
+    ba.add(CycleCat::Issued, 7);
+    CycleBreakdown bb;
+    bb.add(CycleCat::MemStall, 5);
+    c.cycleBreakdown = {ba, bb};
+    report.addCase(c);
+
+    ReportSweep sw;
+    sw.label = "fig6";
+    sw.total = 1;
+    sw.cacheHits = 0;
+    sw.jobs = 1;
+    sw.elapsedSec = 0.5;
+    sw.faultsInjected = 2;
+    sw.faultsRecovered = 2;
+    report.addSweep(sw);
+
+    ReportServing sv;
+    sv.label = "poisson@x1.00";
+    sv.policy = "serving";
+    sv.endCycle = 5000;
+    sv.finalLevel = 1;
+    sv.levelChanges = 2;
+    sv.drained = true;
+    ReportServingTenant tg;
+    tg.name = "g";
+    tg.qosClass = "guaranteed";
+    tg.arrivals = 10;
+    tg.admitted = 4;
+    tg.completed = 3;
+    tg.sloMet = 2;
+    tg.rejected = 6;
+    tg.abandoned = 1;
+    tg.maxQueueDepth = 2;
+    tg.p50Latency = 40;
+    tg.p99Latency = 90;
+    tg.sloAttainment = 0.25;
+    tg.goodput = 1.5;
+    ReportServingTenant tb;
+    tb.name = "e";
+    tb.qosClass = "besteffort";
+    tb.arrivals = 1;
+    tb.admitted = 1;
+    tb.droppedAtShutdown = 1;
+    tb.stalled = true;
+    sv.tenants = {tg, tb};
+    sv.cycleBreakdown = {ba, bb};
+    report.addServing(sv);
+
+    MetricsRegistry metrics;
+    metrics.counter("harness.cases_simulated").inc();
+    metrics.observe("harness.case_wall_sec", 0.5);
+
+    std::ostringstream os;
+    report.write(os, &metrics);
+    const std::string expected =
+        R"({"schema_version":2,"cases":[)"
+        R"({"key":"rollover|a:0.5000|b:0.0000","policy":"rollover",)"
+        R"("config":"default","engine":"event","from_cache":false,)"
+        R"("wall_sec":0.25,"sim_cycles_per_sec":1000,)"
+        R"("instr_per_watt":2.5,"dram_per_kcycle":0.75,)"
+        R"("preemptions":3,"trace":"t.jsonl","kernels":[)"
+        R"({"name":"a","is_qos":true,"goal_frac":0.5,"goal_ipc":100,)"
+        R"("ipc":90,"ipc_isolated":200,"reached":false},)"
+        R"({"name":"b","is_qos":false,"goal_frac":0,"goal_ipc":0,)"
+        R"("ipc":80,"ipc_isolated":160,"reached":true}],)"
+        R"("cycle_breakdown":[)"
+        R"({"issued":7,"quota_gated":0,"mem_stall":0,)"
+        R"("no_ready_warp":0,"drain_preempt":0,"inert_skipped":0},)"
+        R"({"issued":0,"quota_gated":0,"mem_stall":5,)"
+        R"("no_ready_warp":0,"drain_preempt":0,"inert_skipped":0}]}],)"
+        R"("sweeps":[{"label":"fig6","total":1,"cache_hits":0,"jobs":1,)"
+        R"("elapsed_sec":0.5,"faults_injected":2,"faults_recovered":2}],)"
+        R"("serving":[{"label":"poisson@x1.00","policy":"serving",)"
+        R"("end_cycle":5000,"final_level":1,"level_changes":2,)"
+        R"("drained":true,"engine_stalled":false,)"
+        R"("tenant_stalled":false,"tenants":[)"
+        R"({"name":"g","class":"guaranteed","arrivals":10,)"
+        R"("admitted":4,"completed":3,"slo_met":2,"rejected":6,)"
+        R"("abandoned":1,"dropped_at_shutdown":0,"max_queue_depth":2,)"
+        R"("p50_latency":40,"p99_latency":90,"slo_attainment":0.25,)"
+        R"("goodput":1.5,"stalled":false},)"
+        R"({"name":"e","class":"besteffort","arrivals":1,)"
+        R"("admitted":1,"completed":0,"slo_met":0,"rejected":0,)"
+        R"("abandoned":0,"dropped_at_shutdown":1,"max_queue_depth":0,)"
+        R"("p50_latency":0,"p99_latency":0,"slo_attainment":0,)"
+        R"("goodput":0,"stalled":true}],)"
+        R"("cycle_breakdown":[)"
+        R"({"issued":7,"quota_gated":0,"mem_stall":0,)"
+        R"("no_ready_warp":0,"drain_preempt":0,"inert_skipped":0},)"
+        R"({"issued":0,"quota_gated":0,"mem_stall":5,)"
+        R"("no_ready_warp":0,"drain_preempt":0,"inert_skipped":0}]}],)"
+        R"("metrics":{"counters":{"harness.cases_simulated":1},)"
+        R"("gauges":{},)"
+        R"("samples":{"harness.case_wall_sec":{"count":1,"mean":0.5,)"
+        R"("min":0.5,"max":0.5,"variance":0}},)"
+        R"("histograms":{}}})"
+        "\n";
+    EXPECT_EQ(os.str(), expected);
+}
+
 } // anonymous namespace
 } // namespace gqos
