@@ -395,11 +395,10 @@ class Sweep
      */
     CaseResult
     run(const std::vector<std::string> &kernels,
-        const std::vector<double> &goals, const std::string &policy,
-        const std::string &config = "")
+        const std::vector<double> &goals, const std::string &policy)
     {
         if (pass_ == Pass::Plan) {
-            cases_.push_back({kernels, goals, policy, config});
+            cases_.push_back({kernels, goals, policy});
             return CaseResult{};
         }
         gqos_assert(cursor_ < results_.size());

@@ -127,42 +127,6 @@ printPoint(const LoadPoint &pt, const std::vector<TenantSpec> &mix,
                 pt.label.c_str());
 }
 
-ReportServing
-toReportServing(const LoadPoint &pt, const std::string &policy)
-{
-    ReportServing out;
-    out.label = pt.label;
-    out.policy = policy;
-    out.endCycle = pt.report.endCycle;
-    out.finalLevel = pt.report.finalLevel;
-    out.levelChanges = pt.report.levelChanges;
-    out.drained = pt.report.drained;
-    out.engineStalled = pt.report.engineStalled;
-    out.anyTenantStalled = pt.report.anyTenantStalled;
-    for (const TenantServingStats &t : pt.report.tenants) {
-        ReportServingTenant rt;
-        rt.name = t.name;
-        rt.qosClass = toString(t.qosClass);
-        rt.arrivals = t.arrivals;
-        rt.admitted = t.admitted;
-        rt.completed = t.completed;
-        rt.sloMet = t.sloMet;
-        rt.rejected = t.rejectedQueueFull + t.rejectedShed +
-                      t.rejectedProjected;
-        rt.abandoned = t.abandoned;
-        rt.droppedAtShutdown = t.droppedAtShutdown;
-        rt.maxQueueDepth = t.maxQueueDepth;
-        rt.p50Latency = t.p50Latency;
-        rt.p99Latency = t.p99Latency;
-        rt.sloAttainment = t.sloAttainment;
-        rt.goodput = t.goodput;
-        rt.stalled = t.stalled;
-        out.tenants.push_back(std::move(rt));
-    }
-    out.cycleBreakdown = pt.report.cycleBreakdown;
-    return out;
-}
-
 int
 servingMain(const CliArgs &args)
 {
@@ -307,7 +271,7 @@ servingMain(const CliArgs &args)
             pt.buffer.replayTo(*s);
         printPoint(pt, mix, base.policy);
         if (!tel.statsJsonPath.empty())
-            tel.report.addServing(toReportServing(pt, base.policy));
+            tel.report.addServing({pt.label, base.policy, pt.report});
     }
     if (TraceSink *s = tel.sink())
         s->flush();

@@ -19,7 +19,7 @@ namespace
 {
 
 void
-writeKernel(std::ostream &os, const ReportKernel &k)
+writeKernel(std::ostream &os, const KernelResult &k)
 {
     os << "{\"name\":\"" << jsonEscape(k.name) << "\""
        << ",\"is_qos\":" << (k.isQos ? "true" : "false")
@@ -27,7 +27,7 @@ writeKernel(std::ostream &os, const ReportKernel &k)
        << ",\"goal_ipc\":" << jsonNumber(k.goalIpc)
        << ",\"ipc\":" << jsonNumber(k.ipc)
        << ",\"ipc_isolated\":" << jsonNumber(k.ipcIsolated)
-       << ",\"reached\":" << (k.reached ? "true" : "false") << "}";
+       << ",\"reached\":" << (k.reached() ? "true" : "false") << "}";
 }
 
 void
@@ -46,22 +46,23 @@ writeBreakdown(std::ostream &os,
 void
 writeCase(std::ostream &os, const ReportCase &c)
 {
+    const CaseResult &r = c.result;
     os << "{\"key\":\"" << jsonEscape(c.key) << "\""
        << ",\"policy\":\"" << jsonEscape(c.policy) << "\""
        << ",\"config\":\"" << jsonEscape(c.config) << "\""
        << ",\"engine\":\"" << jsonEscape(c.engine) << "\""
-       << ",\"from_cache\":" << (c.fromCache ? "true" : "false")
+       << ",\"from_cache\":" << (r.fromCache ? "true" : "false")
        << ",\"wall_sec\":" << jsonNumber(c.wallSec)
        << ",\"sim_cycles_per_sec\":" << jsonNumber(c.simCyclesPerSec)
-       << ",\"instr_per_watt\":" << jsonNumber(c.instrPerWatt)
-       << ",\"dram_per_kcycle\":" << jsonNumber(c.dramPerKcycle)
-       << ",\"preemptions\":" << c.preemptions
+       << ",\"instr_per_watt\":" << jsonNumber(r.instrPerWatt)
+       << ",\"dram_per_kcycle\":" << jsonNumber(r.dramPerKcycle)
+       << ",\"preemptions\":" << r.preemptions
        << ",\"trace\":\"" << jsonEscape(c.tracePath) << "\""
        << ",\"kernels\":[";
-    for (std::size_t i = 0; i < c.kernels.size(); ++i) {
+    for (std::size_t i = 0; i < r.kernels.size(); ++i) {
         if (i)
             os << ",";
-        writeKernel(os, c.kernels[i]);
+        writeKernel(os, r.kernels[i]);
     }
     os << "]";
     writeBreakdown(os, c.cycleBreakdown);
@@ -72,24 +73,25 @@ void
 writeSweep(std::ostream &os, const ReportSweep &s)
 {
     os << "{\"label\":\"" << jsonEscape(s.label) << "\""
-       << ",\"total\":" << s.total
-       << ",\"cache_hits\":" << s.cacheHits
-       << ",\"jobs\":" << s.jobs
-       << ",\"elapsed_sec\":" << jsonNumber(s.elapsedSec)
-       << ",\"faults_injected\":" << s.faultsInjected
+       << ",\"total\":" << s.stats.total
+       << ",\"cache_hits\":" << s.stats.cacheHits
+       << ",\"jobs\":" << s.stats.jobs
+       << ",\"elapsed_sec\":" << jsonNumber(s.stats.elapsedSec)
+       << ",\"faults_injected\":" << s.stats.faultsInjected
        << ",\"faults_recovered\":" << s.faultsRecovered << "}";
 }
 
 void
-writeServingTenant(std::ostream &os, const ReportServingTenant &t)
+writeServingTenant(std::ostream &os, const TenantServingStats &t)
 {
     os << "{\"name\":\"" << jsonEscape(t.name) << "\""
-       << ",\"class\":\"" << jsonEscape(t.qosClass) << "\""
+       << ",\"class\":\"" << toString(t.qosClass) << "\""
        << ",\"arrivals\":" << t.arrivals
        << ",\"admitted\":" << t.admitted
        << ",\"completed\":" << t.completed
        << ",\"slo_met\":" << t.sloMet
-       << ",\"rejected\":" << t.rejected
+       << ",\"rejected\":"
+       << t.rejectedQueueFull + t.rejectedShed + t.rejectedProjected
        << ",\"abandoned\":" << t.abandoned
        << ",\"dropped_at_shutdown\":" << t.droppedAtShutdown
        << ",\"max_queue_depth\":" << t.maxQueueDepth
@@ -103,24 +105,25 @@ writeServingTenant(std::ostream &os, const ReportServingTenant &t)
 void
 writeServing(std::ostream &os, const ReportServing &s)
 {
+    const ServingReport &r = s.report;
     os << "{\"label\":\"" << jsonEscape(s.label) << "\""
        << ",\"policy\":\"" << jsonEscape(s.policy) << "\""
-       << ",\"end_cycle\":" << s.endCycle
-       << ",\"final_level\":" << s.finalLevel
-       << ",\"level_changes\":" << s.levelChanges
-       << ",\"drained\":" << (s.drained ? "true" : "false")
+       << ",\"end_cycle\":" << r.endCycle
+       << ",\"final_level\":" << r.finalLevel
+       << ",\"level_changes\":" << r.levelChanges
+       << ",\"drained\":" << (r.drained ? "true" : "false")
        << ",\"engine_stalled\":"
-       << (s.engineStalled ? "true" : "false")
+       << (r.engineStalled ? "true" : "false")
        << ",\"tenant_stalled\":"
-       << (s.anyTenantStalled ? "true" : "false")
+       << (r.anyTenantStalled ? "true" : "false")
        << ",\"tenants\":[";
-    for (std::size_t i = 0; i < s.tenants.size(); ++i) {
+    for (std::size_t i = 0; i < r.tenants.size(); ++i) {
         if (i)
             os << ",";
-        writeServingTenant(os, s.tenants[i]);
+        writeServingTenant(os, r.tenants[i]);
     }
     os << "]";
-    writeBreakdown(os, s.cycleBreakdown);
+    writeBreakdown(os, r.cycleBreakdown);
     os << "}";
 }
 

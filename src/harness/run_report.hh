@@ -3,9 +3,11 @@
  * Structured end-of-run report (--stats-json).
  *
  * A RunReport collects one entry per top-level harness case (the
- * nested isolated-baseline runs are folded into their parents) plus
- * one entry per sweep, and serializes everything — together with the
- * attached MetricsRegistry — as a single JSON document. Thread-safe:
+ * nested isolated-baseline runs are folded into their parents), one
+ * per sweep and one per serving run, and serializes everything —
+ * together with the attached MetricsRegistry — as a single JSON
+ * document. Entries hold the harness, sweep and serving result types
+ * themselves, so the report has no copy of their fields. Thread-safe:
  * sweep workers append cases concurrently; write() sorts entries by
  * case key so the emitted JSON does not depend on worker timing.
  */
@@ -20,6 +22,9 @@
 #include <vector>
 
 #include "common/result.hh"
+#include "harness/runner.hh"
+#include "harness/sweep.hh"
+#include "serving/server.hh"
 #include "telemetry/cycle_accounting.hh"
 
 namespace gqos
@@ -38,70 +43,33 @@ class MetricsRegistry;
  */
 constexpr int reportSchemaVersion = 2;
 
-/** Per-kernel slice of a report case. */
-struct ReportKernel
-{
-    std::string name;
-    bool isQos = false;
-    double goalFrac = 0.0;
-    double goalIpc = 0.0;
-    double ipc = 0.0;
-    double ipcIsolated = 0.0;
-    bool reached = true;
-};
-
-/** One top-level harness case. */
+/**
+ * One top-level harness case: the CaseResult the caller got, plus
+ * how it was run.
+ */
 struct ReportCase
 {
     std::string key;       //!< cache key ("policy|k0:g0|...")
     std::string policy;
     std::string config;
     std::string engine;    //!< stepping engine ("event"/"reference")
-    bool fromCache = false;
     double wallSec = 0.0;  //!< run() wall time (incl. baselines)
     /** Simulated cycles per second (0 for cache hits). */
     double simCyclesPerSec = 0.0;
-    double instrPerWatt = 0.0;
-    double dramPerKcycle = 0.0;
-    std::uint64_t preemptions = 0;
     /** Trace artifact of this case ("" when untraced). */
     std::string tracePath;
-    std::vector<ReportKernel> kernels;
     /** Per-kernel cycle attribution summed over SMs (empty when the
      *  profiler was off or the case came from the cache). */
     std::vector<CycleBreakdown> cycleBreakdown;
+    CaseResult result;
 };
 
-/** Aggregates of one runSweep() invocation. */
+/** One runSweep() invocation. */
 struct ReportSweep
 {
     std::string label;
-    int total = 0;
-    int cacheHits = 0;
-    int jobs = 1;
-    double elapsedSec = 0.0;
-    std::uint64_t faultsInjected = 0;
+    SweepStats stats;
     std::uint64_t faultsRecovered = 0; //!< injected and survived
-};
-
-/** Per-tenant slice of a serving-run entry. */
-struct ReportServingTenant
-{
-    std::string name;
-    std::string qosClass;
-    std::uint64_t arrivals = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t sloMet = 0;
-    std::uint64_t rejected = 0;  //!< queue-full + shed + projected
-    std::uint64_t abandoned = 0;
-    std::uint64_t droppedAtShutdown = 0;
-    std::uint64_t maxQueueDepth = 0;
-    std::uint64_t p50Latency = 0;
-    std::uint64_t p99Latency = 0;
-    double sloAttainment = 0.0;
-    double goodput = 0.0;
-    bool stalled = false;
 };
 
 /** One online-serving run (bench_serving load point). */
@@ -109,16 +77,7 @@ struct ReportServing
 {
     std::string label;      //!< e.g. "poisson@x2.0"
     std::string policy;
-    std::uint64_t endCycle = 0;
-    int finalLevel = 0;
-    std::uint64_t levelChanges = 0;
-    bool drained = false;
-    bool engineStalled = false;
-    bool anyTenantStalled = false;
-    std::vector<ReportServingTenant> tenants;
-    /** Per-tenant (kernel-slot) cycle attribution, index-aligned
-     *  with `tenants`; empty when the profiler was off. */
-    std::vector<CycleBreakdown> cycleBreakdown;
+    ServingReport report;
 };
 
 /**

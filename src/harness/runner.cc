@@ -142,7 +142,7 @@ Runner::caseKey(const std::vector<std::string> &kernels,
     return os.str();
 }
 
-Result<CachedCase>
+Result<Runner::Simulated>
 Runner::simulate(const std::vector<std::string> &kernels,
                  const std::vector<double> &goal_frac,
                  const std::string &policy)
@@ -223,9 +223,6 @@ Runner::simulate(const std::vector<std::string> &kernels,
     }
     double sim_wall = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - sim_t0).count();
-    lastSimCyclesPerSec_ = sim_wall > 0.0
-        ? static_cast<double>(gpu.now()) / sim_wall
-        : 0.0;
     if (stalled) {
         return Error::format(
             ErrorCode::Stalled,
@@ -240,24 +237,27 @@ Runner::simulate(const std::vector<std::string> &kernels,
     pol.value()->onFinish(gpu);
     gpu.closeOpenSmSlices();
 
-    lastBreakdown_.clear();
+    Simulated out;
+    out.simCyclesPerSec = sim_wall > 0.0
+        ? static_cast<double>(gpu.now()) / sim_wall
+        : 0.0;
     if (accounting)
-        lastBreakdown_ = exportCycleBreakdowns(gpu, opts_.metrics);
+        out.breakdown = exportCycleBreakdowns(gpu, opts_.metrics);
 
     Cycle window = opts_.cycles - warmup;
-    CachedCase out;
+    CachedCase &c = out.numbers;
     for (std::size_t i = 0; i < kernels.size(); ++i) {
         std::uint64_t instr =
             gpu.threadInstrs(static_cast<KernelId>(i)) -
             instr_at_warmup[i];
-        out.ipc.push_back(static_cast<double>(instr) / window);
+        c.ipc.push_back(static_cast<double>(instr) / window);
     }
-    out.instrPerWatt = instrPerWatt(gpu);
+    c.instrPerWatt = instrPerWatt(gpu);
     std::uint64_t pre = 0;
     for (int s = 0; s < gpu.numSms(); ++s)
         pre += gpu.sm(s).stats().preemptions;
-    out.preemptions = pre;
-    out.dramPerKcycle = 1000.0 *
+    c.preemptions = pre;
+    c.dramPerKcycle = 1000.0 *
         gpu.mem().totalDramAccesses() / std::max<Cycle>(1, gpu.now());
     simulated_++;
     if (opts_.metrics) {
@@ -319,21 +319,18 @@ Runner::run(const std::vector<std::string> &kernels,
     auto t0 = std::chrono::steady_clock::now();
 
     std::string key = caseKey(kernels, goal_frac, policy);
-    CachedCase c;
-    // Captured right after this case's own simulate(): the nested
-    // isolated-baseline runs below would overwrite the members.
-    double sim_cps = 0.0;
-    std::vector<CycleBreakdown> breakdown;
+    // A cache hit leaves the host-side fields (sim rate, cycle
+    // breakdown) empty.
+    Simulated sim;
+    CachedCase &c = sim.numbers;
     bool from_cache = cache_ && cache_->lookup(key, c) &&
                       c.ipc.size() == kernels.size();
     if (!from_cache) {
-        Result<CachedCase> sim = simulate(kernels, goal_frac,
-                                          policy);
-        if (!sim.ok())
-            return sim.error();
-        c = std::move(sim).value();
-        sim_cps = lastSimCyclesPerSec_;
-        breakdown = std::move(lastBreakdown_);
+        Result<Simulated> fresh = simulate(kernels, goal_frac,
+                                           policy);
+        if (!fresh.ok())
+            return fresh.error();
+        sim = std::move(fresh).value();
         if (cache_) {
             cache_->insert(key, c);
             if (opts_.traceSink && !opts_.tracePath.empty())
@@ -387,30 +384,16 @@ Runner::run(const std::vector<std::string> &kernels,
         rc.policy = policy;
         rc.config = opts_.configName;
         rc.engine = toString(opts_.engine);
-        rc.simCyclesPerSec = sim_cps;
-        rc.fromCache = from_cache;
+        rc.simCyclesPerSec = sim.simCyclesPerSec;
         rc.wallSec = std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t0).count();
-        rc.instrPerWatt = result.instrPerWatt;
-        rc.dramPerKcycle = result.dramPerKcycle;
-        rc.preemptions = result.preemptions;
-        rc.cycleBreakdown = std::move(breakdown);
+        rc.cycleBreakdown = std::move(sim.breakdown);
         if (opts_.traceSink) {
             rc.tracePath = from_cache && cache_
                 ? cache_->artifact(key)
                 : opts_.tracePath;
         }
-        for (const auto &k : result.kernels) {
-            ReportKernel rk;
-            rk.name = k.name;
-            rk.isQos = k.isQos;
-            rk.goalFrac = k.goalFrac;
-            rk.goalIpc = k.goalIpc;
-            rk.ipc = k.ipc;
-            rk.ipcIsolated = k.ipcIsolated;
-            rk.reached = k.reached();
-            rc.kernels.push_back(std::move(rk));
-        }
+        rc.result = result;
         if (opts_.metrics) {
             opts_.metrics->observe("harness.case_wall_sec",
                                    rc.wallSec);

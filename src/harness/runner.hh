@@ -239,10 +239,21 @@ class Runner
     Runner(Options opts, GpuConfig cfg,
            std::shared_ptr<ResultCache> cache);
 
+    /** What one simulate() call measured. */
+    struct Simulated
+    {
+        CachedCase numbers; //!< what the result cache seals
+        /** Simulated cycles per wall-clock second. */
+        double simCyclesPerSec = 0.0;
+        /** Per-kernel cycle attribution (empty when the profiler
+         *  was off). */
+        std::vector<CycleBreakdown> breakdown;
+    };
+
     std::string caseKey(const std::vector<std::string> &kernels,
                         const std::vector<double> &goal_frac,
                         const std::string &policy) const;
-    Result<CachedCase> simulate(
+    Result<Simulated> simulate(
         const std::vector<std::string> &kernels,
         const std::vector<double> &goal_frac,
         const std::string &policy);
@@ -258,18 +269,6 @@ class Runner
      */
     std::map<std::string, double> baselines_;
     int simulated_ = 0;
-    /**
-     * Simulated cycles per wall-clock second of the most recent
-     * simulate() call (report plumbing; a Runner is single-
-     * threaded, see the class comment).
-     */
-    double lastSimCyclesPerSec_ = 0.0;
-    /**
-     * Per-kernel cycle attribution of the most recent simulate()
-     * call (empty when the profiler was off); same plumbing
-     * pattern as lastSimCyclesPerSec_.
-     */
-    std::vector<CycleBreakdown> lastBreakdown_;
     /**
      * run() nesting depth: isolated-baseline runs recurse through
      * run(), and only depth-1 calls are report-worthy cases.

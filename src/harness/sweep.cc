@@ -2,14 +2,13 @@
  * @file
  * Sweep-executor implementation.
  *
- * Structure: the case list is mapped onto *contexts* (one per
- * distinct GPU configuration, each with its own shared ResultCache),
- * then executed in two phases — isolated-baseline warm-up and the
- * cases themselves — by a fixed pool of workers that pop a shared
- * atomic cursor. Because the cursor is popped in submission order,
- * the first error recorded with the lowest submission priority is
- * exactly the error the sequential path would have hit first, which
- * keeps failure reporting deterministic under any job count.
+ * Structure: the case list is executed in two phases — isolated-
+ * baseline warm-up and the cases themselves — by a fixed pool of
+ * workers that pop a shared atomic cursor. Because the cursor is
+ * popped in submission order, the first error recorded with the
+ * lowest submission priority is exactly the error the sequential
+ * path would have hit first, which keeps failure reporting
+ * deterministic under any job count.
  */
 
 #include "harness/sweep.hh"
@@ -45,17 +44,9 @@ namespace
  */
 constexpr std::uint64_t baselineScopeBase = 1ull << 63;
 
-/** One distinct GPU configuration a sweep touches. */
-struct SweepContext
-{
-    Runner::Options options;
-    std::shared_ptr<ResultCache> cache; //!< null when caching is off
-};
-
 /** An isolated-baseline warm-up job. */
 struct BaselineJob
 {
-    std::size_t ctx;
     std::string kernel;
     std::size_t firstCase; //!< first case referencing the kernel
     std::optional<double> ipc; //!< set once the job has succeeded
@@ -80,8 +71,6 @@ SweepCase::describe() const
         os << "|" << kernels[i] << ":"
            << (i < goals.size() ? formatGoal(goals[i]) : "?");
     }
-    if (!config.empty())
-        os << "@" << config;
     return os.str();
 }
 
@@ -107,39 +96,20 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
     if (n == 0)
         return std::vector<CaseResult>{};
 
+    const std::string &config = runner.options().configName;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!cases[i].config.empty() && cases[i].config != config) {
+            return Error::format(
+                ErrorCode::InvalidArgument,
+                "sweep case %zu/%zu (%s): configuration '%s' is not "
+                "the sweep's '%s'; run it on a Runner of its own",
+                i + 1, n, cases[i].describe().c_str(),
+                cases[i].config.c_str(), config.c_str());
+        }
+    }
+
     const std::uint64_t faultsBefore =
         FaultInjector::instance().totalInjected();
-
-    // ---- contexts: one per distinct GPU configuration ----
-    std::vector<SweepContext> contexts;
-    contexts.push_back({runner.options(), runner.sharedCache()});
-    std::map<std::string, std::size_t> contextByConfig;
-    contextByConfig[runner.options().configName] = 0;
-    std::vector<std::size_t> caseContext(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::string &cfg = cases[i].config;
-        if (cfg.empty())
-            continue;
-        auto [it, fresh] =
-            contextByConfig.try_emplace(cfg, contexts.size());
-        if (fresh) {
-            Runner::Options o = runner.options();
-            o.configName = cfg;
-            // The probe validates the config name and opens (or
-            // creates) that configuration's cache exactly once.
-            Result<Runner> probe = Runner::make(o);
-            if (!probe.ok()) {
-                return Error::format(
-                    probe.error().code(),
-                    "sweep case %zu/%zu (%s): %s", i + 1, n,
-                    cases[i].describe().c_str(),
-                    probe.error().message().c_str());
-            }
-            contexts.push_back(
-                {std::move(o), probe.value().sharedCache()});
-        }
-        caseContext[i] = it->second;
-    }
 
     // ---- baseline warm-up jobs ----
     // Every referenced kernel's isolated IPC is computed once, up
@@ -147,18 +117,16 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
     // the baseline memo of every case-phase Runner, so no worker
     // simulates (or even looks up) a baseline again.
     std::vector<BaselineJob> baselines;
-    std::set<std::pair<std::size_t, std::string>> seen;
+    std::set<std::string> seen;
     for (std::size_t i = 0; i < n; ++i) {
         for (const std::string &kernel : cases[i].kernels) {
-            if (seen.emplace(caseContext[i], kernel).second)
-                baselines.push_back({caseContext[i], kernel, i, {}});
+            if (seen.insert(kernel).second)
+                baselines.push_back({kernel, i, {}});
         }
     }
-    // Per-context baselines handed to every worker Runner; context 0
-    // starts from whatever the caller's Runner already knows.
-    std::vector<std::map<std::string, double>> known(
-        contexts.size());
-    known[0] = runner.isolatedBaselines();
+    // Baselines handed to every worker Runner, starting from
+    // whatever the caller's Runner already knows.
+    std::map<std::string, double> known = runner.isolatedBaselines();
 
     // ---- shared execution state ----
     std::vector<CaseResult> results(n);
@@ -234,50 +202,36 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
         return {};
     };
 
-    // Worker runners for non-default contexts on the calling thread
-    // persist across phases (the jobs == 1 path).
-    std::vector<std::optional<Runner>> inlineRunners(
-        contexts.size());
-
     /**
      * Pop-and-run @p count items of one phase. Workers pop the
-     * shared cursor (submission order), resolve the item's context
-     * to a thread-local Runner, and run @p work. With one job the
-     * loop runs inline on the calling thread and context 0 resolves
-     * to the caller's own Runner — the classic sequential path.
+     * shared cursor (submission order) and run @p work on a
+     * thread-local Runner sharing the caller's options and cache.
+     * With one job the loop runs inline on the caller's own Runner
+     * — the classic sequential path.
      */
-    auto runPhase = [&](std::size_t count, auto &&contextOf,
-                        auto &&work, std::size_t priorityBase) {
+    auto runPhase = [&](std::size_t count, auto &&work,
+                        std::size_t priorityBase) {
         if (count == 0 || abort.load(std::memory_order_relaxed))
             return;
         cursor.store(0);
-        auto loop = [&](std::vector<std::optional<Runner>> &slots,
-                        Runner *inlineRunner) {
+        auto loop = [&](Runner *r) {
+            std::optional<Runner> own;
             for (;;) {
                 if (abort.load(std::memory_order_relaxed))
                     break;
                 std::size_t i = cursor.fetch_add(1);
                 if (i >= count)
                     break;
-                std::size_t ctx = contextOf(i);
-                Runner *r = nullptr;
-                if (inlineRunner && ctx == 0) {
-                    r = inlineRunner;
-                } else {
-                    if (!slots[ctx]) {
-                        Result<Runner> mr = Runner::make(
-                            contexts[ctx].options,
-                            contexts[ctx].cache);
-                        if (!mr.ok()) {
-                            recordError(priorityBase + i,
-                                        mr.error());
-                            continue;
-                        }
-                        slots[ctx].emplace(std::move(mr).value());
-                        slots[ctx]->adoptIsolatedBaselines(
-                            known[ctx]);
+                if (!r) {
+                    Result<Runner> mr = Runner::make(
+                        runner.options(), runner.sharedCache());
+                    if (!mr.ok()) {
+                        recordError(priorityBase + i, mr.error());
+                        continue;
                     }
-                    r = &*slots[ctx];
+                    own.emplace(std::move(mr).value());
+                    own->adoptIsolatedBaselines(known);
+                    r = &*own;
                 }
                 Result<void> w = work(*r, i);
                 if (!w.ok())
@@ -288,64 +242,43 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
         int workers = static_cast<int>(
             std::min<std::size_t>(jobs, count));
         if (workers <= 1) {
-            loop(inlineRunners, &runner);
+            loop(&runner);
             return;
         }
         std::vector<std::thread> pool;
         pool.reserve(workers);
-        for (int w = 0; w < workers; ++w) {
-            pool.emplace_back([&] {
-                std::vector<std::optional<Runner>> slots(
-                    contexts.size());
-                loop(slots, nullptr);
-            });
-        }
+        for (int w = 0; w < workers; ++w)
+            pool.emplace_back([&] { loop(nullptr); });
         for (std::thread &t : pool)
             t.join();
     };
 
-    runPhase(baselines.size(),
-             [&](std::size_t j) { return baselines[j].ctx; },
-             runBaseline, 0);
+    runPhase(baselines.size(), runBaseline, 0);
     for (const BaselineJob &b : baselines) {
         if (b.ipc)
-            known[b.ctx].emplace(b.kernel, *b.ipc);
+            known.emplace(b.kernel, *b.ipc);
     }
-    runner.adoptIsolatedBaselines(known[0]);
-    runPhase(n, [&](std::size_t i) { return caseContext[i]; },
-             runOneCase, baselines.size());
+    runner.adoptIsolatedBaselines(known);
+    runPhase(n, runOneCase, baselines.size());
 
     // Make everything computed so far durable in one batch flush;
     // after this, at most nothing is pending — a later crash cannot
     // lose sweep results.
-    for (const SweepContext &ctx : contexts) {
-        if (ctx.cache)
-            ctx.cache->flush();
-    }
+    if (std::shared_ptr<ResultCache> cache = runner.sharedCache())
+        cache->flush();
 
     const double secs = elapsedSec();
     const int used = static_cast<int>(std::min<std::size_t>(jobs, n));
     const std::uint64_t faultsSeen =
         FaultInjector::instance().totalInjected() - faultsBefore;
-    if (stats) {
-        stats->total = n;
-        stats->cacheHits = hits.load();
-        stats->jobs = used;
-        stats->elapsedSec = secs;
-        stats->faultsInjected = faultsSeen;
-    }
+    const SweepStats swept{n, hits.load(), used, secs, faultsSeen};
+    if (stats)
+        *stats = swept;
     if (RunReport *report = runner.options().report) {
-        ReportSweep rs;
-        rs.label = opts.label;
-        rs.total = static_cast<int>(n);
-        rs.cacheHits = static_cast<int>(hits.load());
-        rs.jobs = used;
-        rs.elapsedSec = secs;
-        rs.faultsInjected = faultsSeen;
         // Every fault absorbed without surfacing an error counts as
         // recovered; an aborted sweep makes no such claim.
-        rs.faultsRecovered = firstError ? 0 : faultsSeen;
-        report->addSweep(rs);
+        report->addSweep({opts.label, swept,
+                          firstError ? 0 : faultsSeen});
     }
     if (MetricsRegistry *metrics = runner.options().metrics) {
         metrics->counter("harness.sweeps").inc();

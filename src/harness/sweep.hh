@@ -5,10 +5,12 @@
  * Every figure bench walks an embarrassingly parallel space of
  * independent (kernels, goals, policy) cases. runSweep() fans a
  * submitted case vector across a fixed-size pool of worker threads
- * — each worker owning its own Runner, all workers sharing one
- * thread-safe ResultCache per configuration — and returns results
- * in *submission order* regardless of completion order, so a
- * bench's printed output is byte-identical whatever --jobs is.
+ * — each worker owning its own Runner, all workers sharing the
+ * caller's thread-safe ResultCache — and returns results in
+ * *submission order* regardless of completion order, so a bench's
+ * printed output is byte-identical whatever --jobs is. Every case
+ * runs on the caller's GPU configuration; a bench that needs
+ * another machine builds its own Runner.
  *
  * Guarantees:
  *  - Determinism: the returned vector (values and order) does not
@@ -25,8 +27,8 @@
  *  - Baseline warm-up: isolated baselines of every referenced kernel
  *    are computed first (in parallel), cache on or off, and handed
  *    to every case-phase Runner and to the caller's. Each baseline
- *    is simulated at most once per sweep context at any --jobs, so
- *    a cache-off sweep traces the same records as a cold-cache one.
+ *    is simulated at most once per sweep at any --jobs, so a
+ *    cache-off sweep traces the same records as a cold-cache one.
  */
 
 #ifndef GQOS_HARNESS_SWEEP_HH
@@ -50,13 +52,14 @@ struct SweepCase
     std::vector<double> goals;   //!< per-kernel fraction; 0 non-QoS
     std::string policy;
     /**
-     * GPU configuration name; "" inherits the sweep Runner's
-     * configuration. A non-empty name runs the case on that
-     * configuration (own isolated baselines, own cache file).
+     * Empty, or the sweep Runner's configuration name: every case
+     * of a sweep runs on that one machine, and runSweep() rejects a
+     * case naming any other. (perfbench brace-initializes all four
+     * members.)
      */
-    std::string config;
+    std::string config = "";
 
-    /** "policy|k0:g0|k1:g1[@config]" — for errors and logs. */
+    /** "policy|k0:g0|k1:g1" — for errors and logs. */
     std::string describe() const;
 };
 
@@ -87,9 +90,11 @@ int defaultSweepJobs();
 
 /**
  * Run @p cases and return their results in submission order.
- * @p runner provides the options every case inherits (and runs the
- * cases itself when one job is used). On failure the error names
- * the first failing case by submission index and identity.
+ * @p runner provides the options and the result cache every case
+ * shares (and runs the cases itself when one job is used). On
+ * failure the error names the first failing case by submission
+ * index and identity. @p stats, when given, receives the same
+ * SweepStats the run report records.
  */
 Result<std::vector<CaseResult>>
 runSweep(Runner &runner, const std::vector<SweepCase> &cases,

@@ -388,9 +388,6 @@ TEST(SweepApi, DescribeNamesPolicyKernelsGoalsAndConfig)
 {
     SweepCase c{{"sgemm", "lbm"}, {0.5, 0.0}, "rollover", ""};
     EXPECT_EQ(c.describe(), "rollover|sgemm:0.5000|lbm:0.0000");
-    c.config = "large";
-    EXPECT_EQ(c.describe(),
-              "rollover|sgemm:0.5000|lbm:0.0000@large");
 }
 
 TEST(SweepApi, DefaultJobsIsAtLeastOne)
@@ -421,17 +418,25 @@ TEST(SweepApi, UnknownConfigInCaseIsRecoverable)
     opts.cycles = 1000;
     opts.warmupCycles = 0;
     Runner runner = Runner::make(opts).value();
-    std::vector<SweepCase> cases = {
-        {{"sgemm"}, {0.0}, "even", "gigantic"},
-    };
     SweepOptions so;
     so.progress = false;
-    auto r = runSweep(runner, cases, so);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.error().code(), ErrorCode::NotFound);
-    EXPECT_NE(r.error().message().find("gigantic"),
-              std::string::npos)
-        << r.error().message();
+    // A sweep runs on its Runner's one configuration; a case naming
+    // any other one, known or not, is an error, never a silent run on
+    // the wrong machine.
+    for (const char *config : {"gigantic", "large"}) {
+        std::vector<SweepCase> cases = {
+            {{"sgemm"}, {0.0}, "even", "default"},
+            {{"sgemm"}, {0.0}, "even", config},
+        };
+        auto r = runSweep(runner, cases, so);
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.error().code(), ErrorCode::InvalidArgument);
+        EXPECT_NE(r.error().message().find(config), std::string::npos)
+            << r.error().message();
+        EXPECT_NE(r.error().message().find("case 2/2"),
+                  std::string::npos)
+            << r.error().message();
+    }
 }
 
 } // anonymous namespace

@@ -502,16 +502,16 @@ TEST(RunReport, WritesSortedCasesSweepsAndMetrics)
     ReportCase first;
     first.key = "rollover|a:0.9";
     first.policy = "rollover";
-    ReportKernel k;
+    KernelResult k;
     k.name = "a";
     k.isQos = true;
     k.goalFrac = 0.9;
-    first.kernels.push_back(k);
+    first.result.kernels.push_back(k);
     report.addCase(second);
     report.addCase(first);
     ReportSweep sw;
     sw.label = "fig6";
-    sw.total = 2;
+    sw.stats.total = 2;
     report.addSweep(sw);
     EXPECT_EQ(report.caseCount(), 2u);
 
@@ -546,23 +546,22 @@ TEST(RunReport, GoldenDocument)
     c.engine = "event";
     c.wallSec = 0.25;
     c.simCyclesPerSec = 1000;
-    c.instrPerWatt = 2.5;
-    c.dramPerKcycle = 0.75;
-    c.preemptions = 3;
     c.tracePath = "t.jsonl";
-    ReportKernel ka;
+    c.result.instrPerWatt = 2.5;
+    c.result.dramPerKcycle = 0.75;
+    c.result.preemptions = 3;
+    KernelResult ka;
     ka.name = "a";
     ka.isQos = true;
     ka.goalFrac = 0.5;
     ka.goalIpc = 100;
-    ka.ipc = 90;
+    ka.ipc = 90; // below the goal: not reached
     ka.ipcIsolated = 200;
-    ka.reached = false;
-    ReportKernel kb;
+    KernelResult kb;
     kb.name = "b";
     kb.ipc = 80;
     kb.ipcIsolated = 160;
-    c.kernels = {ka, kb};
+    c.result.kernels = {ka, kb};
     CycleBreakdown ba;
     ba.add(CycleCat::Issued, 7);
     CycleBreakdown bb;
@@ -572,44 +571,46 @@ TEST(RunReport, GoldenDocument)
 
     ReportSweep sw;
     sw.label = "fig6";
-    sw.total = 1;
-    sw.cacheHits = 0;
-    sw.jobs = 1;
-    sw.elapsedSec = 0.5;
-    sw.faultsInjected = 2;
+    sw.stats.total = 1;
+    sw.stats.cacheHits = 0;
+    sw.stats.jobs = 1;
+    sw.stats.elapsedSec = 0.5;
+    sw.stats.faultsInjected = 2;
     sw.faultsRecovered = 2;
     report.addSweep(sw);
 
     ReportServing sv;
     sv.label = "poisson@x1.00";
     sv.policy = "serving";
-    sv.endCycle = 5000;
-    sv.finalLevel = 1;
-    sv.levelChanges = 2;
-    sv.drained = true;
-    ReportServingTenant tg;
+    sv.report.endCycle = 5000;
+    sv.report.finalLevel = 1;
+    sv.report.levelChanges = 2;
+    sv.report.drained = true;
+    TenantServingStats tg;
     tg.name = "g";
-    tg.qosClass = "guaranteed";
+    tg.qosClass = QosClass::Guaranteed;
     tg.arrivals = 10;
     tg.admitted = 4;
     tg.completed = 3;
     tg.sloMet = 2;
-    tg.rejected = 6;
+    tg.rejectedQueueFull = 1;
+    tg.rejectedShed = 2;
+    tg.rejectedProjected = 3;
     tg.abandoned = 1;
     tg.maxQueueDepth = 2;
     tg.p50Latency = 40;
     tg.p99Latency = 90;
     tg.sloAttainment = 0.25;
     tg.goodput = 1.5;
-    ReportServingTenant tb;
+    TenantServingStats tb;
     tb.name = "e";
-    tb.qosClass = "besteffort";
+    tb.qosClass = QosClass::BestEffort;
     tb.arrivals = 1;
     tb.admitted = 1;
     tb.droppedAtShutdown = 1;
     tb.stalled = true;
-    sv.tenants = {tg, tb};
-    sv.cycleBreakdown = {ba, bb};
+    sv.report.tenants = {tg, tb};
+    sv.report.cycleBreakdown = {ba, bb};
     report.addServing(sv);
 
     MetricsRegistry metrics;
