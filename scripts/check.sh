@@ -17,8 +17,10 @@
 # must leave stdout byte-identical, export one valid JSON document
 # that is byte-identical across --jobs 1 vs 4, and the cycle-
 # attribution breakdowns in --stats-json must conserve every SM
-# cycle, and --stats-json to an unwritable path must fail at
-# startup with nothing on stdout. The default preset additionally
+# cycle. --stats-json to an unwritable path must fail at startup
+# with nothing on stdout, and so must a negative integer option
+# (bench_fig5 --cycles -5, bench_serving --drain-grace -1), whose
+# error must name the option. The default preset additionally
 # runs the engine differential smoke: every simulating figure bench,
 # and bench_serving under the serving, elastic, rollover-time and
 # spart policies, must print byte-identical stdout (and
@@ -68,6 +70,24 @@ builddir_for() {
         default) echo build ;;
         *) echo "build-$1" ;;
     esac
+}
+
+# rejects_option SCRATCH OPTION CMD...: CMD must exit non-zero with
+# nothing on stdout and an error on stderr that names --OPTION.
+rejects_option() {
+    local scratch="$1" option="$2"
+    shift 2
+    if timeout 60 "$@" > "$scratch/reject.out" 2> "$scratch/reject.err"; then
+        echo "negative-option smoke: --$option was accepted" >&2
+        return 1
+    fi
+    [ ! -s "$scratch/reject.out" ] || {
+        echo "negative-option smoke: output before the --$option error" >&2
+        return 1; }
+    grep -q -- "--$option" "$scratch/reject.err" || {
+        echo "negative-option smoke: the error does not name --$option" >&2
+        cat "$scratch/reject.err" >&2
+        return 1; }
 }
 
 sweep_smoke() {
@@ -214,6 +234,16 @@ EOF
     [ ! -s "$scratch/unwritable.out" ] || {
         echo "stats-json smoke: output before the failure" >&2
         return 1; }
+
+    # A negative integer option is a startup error naming the
+    # option. It must never wrap to ~2^64: fig5 would simulate
+    # forever, and serving would stop before its last arrival.
+    echo "==> [$preset] negative-option smoke (fails at startup, names the option)"
+    rejects_option "$scratch" cycles \
+        "$fig5" --cycles -5 --no-cache --pairs 1 --jobs 1
+    rejects_option "$scratch" drain-grace \
+        "$(builddir_for "$preset")/bench/bench_serving" \
+        --launches 40 --loads 1.0 --drain-grace -1
 
     timeline_smoke "$preset"
 }

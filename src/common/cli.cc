@@ -96,9 +96,12 @@ CliArgs::getInt(const std::string &name, std::int64_t def) const
     if (it == values_.end())
         return def;
     std::int64_t v = 0;
-    if (!parseFullInt(it->second, v))
-        gqos_fatal("option --%s expects an integer, got '%s'",
-                   name.c_str(), it->second.c_str());
+    // No option takes a negative count; callers cast the value to
+    // an unsigned type, where -1 would become 2^64 - 1.
+    if (!parseFullInt(it->second, v) || v < 0) {
+        gqos_fatal("option --%s expects a non-negative integer, "
+                   "got '%s'", name.c_str(), it->second.c_str());
+    }
     return v;
 }
 

@@ -35,7 +35,11 @@ class CliArgs
     std::string getString(const std::string &name,
                           const std::string &def) const;
 
-    /** Integer value, or @p def if absent. fatal() on parse error. */
+    /**
+     * Non-negative integer value, or @p def if absent. fatal()
+     * naming the option and the token on a parse error or a
+     * negative value.
+     */
     std::int64_t getInt(const std::string &name, std::int64_t def) const;
 
     /** Double value, or @p def if absent. fatal() on parse error. */

@@ -215,6 +215,20 @@ TEST(CliDeath, RejectsTrailingGarbageInNumbers)
                 ::testing::ExitedWithCode(1), "");
 }
 
+TEST(CliDeath, RejectsNegativeIntegers)
+{
+    // Every caller casts getInt() to an unsigned type, so a negative
+    // value would wrap to about 2^64 instead of failing.
+    const char *argv[] = {"prog", "--neg=-7", "--cycles", "-5",
+                          "--zero=0"};
+    CliArgs args(5, argv);
+    EXPECT_EXIT(args.getInt("neg", 0), ::testing::ExitedWithCode(1),
+                "--neg .*'-7'");
+    EXPECT_EXIT(args.getInt("cycles", 0),
+                ::testing::ExitedWithCode(1), "--cycles .*'-5'");
+    EXPECT_EQ(args.getInt("zero", 1), 0);
+}
+
 /** Death-test stderr matcher: says "fatal:", never @p marker. */
 class FatalWithout
     : public ::testing::MatcherInterface<const std::string &>
@@ -285,11 +299,10 @@ TEST(LoggingDeath, FatalOffTheMainThreadSkipsExitHandlers)
 TEST(Cli, AcceptsFullTokenNumbers)
 {
     const char *argv[] = {"prog", "--cycles=200000",
-                          "--rate=2.5e-1", "--neg=-7"};
-    CliArgs args(4, argv);
+                          "--rate=2.5e-1"};
+    CliArgs args(3, argv);
     EXPECT_EQ(args.getInt("cycles", 0), 200000);
     EXPECT_DOUBLE_EQ(args.getDouble("rate", 0.0), 0.25);
-    EXPECT_EQ(args.getInt("neg", 0), -7);
 }
 
 TEST(Cli, PositiveListParsesEveryToken)
