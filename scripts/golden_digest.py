@@ -10,7 +10,9 @@ every host, at every job count and under either stepping engine:
   - metrics.counters, minus the engine.* and harness.* counters.
 
 Host-time and cache fields (wall_sec, sim_cycles_per_sec, from_cache,
-engine, trace, samples, sweeps) are left out.
+engine, trace, samples, sweeps) are left out, and so is a case's
+free_preemption flag: it says which Runner ran the case, and the
+golden files predate it.
 
     scripts/golden_digest.py STATS.json
 """

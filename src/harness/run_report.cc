@@ -48,6 +48,8 @@ writeCase(std::ostream &os, const ReportCase &c)
 {
     const CaseResult &r = c.result;
     os << "{\"key\":\"" << jsonEscape(c.key) << "\""
+       << ",\"free_preemption\":"
+       << (c.freePreemption ? "true" : "false")
        << ",\"policy\":\"" << jsonEscape(c.policy) << "\""
        << ",\"config\":\"" << jsonEscape(c.config) << "\""
        << ",\"engine\":\"" << jsonEscape(c.engine) << "\""

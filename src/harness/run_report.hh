@@ -40,8 +40,9 @@ class MetricsRegistry;
  *   1: initial layout
  *   2: schema_version stamped; cases and serving entries gain
  *      "cycle_breakdown" (cycle-attribution profiler)
+ *   3: cases gain "free_preemption" after "key"
  */
-constexpr int reportSchemaVersion = 2;
+constexpr int reportSchemaVersion = 3;
 
 /**
  * One top-level harness case: the CaseResult the caller got, plus
@@ -50,6 +51,9 @@ constexpr int reportSchemaVersion = 2;
 struct ReportCase
 {
     std::string key;       //!< cache key ("policy|k0:g0|...")
+    /** Run with free partial context switches (Runner::Options);
+     *  the key and config do not say so. */
+    bool freePreemption = false;
     std::string policy;
     std::string config;
     std::string engine;    //!< stepping engine ("event"/"reference")

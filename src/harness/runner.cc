@@ -381,6 +381,7 @@ Runner::run(const std::vector<std::string> &kernels,
     if (opts_.report && runDepth_ == 1) {
         ReportCase rc;
         rc.key = key;
+        rc.freePreemption = opts_.freePreemption;
         rc.policy = policy;
         rc.config = opts_.configName;
         rc.engine = toString(opts_.engine);

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "harness/run_report.hh"
 #include "harness/runner.hh"
 
 namespace gqos
@@ -92,6 +93,31 @@ TEST_F(HarnessFixture, IsolatedIpcIsPositiveAndCached)
     uncached.run({"sgemm", "lbm"}, {0.7, 0.0}, "rollover").value();
     EXPECT_EQ(uncached.simulatedCases(), 4);
     EXPECT_EQ(uncached.isolatedBaselines().size(), 2u);
+}
+
+TEST_F(HarnessFixture, ReportTellsFreePreemptionRunsApart)
+{
+    // bench_ablations runs its cases on a paid and on a free-
+    // preemption Runner: same key, same config, and only the
+    // "free_preemption" field tells the two report entries apart.
+    opts.useCache = false;
+    opts.cycles = 4000;
+    opts.warmupCycles = 1000;
+    RunReport report;
+    opts.report = &report;
+    for (bool free_pre : {false, true}) {
+        opts.freePreemption = free_pre;
+        makeRunner().run({"sgemm"}, {0.0}, "even").value();
+    }
+    std::ostringstream os;
+    report.write(os);
+    const std::string json = os.str();
+    const std::string key = R"({"key":"even|sgemm:0.0000",)";
+    for (const char *flag : {"false", "true"}) {
+        EXPECT_NE(json.find(key + "\"free_preemption\":" + flag + ","),
+                  std::string::npos)
+            << json;
+    }
 }
 
 TEST_F(HarnessFixture, FailedBaselineIsNotMemoized)

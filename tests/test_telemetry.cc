@@ -620,8 +620,9 @@ TEST(RunReport, GoldenDocument)
     std::ostringstream os;
     report.write(os, &metrics);
     const std::string expected =
-        R"({"schema_version":2,"cases":[)"
-        R"({"key":"rollover|a:0.5000|b:0.0000","policy":"rollover",)"
+        R"({"schema_version":3,"cases":[)"
+        R"({"key":"rollover|a:0.5000|b:0.0000","free_preemption":false,)"
+        R"("policy":"rollover",)"
         R"("config":"default","engine":"event","from_cache":false,)"
         R"("wall_sec":0.25,"sim_cycles_per_sec":1000,)"
         R"("instr_per_watt":2.5,"dram_per_kcycle":0.75,)"
