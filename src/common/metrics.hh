@@ -1,20 +1,18 @@
 /**
  * @file
- * Named-metric registry: counters, gauges, sample distributions and
- * histograms that simulator components register into by name.
+ * Named-metric registry: counters and sample distributions that
+ * simulator components register into by name.
  *
- * Builds on the primitive accumulators in common/stats.hh
- * (SampleStat, Histogram) and adds naming, discovery and JSON
- * serialization on top. One registry typically spans one run (a
+ * Builds on the primitive accumulator SampleStat in common/stats.hh
+ * and adds naming and JSON serialization on top. One registry typically spans one run (a
  * Runner owns one and shares it with its sweep workers), so the
  * registry is thread-safe:
  *
  *  - counter() hands out a stable Counter handle whose inc() is a
  *    relaxed atomic add — safe to call from any thread without
  *    re-entering the registry;
- *  - gauge()/observe()/observeHistogram() take the registry mutex;
- *    they are meant for epoch- or case-grained call sites where a
- *    lock is negligible.
+ *  - observe() takes the registry mutex; it is meant for epoch- or
+ *    case-grained call sites where a lock is negligible.
  *
  * Overhead-when-disabled guarantee: instrumented components hold a
  * `MetricsRegistry *` that defaults to nullptr and cache their
@@ -33,7 +31,6 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/stats.hh"
 
@@ -87,27 +84,13 @@ class MetricsRegistry
      */
     Counter &counter(const std::string &name);
 
-    /** Set the gauge @p name to @p value (last write wins). */
-    void setGauge(const std::string &name, double value);
-
     /** Record @p value into the sample distribution @p name. */
     void observe(const std::string &name, double value);
 
     /**
-     * Record @p value into the histogram @p name, creating it with
-     * @p bounds (strictly increasing bucket upper bounds) on first
-     * use; later calls ignore @p bounds.
-     */
-    void observeHistogram(const std::string &name, double value,
-                          const std::vector<double> &bounds);
-
-    /** Number of distinct metrics registered so far. */
-    std::size_t size() const;
-
-    /**
      * Serialize every metric as one JSON object, sections keyed by
-     * kind ("counters", "gauges", "samples", "histograms"), metrics
-     * sorted by name within each section.
+     * kind ("counters", "samples"), metrics sorted by name within
+     * each section.
      */
     void writeJson(std::ostream &os) const;
 
@@ -115,9 +98,7 @@ class MetricsRegistry
     mutable std::mutex mutex_;
     // node-based maps: references into them are stable
     std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, double> gauges_;
     std::map<std::string, SampleStat> samples_;
-    std::map<std::string, Histogram> histograms_;
 };
 
 } // namespace gqos

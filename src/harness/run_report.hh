@@ -40,7 +40,8 @@ class MetricsRegistry;
  *   1: initial layout
  *   2: schema_version stamped; cases and serving entries gain
  *      "cycle_breakdown" (cycle-attribution profiler)
- *   3: cases gain "free_preemption" after "key"
+ *   3: cases gain "free_preemption" after "key"; metrics lose the
+ *      always-empty "gauges" and "histograms" objects
  */
 constexpr int reportSchemaVersion = 3;
 

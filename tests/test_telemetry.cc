@@ -480,7 +480,6 @@ TEST(Metrics, CountersGaugesAndJson)
     EXPECT_EQ(c.value(), 5u);
     // counter() is create-or-get with stable references.
     EXPECT_EQ(&reg.counter("test.hits"), &c);
-    reg.setGauge("test.level", 0.5);
     reg.observe("test.wall", 1.0);
     reg.observe("test.wall", 3.0);
 
@@ -489,7 +488,6 @@ TEST(Metrics, CountersGaugesAndJson)
     const std::string json = os.str();
     EXPECT_TRUE(looksLikeJsonObject(json));
     EXPECT_NE(json.find("\"test.hits\":5"), std::string::npos);
-    EXPECT_NE(json.find("test.level"), std::string::npos);
     EXPECT_NE(json.find("test.wall"), std::string::npos);
 }
 
@@ -658,10 +656,8 @@ TEST(RunReport, GoldenDocument)
         R"({"issued":0,"quota_gated":0,"mem_stall":5,)"
         R"("no_ready_warp":0,"drain_preempt":0,"inert_skipped":0}]}],)"
         R"("metrics":{"counters":{"harness.cases_simulated":1},)"
-        R"("gauges":{},)"
         R"("samples":{"harness.case_wall_sec":{"count":1,"mean":0.5,)"
-        R"("min":0.5,"max":0.5,"variance":0}},)"
-        R"("histograms":{}}})"
+        R"("min":0.5,"max":0.5,"variance":0}}}})"
         "\n";
     EXPECT_EQ(os.str(), expected);
 }
