@@ -102,13 +102,6 @@ Cache::invalidateKernel(KernelId kernel)
     }
 }
 
-void
-Cache::invalidateAll()
-{
-    for (auto &line : lines_)
-        line.valid = false;
-}
-
 int
 Cache::linesOwnedBy(KernelId kernel) const
 {

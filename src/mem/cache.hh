@@ -68,9 +68,6 @@ class Cache
     /** Invalidate every line owned by @p kernel. */
     void invalidateKernel(KernelId kernel);
 
-    /** Invalidate everything. */
-    void invalidateAll();
-
     /** Number of valid lines currently owned by @p kernel. */
     int linesOwnedBy(KernelId kernel) const;
 

@@ -28,21 +28,6 @@ struct DramStats
 {
     std::uint64_t accesses = 0;
     std::uint64_t rowMisses = 0;
-    double queueDelaySum = 0.0;
-
-    double
-    avgQueueDelay() const
-    {
-        return accesses ? queueDelaySum / accesses : 0.0;
-    }
-
-    void
-    reset()
-    {
-        accesses = 0;
-        rowMisses = 0;
-        queueDelaySum = 0.0;
-    }
 };
 
 /**
@@ -66,7 +51,6 @@ class DramChannel
     {
         double start = nextFree_ > arrival ? nextFree_ : arrival;
         stats_.accesses++;
-        stats_.queueDelaySum += start - arrival;
         nextFree_ = start + serviceTime_;
 
         Addr row = addr >> rowShift_;
@@ -87,7 +71,6 @@ class DramChannel
     }
 
     const DramStats &stats() const { return stats_; }
-    void resetStats() { stats_.reset(); }
 
   private:
     static constexpr int rowShift_ = 11; //!< 2KB row buffer

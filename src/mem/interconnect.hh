@@ -27,20 +27,6 @@ namespace gqos
 struct IcntStats
 {
     std::uint64_t flits = 0;
-    double queueDelaySum = 0.0;
-
-    double
-    avgQueueDelay() const
-    {
-        return flits ? queueDelaySum / flits : 0.0;
-    }
-
-    void
-    reset()
-    {
-        flits = 0;
-        queueDelaySum = 0.0;
-    }
 };
 
 /**
@@ -64,7 +50,6 @@ class Interconnect
         double start = nextFree_ > now ? nextFree_ : now;
         nextFree_ = start + serviceTime_;
         stats_.flits++;
-        stats_.queueDelaySum += start - now;
         return start + latency_;
     }
 
@@ -93,7 +78,6 @@ class Interconnect
     int latency() const { return latency_; }
 
     const IcntStats &stats() const { return stats_; }
-    void resetStats() { stats_.reset(); }
 
   private:
     int latency_;

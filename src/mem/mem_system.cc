@@ -140,19 +140,6 @@ MemSystem::partition(int idx) const
     return partitions_[idx];
 }
 
-void
-MemSystem::resetStats()
-{
-    stats_.reset();
-    for (auto &l1 : l1s_)
-        l1.resetStats();
-    icnt_.resetStats();
-    for (auto &p : partitions_) {
-        p.l2().resetStats();
-        p.dram().resetStats();
-    }
-}
-
 std::uint64_t
 MemSystem::totalDramAccesses() const
 {

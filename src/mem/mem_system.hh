@@ -37,8 +37,6 @@ struct MemSystemStats
     std::uint64_t stores = 0;
     std::uint64_t contextLines = 0;
     std::array<std::uint64_t, maxKernels> dramByKernel{};
-
-    void reset() { *this = MemSystemStats(); }
 };
 
 /**
@@ -88,7 +86,6 @@ class MemSystem
     const Interconnect &interconnect() const { return icnt_; }
 
     const MemSystemStats &stats() const { return stats_; }
-    void resetStats();
 
     /** Total DRAM accesses across partitions. */
     std::uint64_t totalDramAccesses() const;

@@ -85,15 +85,6 @@ TEST(Cache, InvalidateKernelRemovesOnlyItsLines)
     EXPECT_TRUE(c.probe(0x10000));
 }
 
-TEST(Cache, InvalidateAll)
-{
-    Cache c(8 * 1024, 4);
-    for (Addr i = 0; i < 32; ++i)
-        c.access(i * lineSizeBytes, 0);
-    c.invalidateAll();
-    EXPECT_EQ(c.linesOwnedBy(0), 0);
-}
-
 TEST(CacheDeath, RejectsIndivisibleGeometry)
 {
     EXPECT_EXIT(Cache(1000, 3), ::testing::ExitedWithCode(1), "");
