@@ -447,7 +447,7 @@ bench_ablations bench_fairness"
     # the policy's control points need the clock.
     local sflags="--launches 60 --loads 1.0,4.0 --rate 0.08 --jobs 1"
     local p
-    for p in serving elastic rollover-time spart; do
+    for p in serving naive rollover elastic rollover-time spart; do
         local e
         # shellcheck disable=SC2086
         "$bdir/bench_serving" $sflags --policy "$p" --engine event \
