@@ -15,9 +15,10 @@ Gpu::Gpu(const GpuConfig &cfg)
 {
     cfg_.validate();
     mem_ = std::make_unique<MemSystem>(cfg_);
+    quotaVersion_ = std::make_shared<std::uint64_t>(0);
     sms_.reserve(cfg_.numSms);
     for (int i = 0; i < cfg_.numSms; ++i)
-        sms_.emplace_back(cfg_, i, *mem_);
+        sms_.emplace_back(cfg_, i, *mem_, quotaVersion_);
     iwSampleInterval_ = cfg_.epochLength / cfg_.iwSamplesPerEpoch;
     if (iwSampleInterval_ == 0)
         iwSampleInterval_ = 1;

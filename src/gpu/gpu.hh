@@ -50,6 +50,12 @@ struct KernelDispatchState
 };
 
 /**
+ * A quota version no Gpu reaches: what a policy's scan cache holds
+ * when its next scan must run (see Gpu::quotaVersion()).
+ */
+constexpr std::uint64_t quotaVersionNone = ~std::uint64_t{0};
+
+/**
  * The simulated GPU.
  */
 class Gpu
@@ -122,6 +128,18 @@ class Gpu
 
     /** Enable/disable EWS quota gating on every SM. */
     void setQuotaGatingAll(bool on);
+
+    /**
+     * GPU-wide quota version: the counter every SM bumps when an
+     * input of its SmCore::allQuotasExhausted() changes -- kernel
+     * binding, TB dispatch and free (completion or preemption),
+     * setQuota, addQuota, setQuotaGating, and a quota crossing from
+     * > 0 to <= 0 as an instruction retires -- and on nothing else.
+     * A mid-epoch scan over SM quotas and residency that acted on
+     * nothing at version V acts on nothing again until the version
+     * moves.
+     */
+    std::uint64_t quotaVersion() const { return *quotaVersion_; }
 
     // ---- cycle attribution / timeline observability ----
 
@@ -232,6 +250,8 @@ class Gpu
 
     GpuConfig cfg_;
     std::unique_ptr<MemSystem> mem_;
+    /** Heap-held so the SMs' handles survive a move of the Gpu. */
+    std::shared_ptr<std::uint64_t> quotaVersion_;
     std::vector<SmCore> sms_;
     std::vector<KernelRun> runs_;
     std::vector<KernelDispatchState> dispatch_;

@@ -102,6 +102,7 @@ SmkFairPolicy::beginEpoch(Gpu &gpu)
             sm.setQuota(k, share + std::min(sm.quota(k), 0.0));
         }
     }
+    refillIdleAt_ = quotaVersionNone;
     epochStart_ = now;
 }
 
@@ -115,6 +116,8 @@ SmkFairPolicy::onCycle(Gpu &gpu)
     }
     // Work-conserving: once every kernel drained its fair quota,
     // hand out another equal round instead of idling the SM.
+    if (gpu.quotaVersion() == refillIdleAt_)
+        return epochStart_ + epochLength_;
     bool refilled = false;
     for (int s = 0; s < gpu.numSms(); ++s) {
         SmCore &sm = gpu.sm(s);
@@ -128,6 +131,7 @@ SmkFairPolicy::onCycle(Gpu &gpu)
             }
         }
     }
+    refillIdleAt_ = refilled ? quotaVersionNone : gpu.quotaVersion();
     return refilled ? now : epochStart_ + epochLength_;
 }
 

@@ -58,6 +58,11 @@ class SmkFairPolicy : public SharingPolicy
     std::vector<std::uint64_t> instrAtEpochStart_;
     std::vector<double> progress_;
     std::vector<double> rateTarget_; //!< normalized rate quota
+    /**
+     * Gpu::quotaVersion() at which the refill scan last found no SM
+     * to refill (quotaVersionNone: scan next cycle).
+     */
+    std::uint64_t refillIdleAt_ = quotaVersionNone;
 };
 
 } // namespace gqos

@@ -333,6 +333,8 @@ QuotaController::beginEpoch(Gpu &gpu, bool initial)
     if (opts_.timeMux)
         std::fill(released_.begin(), released_.end(),
                   qosIds_.empty());
+    releaseIdleAt_ = quotaVersionNone;
+    refillIdleAt_ = quotaVersionNone;
 
     epochStart_ = now;
     epochIndex_ += initial ? 0 : 1;
@@ -349,18 +351,21 @@ QuotaController::qosQuotasExhausted(const SmCore &sm) const
 }
 
 bool
-QuotaController::elasticReady(const Gpu &gpu, Cycle now) const
+QuotaController::elasticReady(const Gpu &gpu, Cycle now)
 {
     // Elastic restart: every QoS quota drained on every SM, and
     // every (resident) non-QoS kernel has consumed at least its
     // base epoch quota. Refill-granted extra quota does not
     // postpone the restart. A GPU with no TB resident anywhere has
     // consumed nothing, so its epochs run to the forced boundary.
-    if (opts_.scheme != QuotaScheme::Elastic || now == 0)
+    if (opts_.scheme != QuotaScheme::Elastic || now == 0 ||
+        gpu.quotaVersion() == qosBusyAt_)
         return false;
     for (int s = 0; s < gpu.numSms(); ++s) {
-        if (!qosQuotasExhausted(gpu.sm(s)))
+        if (!qosQuotasExhausted(gpu.sm(s))) {
+            qosBusyAt_ = gpu.quotaVersion();
             return false;
+        }
     }
     bool any_resident = false;
     for (int k = 0; k < gpu.numKernels(); ++k)
@@ -396,7 +401,8 @@ QuotaController::onCycle(Gpu &gpu)
 
     // Rollover-Time: release stashed non-QoS quota per SM once its
     // QoS kernels exhausted theirs.
-    if (opts_.timeMux) {
+    if (opts_.timeMux && gpu.quotaVersion() != releaseIdleAt_) {
+        bool released = false;
         for (int s = 0; s < gpu.numSms(); ++s) {
             if (released_[s])
                 continue;
@@ -405,9 +411,12 @@ QuotaController::onCycle(Gpu &gpu)
                 for (int j : nonQosIds_)
                     sm.addQuota(j, pendingRelease_[s][j]);
                 released_[s] = true;
-                acted = true;
+                released = true;
             }
         }
+        releaseIdleAt_ = released ? quotaVersionNone
+                                  : gpu.quotaVersion();
+        acted |= released;
     }
 
     // Mid-epoch refill (Section 3.4.1): once every kernel on an SM
@@ -416,7 +425,8 @@ QuotaController::onCycle(Gpu &gpu)
     // the (global) epoch when every SM drains; the per-SM refill
     // also applies there so an early-draining SM is not idled by a
     // straggler SM.
-    if (!nonQosIds_.empty()) {
+    if (!nonQosIds_.empty() && gpu.quotaVersion() != refillIdleAt_) {
+        bool refilled = false;
         for (int s = 0; s < gpu.numSms(); ++s) {
             SmCore &sm = gpu.sm(s);
             if (opts_.timeMux && !released_[s])
@@ -433,9 +443,12 @@ QuotaController::onCycle(Gpu &gpu)
                 sm.addQuota(j, share);
                 if (refillGrantsCtr_)
                     refillGrantsCtr_->inc();
-                acted = true;
+                refilled = true;
             }
         }
+        refillIdleAt_ = refilled ? quotaVersionNone
+                                 : gpu.quotaVersion();
+        acted |= refilled;
     }
     return acted ? now : epochStart_ + epochLength_;
 }

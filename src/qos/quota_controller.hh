@@ -160,7 +160,7 @@ class QuotaController
     double historyAt(KernelId k, Cycle now) const;
     void distributeQuota(Gpu &gpu, KernelId k, double total_quota);
     bool qosQuotasExhausted(const SmCore &sm) const;
-    bool elasticReady(const Gpu &gpu, Cycle now) const;
+    bool elasticReady(const Gpu &gpu, Cycle now);
     void emitEpochTrace(Gpu &gpu, bool final_partial);
 
     std::vector<QosSpec> specs_;
@@ -191,6 +191,15 @@ class QuotaController
     /** Rollover-Time: non-QoS quota stashed until QoS drains. */
     std::vector<std::vector<double>> pendingRelease_;
     std::vector<bool> released_;
+
+    // Mid-epoch scan caches: the Gpu::quotaVersion() at which a scan
+    // last ran and found nothing to do (quotaVersionNone: scan next
+    // time). Between epoch starts each scan is a pure function of
+    // the SMs' quotas and residency and of this controller's epoch
+    // state, so it stays a no-op while the version holds.
+    std::uint64_t qosBusyAt_ = quotaVersionNone; //!< elastic: QoS quota left
+    std::uint64_t releaseIdleAt_ = quotaVersionNone;
+    std::uint64_t refillIdleAt_ = quotaVersionNone;
 
     // ---- telemetry (pure observers; null = disabled) ----
 

@@ -54,7 +54,14 @@ struct SchedulerState
      */
     std::uint8_t ageOrder[64] = {};
     int ageCount = 0;
-    int lastIssued = -1;         //!< lane of last issue (GTO greedy)
+    /**
+     * GTO greedy hint: the lane this scheduler last issued from and
+     * the cycle it did so. The hint holds only on the next cycle;
+     * any cycle without an issue -- executed or skipped -- breaks
+     * it, so an idle span leaves no hint state to reset.
+     */
+    int lastIssued = -1;
+    Cycle lastIssueAt = 0;
 };
 
 /**
@@ -62,12 +69,15 @@ struct SchedulerState
  *
  * @param sched scheduler state (greedy hint + age order)
  * @param candidates non-zero mask of issuable lanes
+ * @param now the current cycle: the greedy hint is honoured only
+ *        if the scheduler issued on cycle now - 1
  * @return chosen lane, or -1 if no candidate is in the age order
  */
 inline int
-pickGto(const SchedulerState &sched, std::uint64_t candidates)
+pickGto(const SchedulerState &sched, std::uint64_t candidates,
+        Cycle now)
 {
-    if (sched.lastIssued >= 0 &&
+    if (sched.lastIssued >= 0 && sched.lastIssueAt + 1 == now &&
         testBit(candidates, sched.lastIssued)) {
         return sched.lastIssued;
     }

@@ -30,7 +30,8 @@ constexpr int mshrReserve = 2;
 
 } // anonymous namespace
 
-SmCore::SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem)
+SmCore::SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem,
+               std::shared_ptr<std::uint64_t> quota_version)
     : id_(id),
       numScheds_(cfg.warpSchedulersPerSm),
       maxWarps_(cfg.maxWarpsPerSm()),
@@ -44,6 +45,7 @@ SmCore::SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem)
       drainCycles_(cfg.preemptDrainCycles),
       chargePreemptTraffic_(cfg.chargePreemptTraffic),
       mem_(&mem),
+      quotaVersion_(std::move(quota_version)),
       warps_(cfg.maxWarpsPerSm()),
       tbs_(cfg.maxTbsPerSm),
       scheds_(cfg.warpSchedulersPerSm),
@@ -61,6 +63,7 @@ SmCore::bindKernels(const std::vector<const KernelRun *> &runs)
     gqos_assert(totalResidentTbs() == 0);
     settle();
     mutVersion_++;
+    ++*quotaVersion_;
     viewDirty_ = true;
     runs_ = runs;
     for (auto &kc : kernels_)
@@ -102,6 +105,7 @@ SmCore::dispatchTb(KernelId k, std::uint64_t tb_seq,
         return false;
     settle();
     mutVersion_++;
+    ++*quotaVersion_;
     viewDirty_ = true;
     const KernelRun &run = *runs_[k];
     const KernelDesc &d = run.desc();
@@ -255,6 +259,7 @@ SmCore::freeTb(int tb_slot, TbExit exit, Cycle now)
         sc.kernelMask[k] = clearBit(sc.kernelMask[k], laneOf(wslot));
     }
     viewDirty_ = true;
+    ++*quotaVersion_;
     bool was_draining = tb.draining;
     tb.valid = false;
     tb.draining = false;
@@ -492,8 +497,10 @@ SmCore::retireInstr(Warp &w, KernelCtx &kc, Cycle ready_at)
         // running cycle keeps the view it started with.
         bool allowed = kc.quota > 0.0;
         kc.quota -= w.next.lanes;
-        if (allowed && !(kc.quota > 0.0))
+        if (allowed && !(kc.quota > 0.0)) {
             viewDirty_ = true;
+            ++*quotaVersion_;
+        }
     }
     w.instrIdx++;
     w.readyAt = ready_at;
@@ -625,14 +632,18 @@ SmCore::rebuildView()
     viewMshrCap_ = mshrMax_ -
         mshrReserve * std::max(0, resident_kernels - 1);
     std::uint32_t allowed = 0;
+    std::uint32_t gated = 0;
     std::uint32_t mshr_ok = 0;
     for (int k = 0; k < nk; ++k) {
         if (!quotaGating_ || kernels_[k].quota > 0.0)
             allowed |= 1u << k;
+        else if (kernels_[k].residentTbs > 0)
+            gated |= 1u << k;
         if (kernels_[k].mshrHeld < viewMshrCap_)
             mshr_ok |= 1u << k;
     }
     viewAllowed_ = allowed;
+    viewGated_ = gated;
     for (SchedulerState &sc : scheds_) {
         sc.allowMask = 0;
         sc.mshrBlock = 0;
@@ -680,6 +691,7 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
     // The issue loop reads the view as of the cycle's start; events
     // inside the loop only mark it dirty for the next cycle.
     const std::uint32_t allowed = allowedKernels();
+    const std::uint32_t gated = viewGated_;
     bool store_blocked = storeThrottled(now);
 
     int lsu_used = 0;
@@ -742,13 +754,12 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
                 if (cand_pre & sc.storeMask)
                     blocked_store = true;
             }
-            sc.lastIssued = -1;
             continue;
         }
 
         // cand is a subset of ready, ready holds only Live lanes
         // and every Live lane is in ageOrder, so GTO always picks.
-        int lane = pickGto(sc, cand);
+        int lane = pickGto(sc, cand, now);
         gqos_assert(lane >= 0);
         int slot = slotOf(s, lane);
         bool is_mem =
@@ -760,6 +771,7 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         if (is_mem)
             lsu_used++;
         sc.lastIssued = lane;
+        sc.lastIssueAt = now;
         any_issue = true;
     }
 
@@ -790,7 +802,7 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
     }
 
     epochCycles_++;
-    addGatedCycles(allowed, 1);
+    addGatedCycles(gated, 1);
 
     if (accounting_) {
         // Exactly one category per bound kernel per cycle keeps the
@@ -885,12 +897,11 @@ SmCore::applyInertSpan(Cycle span)
 {
     stats_.cycles += span;
     epochCycles_ += span;
-    // The reference loop resets every scheduler's greedy hint on a
-    // no-candidate cycle; every skipped cycle is one.
-    for (int s = 0; s < numScheds_; ++s)
-        scheds_[s].lastIssued = -1;
-
-    addGatedCycles(allowedKernels(), span);
+    // The schedulers' greedy hints need no update: a hint holds only
+    // on the cycle right after its issue, so the span breaks it.
+    if (viewDirty_)
+        rebuildView();
+    addGatedCycles(viewGated_, span);
 
     if (accounting_) {
         // Every classification input (ready/instr masks, residency,
@@ -928,18 +939,13 @@ SmCore::skipCycles(Cycle now, Cycle span, Cycle samples)
 }
 
 void
-SmCore::addGatedCycles(std::uint32_t allowed, Cycle span)
+SmCore::addGatedCycles(std::uint32_t gated, Cycle span)
 {
     // Track the fraction of time each kernel spends quota-gated;
     // the static allocator uses it to estimate a throttled kernel's
     // true capability.
-    if (!quotaGating_)
-        return;
-    int nk = static_cast<int>(runs_.size());
-    for (int k = 0; k < nk; ++k) {
-        if (!(allowed & (1u << k)) && kernels_[k].residentTbs > 0)
-            kernels_[k].stats.gatedCycles += span;
-    }
+    for (; gated; gated &= gated - 1)
+        kernels_[std::countr_zero(gated)].stats.gatedCycles += span;
 }
 
 void
@@ -990,6 +996,7 @@ SmCore::setQuotaGating(bool on)
     quotaGating_ = on;
     viewDirty_ = true;
     mutVersion_++;
+    ++*quotaVersion_;
 }
 
 void
@@ -1011,6 +1018,7 @@ SmCore::setQuota(KernelId k, double q)
     kernels_[k].quota = q;
     viewDirty_ = true;
     mutVersion_++;
+    ++*quotaVersion_;
 }
 
 void
@@ -1022,6 +1030,7 @@ SmCore::addQuota(KernelId k, double q)
     kernels_[k].stats.quotaRefills++;
     viewDirty_ = true;
     mutVersion_++;
+    ++*quotaVersion_;
 }
 
 double

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -76,7 +77,14 @@ class SmCore
     using TbEventFn =
         std::function<void(SmId, KernelId, TbExit)>;
 
-    SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem);
+    /**
+     * @param quota_version the quota-version counter this SM bumps
+     *        (see Gpu::quotaVersion()); a Gpu shares one among its
+     *        SMs, a standalone SM gets its own
+     */
+    SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem,
+           std::shared_ptr<std::uint64_t> quota_version =
+               std::make_shared<std::uint64_t>(0));
 
     /** Bind the co-run's kernels; index in @p runs is the KernelId. */
     void bindKernels(const std::vector<const KernelRun *> &runs);
@@ -133,8 +141,8 @@ class SmCore
      * mutVersion() unchanged -- would change nothing except the
      * pure-function-of-time counters that skipCycles() batch-applies
      * (cycles, epochCycles_, gated cycles, attribution, idle-warp
-     * samples, and the schedulers' greedy hints, which a
-     * no-candidate cycle resets to -1 anyway).
+     * samples). The schedulers' greedy hints need nothing: a hint
+     * holds only on the cycle right after its issue.
      *
      * @return true if any scheduler issued an instruction
      */
@@ -292,8 +300,8 @@ class SmCore
     /** Apply the counter side of an inert span (no samples). */
     void applyInertSpan(Cycle span);
     void settleDeferred();
-    /** Count @p span gated cycles for kernels outside @p allowed. */
-    void addGatedCycles(std::uint32_t allowed, Cycle span);
+    /** Count @p span gated cycles for the kernels in @p gated. */
+    void addGatedCycles(std::uint32_t gated, Cycle span);
     /**
      * Record @p samples identical idle-warp samples of the current
      * ready masks under the EWS mask @p allowed.
@@ -368,6 +376,14 @@ class SmCore
     bool chargePreemptTraffic_;
 
     MemSystem *mem_;
+    /**
+     * The quota-version counter (Gpu::quotaVersion()), bumped
+     * whenever an input of allQuotasExhausted() changes: kernel
+     * binding, TB dispatch and free (completion or preemption),
+     * setQuota, addQuota, setQuotaGating, and a quota crossing from
+     * > 0 to <= 0 in retireInstr. Nothing else bumps it.
+     */
+    std::shared_ptr<std::uint64_t> quotaVersion_;
     std::vector<const KernelRun *> runs_;
     std::array<KernelCtx, maxKernels> kernels_;
     std::vector<Warp> warps_;
@@ -407,6 +423,8 @@ class SmCore
     // and an MSHR count crossing the per-kernel cap. While viewDirty_
     // is false the view equals a fresh recomputation.
     std::uint32_t viewAllowed_ = 0; //!< EWS-allowed kernels
+    /** Quota-gated kernels with resident TBs (charged gatedCycles). */
+    std::uint32_t viewGated_ = 0;
     int viewMshrCap_ = 0; //!< per-kernel MSHR cap at the last rebuild
     bool viewDirty_ = true;
 

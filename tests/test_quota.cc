@@ -2,11 +2,13 @@
  * @file
  * Quota-controller tests: per-scheme carry rules, history-based
  * adjustment, the non-QoS goal search, mid-epoch refills, elastic
- * restarts and Rollover-Time blocking.
+ * restarts, Rollover-Time blocking, and the one-cycle latency of
+ * refills, releases and restarts.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.hh"
 #include "engine/sim_engine.hh"
 #include "gpu/gpu.hh"
 #include "policy/fine_grain_qos.hh"
@@ -206,6 +208,67 @@ TEST_F(QuotaFixture, RolloverTimeBlocksNonQosFirst)
     // Once QoS quotas drain each epoch the stash is released: the
     // non-QoS kernel does execute overall.
     EXPECT_GT(gpu->threadInstrs(1), 0u);
+}
+
+TEST_F(QuotaFixture, RolloverRefillLandsTheCycleAfterExhaustion)
+{
+    cfg.numSms = 2;
+    Gpu gpu(cfg);
+    gpu.launch({&a, &b});
+    FineGrainQosPolicy pol({QosSpec::qos(100.0), QosSpec::nonQos()},
+                           FineGrainOptions{}, cfg.epochLength);
+    pol.onLaunch(gpu);
+    EXPECT_GT(test::checkGrantLatency(gpu, pol, {1},
+                                      4 * cfg.epochLength), 10);
+}
+
+TEST_F(QuotaFixture, RolloverTimeReleaseAndRefillLandTheNextCycle)
+{
+    cfg.numSms = 2;
+    Gpu gpu(cfg);
+    gpu.launch({&a, &b});
+    FineGrainOptions opts;
+    opts.quota.timeMux = true;
+    FineGrainQosPolicy pol({QosSpec::qos(100.0), QosSpec::nonQos()},
+                           opts, cfg.epochLength);
+    MetricsRegistry metrics;
+    pol.attachTelemetry(nullptr, &metrics);
+    pol.onLaunch(gpu);
+    int grants = test::checkGrantLatency(gpu, pol, {1},
+                                         4 * cfg.epochLength);
+    // Refills are counted apart from releases; both were checked.
+    std::uint64_t refills = metrics.counter("qos.refill_grants").value();
+    EXPECT_GT(refills, 0u);
+    EXPECT_GT(static_cast<std::uint64_t>(grants), refills);
+}
+
+TEST_F(QuotaFixture, ElasticRestartLandsTheCycleAfterTheLastDrain)
+{
+    cfg.numSms = 2;
+    Gpu gpu(cfg);
+    gpu.launch({&a, &b});
+    FineGrainOptions opts;
+    opts.quota.scheme = QuotaScheme::Elastic;
+    FineGrainQosPolicy pol({QosSpec::qos(5.0), QosSpec::qos(2.0)},
+                           opts, cfg.epochLength);
+    pol.onLaunch(gpu);
+    SimEngine engine(EngineKind::Reference, 5 * cfg.epochLength);
+    bool due = false;
+    int restarts = 0;
+    for (Cycle c = 0; c < 5 * cfg.epochLength; ++c) {
+        int epoch = pol.quota().epochIndex();
+        engine.runUntil(gpu, pol, gpu.now() + 1);
+        if (due) {
+            EXPECT_EQ(pol.quota().epochIndex(), epoch + 1)
+                << "cycle " << gpu.now() - 1;
+            restarts++;
+        }
+        // Every QoS quota drained on every SM, with work resident.
+        due = gpu.totalResidentTbs(0) + gpu.totalResidentTbs(1) > 0;
+        for (int s = 0; s < gpu.numSms(); ++s)
+            due = due && gpu.sm(s).allQuotasExhausted();
+    }
+    EXPECT_GT(restarts, 5);
 }
 
 TEST_F(QuotaFixture, LastLeftoverSeparatesThrottledFromLimited)

@@ -26,16 +26,18 @@ TEST(Gto, GreedyPrefersLastIssuedWarp)
 {
     SchedulerState sc = withOrder({3, 5, 7});
     sc.lastIssued = 7;
+    sc.lastIssueAt = 99;
     std::uint64_t cand = setBit(setBit(0, 7), 3);
-    EXPECT_EQ(pickGto(sc, cand), 7);
+    EXPECT_EQ(pickGto(sc, cand, 100), 7);
 }
 
 TEST(Gto, FallsBackToOldestReady)
 {
     SchedulerState sc = withOrder({3, 5, 7});
     sc.lastIssued = 5;
+    sc.lastIssueAt = 99;
     std::uint64_t cand = setBit(setBit(0, 7), 3); // 5 not ready
-    EXPECT_EQ(pickGto(sc, cand), 3);
+    EXPECT_EQ(pickGto(sc, cand, 100), 3);
 }
 
 TEST(Gto, SkipsOlderNonCandidates)
@@ -43,13 +45,30 @@ TEST(Gto, SkipsOlderNonCandidates)
     SchedulerState sc = withOrder({3, 5, 7});
     sc.lastIssued = -1;
     std::uint64_t cand = setBit(0, 7);
-    EXPECT_EQ(pickGto(sc, cand), 7);
+    EXPECT_EQ(pickGto(sc, cand, 100), 7);
 }
 
 TEST(Gto, NoCandidateInOrderReturnsMinusOne)
 {
     SchedulerState sc = withOrder({3});
-    EXPECT_EQ(pickGto(sc, setBit(0, 9)), -1);
+    EXPECT_EQ(pickGto(sc, setBit(0, 9), 100), -1);
+}
+
+TEST(Gto, HintHoldsOnlyOnTheNextCycle)
+{
+    // A hint from cycle t holds at t + 1. At t + 2 or later -- the
+    // state an idle or skipped span leaves -- the pick is oldest
+    // first, as if the hint had been reset.
+    SchedulerState sc = withOrder({3, 5, 7});
+    sc.lastIssued = 7;
+    sc.lastIssueAt = 40;
+    std::uint64_t cand = setBit(setBit(0, 7), 3);
+    EXPECT_EQ(pickGto(sc, cand, 41), 7);
+    EXPECT_EQ(pickGto(sc, cand, 42), 3);
+    EXPECT_EQ(pickGto(sc, cand, 40 + 1000), 3);
+    // A fresh scheduler has no hint, even at cycle 1.
+    SchedulerState fresh = withOrder({3, 5, 7});
+    EXPECT_EQ(pickGto(fresh, cand, 1), 3);
 }
 
 } // anonymous namespace

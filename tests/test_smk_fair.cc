@@ -86,6 +86,20 @@ TEST_F(FairFixture, FairnessIndexPerfectWhenEqual)
     EXPECT_DOUBLE_EQ(fair.fairnessIndex(), 1.0);
 }
 
+TEST_F(FairFixture, RefillLandsTheCycleAfterExhaustion)
+{
+    cfg.numSms = 2;
+    Gpu gpu(cfg);
+    gpu.launch({&a, &b});
+    // Baselines a quarter of the isolated IPC shrink the fair
+    // quotas, so SMs drain (and are refilled) often.
+    SmkFairPolicy fair({isolated(a) / 4, isolated(b) / 4},
+                       cfg.epochLength);
+    fair.onLaunch(gpu);
+    EXPECT_GT(test::checkGrantLatency(gpu, fair, {0, 1},
+                                      6 * cfg.epochLength), 10);
+}
+
 TEST(SmkFairDeath, RejectsNonPositiveBaselines)
 {
     EXPECT_EXIT(SmkFairPolicy({100.0, 0.0}, 10000),
