@@ -897,8 +897,6 @@ SmCore::applyInertSpan(Cycle span)
 {
     stats_.cycles += span;
     epochCycles_ += span;
-    // The schedulers' greedy hints need no update: a hint holds only
-    // on the cycle right after its issue, so the span breaks it.
     if (viewDirty_)
         rebuildView();
     addGatedCycles(viewGated_, span);

@@ -376,13 +376,7 @@ class SmCore
     bool chargePreemptTraffic_;
 
     MemSystem *mem_;
-    /**
-     * The quota-version counter (Gpu::quotaVersion()), bumped
-     * whenever an input of allQuotasExhausted() changes: kernel
-     * binding, TB dispatch and free (completion or preemption),
-     * setQuota, addQuota, setQuotaGating, and a quota crossing from
-     * > 0 to <= 0 in retireInstr. Nothing else bumps it.
-     */
+    /** Bumped on every input change of allQuotasExhausted(). */
     std::shared_ptr<std::uint64_t> quotaVersion_;
     std::vector<const KernelRun *> runs_;
     std::array<KernelCtx, maxKernels> kernels_;
