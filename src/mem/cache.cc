@@ -77,7 +77,7 @@ Cache::access(Addr addr, KernelId kernel)
     victim->valid = true;
     victim->tag = tag;
     victim->lastUse = useClock_;
-    victim->owner = kernel;
+    victim->owner = static_cast<std::int8_t>(kernel);
     return false;
 }
 

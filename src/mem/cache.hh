@@ -78,13 +78,19 @@ class Cache
     void resetStats() { stats_.reset(); }
 
   private:
+    /**
+     * One tag. 16 bytes, so a 16-way set scan reads four host cache
+     * lines; the owner is narrowed to fit every KernelId.
+     */
     struct Line
     {
         Addr tag = 0;
         std::uint32_t lastUse = 0;
-        KernelId owner = invalidKernel;
+        std::int8_t owner = invalidKernel;
         bool valid = false;
     };
+    static_assert(sizeof(Line) == 16);
+    static_assert(maxKernels <= INT8_MAX && invalidKernel >= INT8_MIN);
 
     std::size_t setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;

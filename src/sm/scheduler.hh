@@ -20,8 +20,14 @@
 namespace gqos
 {
 
+/** Age rank of a lane that holds no warp; it ranks after every warp. */
+constexpr std::uint8_t noAgeRank = 0xFF;
+
 /**
- * State of one warp scheduler (one issue port).
+ * State of one warp scheduler (one issue port). The fields every
+ * cycle reads come first, so arbitration touches as few host cache
+ * lines as it can; kernelMask[] is read only when the issue view is
+ * rebuilt, by attribution and by idle-warp sampling.
  */
 struct SchedulerState
 {
@@ -38,8 +44,6 @@ struct SchedulerState
      */
     std::uint64_t loadMask = 0;
     std::uint64_t storeMask = 0;
-    /** Lanes belonging to each kernel (for EWS quota gating). */
-    std::uint64_t kernelMask[maxKernels] = {};
     /**
      * Issue view (SmCore::rebuildView): lanes of kernels allowed by
      * EWS quota gating, and lanes of kernels at their MSHR cap.
@@ -47,31 +51,38 @@ struct SchedulerState
     std::uint64_t allowMask = 0;
     std::uint64_t mshrBlock = 0;
     /**
-     * Occupied lanes in oldest-first dispatch order. Rebuilt only
-     * when warps enter or leave the scheduler, so the per-cycle GTO
-     * pick is a linear walk with O(1) bit tests instead of random
-     * age loads.
-     */
-    std::uint8_t ageOrder[64] = {};
-    int ageCount = 0;
-    /**
      * GTO greedy hint: the lane this scheduler last issued from and
      * the cycle it did so. The hint holds only on the next cycle;
      * any cycle without an issue -- executed or skipped -- breaks
      * it, so an idle span leaves no hint state to reset.
      */
-    int lastIssued = -1;
     Cycle lastIssueAt = 0;
+    int lastIssued = -1;
+    /**
+     * Dispatch-age rank of each lane's warp: 0 is the oldest warp,
+     * unoccupied lanes hold noAgeRank. Rebuilt only when warps enter
+     * or leave the scheduler, so the per-cycle GTO pick is a minimum
+     * over the candidate bits instead of a walk in age order.
+     */
+    std::uint8_t ageRank[64];
+    /** Lanes belonging to each kernel (for EWS quota gating). */
+    std::uint64_t kernelMask[maxKernels] = {};
+
+    SchedulerState()
+    {
+        for (std::uint8_t &r : ageRank)
+            r = noAgeRank;
+    }
 };
 
 /**
  * Pick a lane from @p candidates using greedy-then-oldest.
  *
- * @param sched scheduler state (greedy hint + age order)
- * @param candidates non-zero mask of issuable lanes
+ * @param sched scheduler state (greedy hint + age ranks)
+ * @param candidates mask of issuable lanes
  * @param now the current cycle: the greedy hint is honoured only
  *        if the scheduler issued on cycle now - 1
- * @return chosen lane, or -1 if no candidate is in the age order
+ * @return chosen lane, or -1 if no candidate holds a warp
  */
 inline int
 pickGto(const SchedulerState &sched, std::uint64_t candidates,
@@ -81,12 +92,16 @@ pickGto(const SchedulerState &sched, std::uint64_t candidates,
         testBit(candidates, sched.lastIssued)) {
         return sched.lastIssued;
     }
-    for (int i = 0; i < sched.ageCount; ++i) {
-        int lane = sched.ageOrder[i];
-        if (testBit(candidates, lane))
-            return lane;
+    int best = -1;
+    unsigned best_rank = noAgeRank;
+    for (; candidates; candidates &= candidates - 1) {
+        int lane = firstSetBit(candidates);
+        if (sched.ageRank[lane] < best_rank) {
+            best_rank = sched.ageRank[lane];
+            best = lane;
+        }
     }
-    return -1;
+    return best;
 }
 
 } // namespace gqos

@@ -294,26 +294,27 @@ void
 SmCore::rebuildAgeOrder(int sched)
 {
     SchedulerState &sc = scheds_[sched];
-    sc.ageCount = 0;
+    std::uint8_t order[64];
+    int count = 0;
     for (int lane = 0; lane < maxWarps_ / numScheds_; ++lane) {
-        int slot = slotOf(sched, lane);
-        if (warps_[slot].state != WarpState::Invalid)
-            sc.ageOrder[sc.ageCount++] =
-                static_cast<std::uint8_t>(lane);
+        sc.ageRank[lane] = noAgeRank;
+        if (warps_[slotOf(sched, lane)].state != WarpState::Invalid)
+            order[count++] = static_cast<std::uint8_t>(lane);
     }
-    // Insertion sort by warp age (oldest first); ageCount <= 64 and
+    // Insertion sort by warp age (oldest first); count <= 64 and
     // rebuilds only happen on TB dispatch/free.
-    for (int i = 1; i < sc.ageCount; ++i) {
-        std::uint8_t lane = sc.ageOrder[i];
+    for (int i = 1; i < count; ++i) {
+        std::uint8_t lane = order[i];
         std::uint64_t a = warps_[slotOf(sched, lane)].age;
         int j = i - 1;
-        while (j >= 0 &&
-               warps_[slotOf(sched, sc.ageOrder[j])].age > a) {
-            sc.ageOrder[j + 1] = sc.ageOrder[j];
+        while (j >= 0 && warps_[slotOf(sched, order[j])].age > a) {
+            order[j + 1] = order[j];
             j--;
         }
-        sc.ageOrder[j + 1] = lane;
+        order[j + 1] = lane;
     }
+    for (int i = 0; i < count; ++i)
+        sc.ageRank[order[i]] = static_cast<std::uint8_t>(i);
 }
 
 void
@@ -758,13 +759,12 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         }
 
         // cand is a subset of ready, ready holds only Live lanes
-        // and every Live lane is in ageOrder, so GTO always picks.
+        // and every Live lane has an age rank, so GTO always picks.
         int lane = pickGto(sc, cand, now);
         gqos_assert(lane >= 0);
         int slot = slotOf(s, lane);
-        bool is_mem =
-            warps_[slot].next.cls == InstrClass::GlobalLoad ||
-            warps_[slot].next.cls == InstrClass::GlobalStore;
+        // A Live lane's class bits are its next instruction's class.
+        bool is_mem = testBit(sc.loadMask | sc.storeMask, lane);
         if (accounting_)
             issued_kernels |= 1u << warps_[slot].kernel;
         issueWarp(slot, now);

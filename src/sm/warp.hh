@@ -6,6 +6,7 @@
 #ifndef GQOS_SM_WARP_HH
 #define GQOS_SM_WARP_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -36,24 +37,45 @@ enum class WarpState : std::uint8_t
 /**
  * One warp context on an SM. Plain data; the SmCore owns the arrays
  * and all behaviour.
+ *
+ * Laid out as two host cache lines: the first holds everything that
+ * decode (SmCore::generateNext) and issue read or write on every
+ * instruction, the second the memory-streaming and lifecycle fields
+ * that only memory instructions, dispatch and preemption touch.
  */
-struct Warp
+struct alignas(64) Warp
 {
+    // ---- first line: decode and issue ----
+    Rng rng;                  //!< deterministic stream generator
     Cycle readyAt = 0;        //!< earliest cycle the next instr issues
-    Cycle memDoneAt = 0;      //!< completion of in-flight mem instr
     std::uint64_t instrIdx = 0; //!< warp instructions retired in TB
+    float intensity = 1.0f;   //!< TB-group behaviour factor
+    KernelId kernel = invalidKernel;
+    NextInstr next;
+    WarpState state = WarpState::Invalid;
+    std::uint8_t phaseIdx = 0;
+
+    // ---- second line: memory streams and lifecycle ----
+    Cycle memDoneAt = 0;      //!< completion of in-flight mem instr
     std::uint64_t coldCursor = 0; //!< streaming-address cursor
     std::uint64_t age = 0;    //!< global dispatch order (GTO oldest)
     Addr coldBase = 0;        //!< this activation's streaming region
-    Rng rng;                  //!< deterministic stream generator
-    NextInstr next;
-    float intensity = 1.0f;   //!< TB-group behaviour factor
-    KernelId kernel = invalidKernel;
     std::int16_t tbSlot = -1;
-    std::uint8_t phaseIdx = 0;
-    std::uint8_t mshrHeld = 0;
-    WarpState state = WarpState::Invalid;
 };
+
+static_assert(sizeof(Warp) == 128, "Warp spans two host cache lines");
+#define GQOS_IN_FIRST_LINE(field)                                   \
+    static_assert(offsetof(Warp, field) + sizeof(Warp::field) <= 64, \
+                  #field " is read by decode/issue: first line")
+GQOS_IN_FIRST_LINE(rng);
+GQOS_IN_FIRST_LINE(readyAt);
+GQOS_IN_FIRST_LINE(instrIdx);
+GQOS_IN_FIRST_LINE(intensity);
+GQOS_IN_FIRST_LINE(kernel);
+GQOS_IN_FIRST_LINE(next);
+GQOS_IN_FIRST_LINE(state);
+GQOS_IN_FIRST_LINE(phaseIdx);
+#undef GQOS_IN_FIRST_LINE
 
 /** One thread-block slot on an SM. */
 struct TbSlot

@@ -85,6 +85,33 @@ TEST(Cache, InvalidateKernelRemovesOnlyItsLines)
     EXPECT_TRUE(c.probe(0x10000));
 }
 
+TEST(Cache, HighestKernelIdOwnsAndInvalidates)
+{
+    // Line owners are stored narrowed; the largest KernelId of a
+    // co-run must round-trip through ownership, counting, LRU
+    // re-allocation and invalidation.
+    const KernelId last = maxKernels - 1;
+    Cache c(4 * lineSizeBytes, 4); // one 4-way set
+    ASSERT_EQ(c.numSets(), 1);
+    Addr lines[5] = {0, 1 << 20, 2 << 20, 3 << 20, 4 << 20};
+    for (int i = 0; i < 3; ++i)
+        c.access(lines[i], last);
+    c.access(lines[3], 0);
+    EXPECT_EQ(c.linesOwnedBy(last), 3);
+    EXPECT_EQ(c.linesOwnedBy(0), 1);
+    EXPECT_EQ(c.linesOwnedBy(invalidKernel), 0);
+    c.access(lines[4], 0); // evicts lines[0], owned by last
+    EXPECT_EQ(c.linesOwnedBy(last), 2);
+    EXPECT_EQ(c.linesOwnedBy(0), 2);
+    c.invalidateKernel(last);
+    EXPECT_EQ(c.linesOwnedBy(last), 0);
+    EXPECT_EQ(c.linesOwnedBy(0), 2);
+    EXPECT_FALSE(c.probe(lines[1]));
+    EXPECT_FALSE(c.probe(lines[2]));
+    EXPECT_TRUE(c.probe(lines[3]));
+    EXPECT_TRUE(c.probe(lines[4]));
+}
+
 TEST(CacheDeath, RejectsIndivisibleGeometry)
 {
     EXPECT_EXIT(Cache(1000, 3), ::testing::ExitedWithCode(1), "");
