@@ -22,10 +22,10 @@
 # (bench_fig5 --cycles -5, bench_serving --drain-grace -1), whose
 # error must name the option. The default preset additionally
 # runs the engine differential smoke: every simulating figure bench,
-# and bench_serving under the serving, elastic, rollover-time and
-# spart policies, must print byte-identical stdout (and
-# byte-identical --trace JSONL) under --engine event and --engine
-# reference. The same event-engine runs are also the golden stage:
+# and bench_serving under the serving, naive, rollover, elastic,
+# rollover-time and spart policies, must print byte-identical
+# stdout (and byte-identical --trace JSONL) under --engine event and
+# --engine reference. The same event-engine runs are also the golden stage:
 # their stdout must equal tests/golden/<bench>.out and the digest of
 # their --stats-json (scripts/golden_digest.py) must equal
 # tests/golden/<bench>.digest, so a model change that moves both
