@@ -12,6 +12,8 @@
 
 #include "bench/bench_common.hh"
 
+#include "common/stats.hh"
+
 using namespace gqos;
 using namespace gqos::bench;
 
@@ -53,7 +55,7 @@ main(int argc, char **argv)
         sw.header("Ablation: static TB adjustment (Rollover, M+M "
                   "focus)");
         ReachStat st_on, st_off;
-        MeanStat mm_on, mm_off;
+        SampleStat mm_on, mm_off;
         for (double goal : paperGoalSweep()) {
             for (const auto &[qos, bg] : pairs) {
                 CaseResult on = sw.run({qos, bg}, {goal, 0.0},
@@ -107,7 +109,7 @@ main(int argc, char **argv)
             }
         }
     });
-    MeanStat thr_paid, thr_free;
+    SampleStat thr_paid, thr_free;
     std::size_t fi = 0;
     for (double goal : {0.6, 0.8}) {
         for (const auto &[qos, bg] : subsample(pairs, 6)) {

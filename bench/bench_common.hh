@@ -297,25 +297,6 @@ class ReachStat
     int success_ = 0;
 };
 
-/** Mean accumulator for throughput columns. */
-class MeanStat
-{
-  public:
-    void
-    add(double v)
-    {
-        sum_ += v;
-        n_++;
-    }
-
-    double mean() const { return n_ ? sum_ / n_ : 0.0; }
-    int count() const { return n_; }
-
-  private:
-    double sum_ = 0.0;
-    int n_ = 0;
-};
-
 inline void
 printHeader(const char *title)
 {

@@ -10,6 +10,7 @@
 
 #include "bench/bench_common.hh"
 
+#include "common/stats.hh"
 #include "policy/smk_fair.hh"
 
 using namespace gqos;
@@ -36,7 +37,7 @@ main(int argc, char **argv)
                   "fair.p0", "fair.p1", "jain", "qos.met",
                   "qos.nonQoS");
 
-        MeanStat jain, qos_nq;
+        SampleStat jain, qos_nq;
         int met = 0, total = 0;
         for (const auto &[k0, k1] : pairs) {
             // QoS mode (swept; placeholder during the Plan pass).

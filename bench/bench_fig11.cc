@@ -8,6 +8,8 @@
 
 #include "bench/bench_common.hh"
 
+#include "common/stats.hh"
+
 using namespace gqos;
 using namespace gqos::bench;
 
@@ -24,9 +26,9 @@ main(int argc, char **argv)
                   "Rollover-Time (pairs, goal-met cases)");
         sw.printf("%-6s %12s %14s\n", "goal", "rollover",
                   "rollover-time");
-        MeanStat avg_ro, avg_rt;
+        SampleStat avg_ro, avg_rt;
         for (double goal : paperGoalSweep()) {
-            MeanStat ro, rt;
+            SampleStat ro, rt;
             for (const auto &[qos, bg] : pairs) {
                 CaseResult rr = sw.run({qos, bg}, {goal, 0.0},
                                        "rollover");

@@ -11,6 +11,8 @@
 
 #include "bench/bench_common.hh"
 
+#include "common/stats.hh"
+
 using namespace gqos;
 using namespace gqos::bench;
 
@@ -31,10 +33,10 @@ main(int argc, char **argv)
         sw.printf("%-6s | %10s %10s | %10s %10s\n", "goal",
                   "sp.reach", "ro.reach", "sp.nonQoS", "ro.nonQoS");
         ReachStat avg_sp_r, avg_ro_r;
-        MeanStat avg_sp_t, avg_ro_t;
+        SampleStat avg_sp_t, avg_ro_t;
         for (double goal : paperGoalSweep()) {
             ReachStat sp_r, ro_r;
-            MeanStat sp_t, ro_t;
+            SampleStat sp_t, ro_t;
             for (const auto &[qos, bg] : pairs) {
                 CaseResult rs = sw.run({qos, bg}, {goal, 0.0},
                                        "spart");

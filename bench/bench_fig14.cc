@@ -8,6 +8,8 @@
 
 #include "bench/bench_common.hh"
 
+#include "common/stats.hh"
+
 using namespace gqos;
 using namespace gqos::bench;
 
@@ -23,9 +25,9 @@ main(int argc, char **argv)
         sw.header("Figure 14: instr/Watt improvement of Rollover "
                   "over Spart (pairs)");
         sw.printf("%-6s %12s\n", "goal", "improvement");
-        MeanStat avg;
+        SampleStat avg;
         for (double goal : paperGoalSweep()) {
-            MeanStat impr;
+            SampleStat impr;
             for (const auto &[qos, bg] : pairs) {
                 CaseResult rs = sw.run({qos, bg}, {goal, 0.0},
                                        "spart");

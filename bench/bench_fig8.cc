@@ -8,6 +8,8 @@
 
 #include "bench/bench_common.hh"
 
+#include "common/stats.hh"
+
 using namespace gqos;
 using namespace gqos::bench;
 
@@ -22,9 +24,9 @@ pairsTable(Sweep &sw,
     sw.header("Figure 8a: non-QoS throughput (pairs, "
               "goal-met cases only)");
     sw.printf("%-6s %10s %10s\n", "goal", "spart", "rollover");
-    MeanStat avg_sp, avg_ro;
+    SampleStat avg_sp, avg_ro;
     for (double goal : paperGoalSweep()) {
-        MeanStat sp, ro;
+        SampleStat sp, ro;
         for (const auto &[qos, bg] : pairs) {
             CaseResult rs = sw.run({qos, bg}, {goal, 0.0},
                                    "spart");
@@ -54,9 +56,9 @@ triosTable(Sweep &sw,
 {
     sw.header(title);
     sw.printf("%-8s %10s %10s\n", "goal", "spart", "rollover");
-    MeanStat avg_sp, avg_ro;
+    SampleStat avg_sp, avg_ro;
     for (double goal : goals) {
-        MeanStat sp, ro;
+        SampleStat sp, ro;
         for (const auto &t : trios) {
             std::vector<double> gf = {goal, 0.0, 0.0};
             if (num_qos == 2)

@@ -8,6 +8,8 @@
 
 #include "bench/bench_common.hh"
 
+#include "common/stats.hh"
+
 using namespace gqos;
 using namespace gqos::bench;
 
@@ -23,9 +25,9 @@ main(int argc, char **argv)
         sw.header("Figure 9: QoS throughput normalized to goal "
                   "(pairs, goal-met cases)");
         sw.printf("%-6s %10s %10s\n", "goal", "spart", "rollover");
-        MeanStat avg_sp, avg_ro;
+        SampleStat avg_sp, avg_ro;
         for (double goal : paperGoalSweep()) {
-            MeanStat sp, ro;
+            SampleStat sp, ro;
             for (const auto &[qos, bg] : pairs) {
                 CaseResult rs = sw.run({qos, bg}, {goal, 0.0},
                                        "spart");

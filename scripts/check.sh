@@ -31,7 +31,10 @@
 # tests/golden/<bench>.digest, so a model change that moves both
 # engines the same way still fails until the golden files are
 # regenerated and the diff is reviewed. bench_table1, which only
-# prints the machine configuration, is golden by stdout alone.
+# prints the machine configuration, is golden by stdout alone. The
+# default preset also runs `python3 perfbench/run.py --selftest`,
+# which builds the repository benchmark against the current src/
+# and runs its tests, so an API change that breaks it fails here.
 #
 #   scripts/check.sh            # all four presets + smokes
 #   scripts/check.sh default    # just the fast one
@@ -489,6 +492,8 @@ for preset in "${presets[@]}"; do
     # it once, on the fast Release binary.
     if [ "$preset" = default ]; then
         engine_smoke "$preset"
+        echo "==> [$preset] perfbench selftest"
+        python3 perfbench/run.py --selftest
     fi
 done
 

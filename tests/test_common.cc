@@ -168,15 +168,6 @@ TEST(Histogram, BoundaryGoesToLowerBucket)
     EXPECT_EQ(h.bucketCount(1), 1u);
 }
 
-TEST(RunningAverage, Lifetime)
-{
-    RunningAverage a;
-    a.add(10);
-    a.add(20);
-    EXPECT_DOUBLE_EQ(a.lifetime(), 15.0);
-    EXPECT_DOUBLE_EQ(a.last(), 20.0);
-}
-
 TEST(Cli, KeyValueForms)
 {
     const char *argv[] = {"prog", "--alpha=3", "--beta", "4",
