@@ -22,9 +22,7 @@ main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     Runner runner = makeRunner(args);
-    int n = args.getBool("full", false)
-        ? 0 : static_cast<int>(args.getInt("pairs", 8));
-    auto pairs = subsample(parboilPairs(), n);
+    auto pairs = selectedPairs(args, 8);
 
     // Parts 1 and 2 share one sweep over the standard runner.
     Sweep sweep(runner, sweepOptions(args, "ablations"));

@@ -50,13 +50,16 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
+#include "common/stats.hh"
 #include "harness/run_report.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
@@ -255,11 +258,12 @@ subsample(const std::vector<T> &all, int count)
     return out;
 }
 
+/** All pairs under --full, else --pairs of them (default @p count). */
 inline std::vector<std::pair<std::string, std::string>>
-selectedPairs(const CliArgs &args)
+selectedPairs(const CliArgs &args, int count = defaultPairs)
 {
     int n = args.getBool("full", false)
-        ? 0 : static_cast<int>(args.getInt("pairs", defaultPairs));
+        ? 0 : static_cast<int>(args.getInt("pairs", count));
     return subsample(parboilPairs(), n);
 }
 
@@ -424,6 +428,121 @@ class Sweep
     std::size_t cursor_ = 0;
     SweepStats stats_;
 };
+
+/** Kernel pairs or trios as the kernel lists Sweep::run() takes. */
+template <typename Set>
+std::vector<std::vector<std::string>>
+kernelSets(const std::vector<Set> &sets)
+{
+    std::vector<std::vector<std::string>> out;
+    for (const Set &s : sets) {
+        out.push_back(std::apply(
+            [](const auto &...k) { return std::vector{k...}; }, s));
+    }
+    return out;
+}
+
+/** A Section 4.1 statistic, shown as one column per policy. */
+enum class GoalMetric
+{
+    Reach,            //!< QoSreach over every case
+    NonQosThroughput, //!< mean nonQosThroughput(), goal-met cases
+    QosOvershoot      //!< mean qosOvershoot(), goal-met cases
+};
+
+/** One goal-sweep table: goal rows, (metric, policy) columns. */
+struct GoalTable
+{
+    const char *title;
+    std::vector<double> goals;
+    /** Leading kernels of each set that carry the row's goal. */
+    int qosKernels = 1;
+    /** 6: rows labelled "%4.0f%%"; 8: "  %3.0f%%", or "2x%3.0f%%"
+     *  with two QoS kernels. */
+    int labelWidth = 6;
+    std::vector<std::vector<std::string>> sets;
+    std::vector<std::string> policies;
+    /** Column width per policy; 10 for every policy when empty. */
+    std::vector<int> widths = {};
+    /** Column groups, metric-major, split by " |" when several. */
+    std::vector<GoalMetric> metrics = {GoalMetric::Reach};
+    /** One heading per column; the policy names when empty. */
+    std::vector<std::string> headings = {};
+};
+
+/**
+ * Run and print @p t inside a Sweep body: one sw.run() per (goal,
+ * set, policy) in that order, every metric read from that one
+ * result, one row per goal and an AVG row over all goals. QoSreach
+ * is the mean of one 0/1 sample per case (ReachStat::reach()).
+ * Returns each column's AVG value, metric-major.
+ */
+inline std::vector<double>
+goalTable(Sweep &sw, const GoalTable &t)
+{
+    const std::size_t np = t.policies.size();
+    const std::size_t nc = t.metrics.size() * np;
+    // A case's sample in a column: 0/1 for QoSreach, else none
+    // unless every goal was met.
+    auto sample = [](GoalMetric m,
+                     const CaseResult &r) -> std::optional<double> {
+        if (m == GoalMetric::Reach)
+            return r.allReached() ? 1.0 : 0.0;
+        if (!r.allReached())
+            return std::nullopt;
+        return m == GoalMetric::NonQosThroughput ? r.nonQosThroughput()
+                                                 : r.qosOvershoot();
+    };
+    auto cell = [&](std::size_t c, const char *fmt, auto value) {
+        if (t.metrics.size() > 1 && c % np == 0)
+            sw.printf(" |");
+        sw.printf(fmt, t.widths.empty() ? 10 : t.widths[c % np], value);
+    };
+    auto printRow = [&](const std::vector<SampleStat> &row) {
+        for (std::size_t c = 0; c < nc; ++c)
+            cell(c, " %*.3f", row[c].mean());
+        sw.printf("\n");
+    };
+
+    sw.header(t.title);
+    sw.printf("%-*s", t.labelWidth, "goal");
+    for (std::size_t c = 0; c < nc; ++c) {
+        cell(c, " %*s", t.headings.empty() ? t.policies[c % np].c_str()
+                                           : t.headings[c].c_str());
+    }
+    sw.printf("\n");
+
+    std::vector<SampleStat> avg(nc);
+    for (double goal : t.goals) {
+        std::vector<SampleStat> row(nc);
+        for (const std::vector<std::string> &kernels : t.sets) {
+            std::vector<double> goals(kernels.size(), 0.0);
+            std::fill_n(goals.begin(), t.qosKernels, goal);
+            for (std::size_t p = 0; p < np; ++p) {
+                CaseResult r = sw.run(kernels, goals, t.policies[p]);
+                for (std::size_t c = p; c < nc; c += np) {
+                    if (auto v = sample(t.metrics[c / np], r)) {
+                        row[c].add(*v);
+                        avg[c].add(*v);
+                    }
+                }
+            }
+        }
+        if (t.labelWidth == 6)
+            sw.printf("%4.0f%%", 100 * goal);
+        else
+            sw.printf("%s%3.0f%%", t.qosKernels == 2 ? "2x" : "  ",
+                      100 * goal);
+        printRow(row);
+    }
+    sw.printf("%-*s", t.labelWidth, "AVG");
+    printRow(avg);
+
+    std::vector<double> out;
+    for (const SampleStat &s : avg)
+        out.push_back(s.mean());
+    return out;
+}
 
 } // namespace gqos::bench
 

@@ -15,32 +15,16 @@ main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     Runner runner = makeRunner(args);
-    auto pairs = selectedPairs(args);
+    auto pairs = kernelSets(selectedPairs(args));
 
     Sweep sweep(runner, sweepOptions(args, "fig10"));
     sweep.execute([&](Sweep &sw) {
-        sw.header("Figure 10: QoSreach, Rollover vs Rollover-Time "
-                  "(pairs)");
-        sw.printf("%-6s %12s %14s\n", "goal", "rollover",
-                  "rollover-time");
-        ReachStat avg_ro, avg_rt;
-        for (double goal : paperGoalSweep()) {
-            ReachStat ro, rt;
-            for (const auto &[qos, bg] : pairs) {
-                CaseResult rr = sw.run({qos, bg}, {goal, 0.0},
-                                       "rollover");
-                CaseResult rm = sw.run({qos, bg}, {goal, 0.0},
-                                       "rollover-time");
-                ro.add(rr.allReached());
-                rt.add(rm.allReached());
-                avg_ro.add(rr.allReached());
-                avg_rt.add(rm.allReached());
-            }
-            sw.printf("%4.0f%% %12.3f %14.3f\n", 100 * goal,
-                      ro.reach(), rt.reach());
-        }
-        sw.printf("%-6s %12.3f %14.3f\n", "AVG", avg_ro.reach(),
-                  avg_rt.reach());
+        goalTable(sw, {.title = "Figure 10: QoSreach, Rollover vs "
+                                "Rollover-Time (pairs)",
+                       .goals = paperGoalSweep(),
+                       .sets = pairs,
+                       .policies = {"rollover", "rollover-time"},
+                       .widths = {12, 14}});
         sw.printf("\n[paper] similar QoSreach (difference ~3%%)\n");
     });
     return 0;

@@ -8,8 +8,6 @@
 
 #include "bench/bench_common.hh"
 
-#include "common/stats.hh"
-
 using namespace gqos;
 using namespace gqos::bench;
 
@@ -18,39 +16,21 @@ main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     Runner runner = makeRunner(args);
-    auto pairs = selectedPairs(args);
+    auto pairs = kernelSets(selectedPairs(args));
 
     Sweep sweep(runner, sweepOptions(args, "fig11"));
     sweep.execute([&](Sweep &sw) {
-        sw.header("Figure 11: non-QoS throughput, Rollover vs "
-                  "Rollover-Time (pairs, goal-met cases)");
-        sw.printf("%-6s %12s %14s\n", "goal", "rollover",
-                  "rollover-time");
-        SampleStat avg_ro, avg_rt;
-        for (double goal : paperGoalSweep()) {
-            SampleStat ro, rt;
-            for (const auto &[qos, bg] : pairs) {
-                CaseResult rr = sw.run({qos, bg}, {goal, 0.0},
-                                       "rollover");
-                CaseResult rm = sw.run({qos, bg}, {goal, 0.0},
-                                       "rollover-time");
-                if (rr.allReached()) {
-                    ro.add(rr.nonQosThroughput());
-                    avg_ro.add(rr.nonQosThroughput());
-                }
-                if (rm.allReached()) {
-                    rt.add(rm.nonQosThroughput());
-                    avg_rt.add(rm.nonQosThroughput());
-                }
-            }
-            sw.printf("%4.0f%% %12.3f %14.3f\n", 100 * goal,
-                      ro.mean(), rt.mean());
-        }
-        sw.printf("%-6s %12.3f %14.3f\n", "AVG", avg_ro.mean(),
-                  avg_rt.mean());
-        if (avg_rt.mean() > 0.0) {
+        std::vector<double> avg = goalTable(
+            sw, {.title = "Figure 11: non-QoS throughput, Rollover vs "
+                          "Rollover-Time (pairs, goal-met cases)",
+                 .goals = paperGoalSweep(),
+                 .sets = pairs,
+                 .policies = {"rollover", "rollover-time"},
+                 .widths = {12, 14},
+                 .metrics = {GoalMetric::NonQosThroughput}});
+        if (avg[1] > 0.0) {
             sw.printf("\nRollover-Time degradation: %.2fx\n",
-                      avg_ro.mean() / avg_rt.mean());
+                      avg[0] / avg[1]);
         }
         sw.printf("[paper] Rollover-Time degrades non-QoS "
                   "throughput by 1.47x\n");

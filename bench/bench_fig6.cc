@@ -21,85 +21,28 @@ main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     Runner runner = makeRunner(args);
-    auto pairs = selectedPairs(args);
-    auto trios = selectedTrios(args);
+    auto pairs = kernelSets(selectedPairs(args));
+    auto trios = kernelSets(selectedTrios(args));
 
     Sweep sweep(runner, sweepOptions(args, "fig6"));
     sweep.execute([&](Sweep &sw) {
-        // ---- (a) pairs ----
-        sw.header("Figure 6a: QoSreach vs QoS goal (pairs)");
-        const std::vector<std::string> schemes =
-            {"spart", "naive", "elastic", "rollover"};
-        sw.printf("%-6s", "goal");
-        for (const auto &s : schemes)
-            sw.printf(" %10s", s.c_str());
-        sw.printf("\n");
-
-        std::vector<ReachStat> avg(schemes.size());
-        for (double goal : paperGoalSweep()) {
-            sw.printf("%4.0f%%", 100 * goal);
-            for (std::size_t i = 0; i < schemes.size(); ++i) {
-                ReachStat rs;
-                for (const auto &[qos, bg] : pairs) {
-                    CaseResult r = sw.run({qos, bg}, {goal, 0.0},
-                                          schemes[i]);
-                    rs.add(r.allReached());
-                    avg[i].add(r.allReached());
-                }
-                sw.printf(" %10.3f", rs.reach());
-            }
-            sw.printf("\n");
-        }
-        sw.printf("%-6s", "AVG");
-        for (const auto &stat : avg)
-            sw.printf(" %10.3f", stat.reach());
-        sw.printf("\n");
-
-        // ---- (b) one QoS kernel per trio ----
-        sw.header("Figure 6b: QoSreach, trios with one QoS kernel");
-        sw.printf("%-6s %10s %10s\n", "goal", "spart", "rollover");
-        ReachStat avg_sp1, avg_ro1;
-        for (double goal : paperGoalSweep()) {
-            ReachStat sp, ro;
-            for (const auto &t : trios) {
-                CaseResult rs = sw.run({t[0], t[1], t[2]},
-                                       {goal, 0.0, 0.0}, "spart");
-                CaseResult rr = sw.run({t[0], t[1], t[2]},
-                                       {goal, 0.0, 0.0},
-                                       "rollover");
-                sp.add(rs.allReached());
-                ro.add(rr.allReached());
-                avg_sp1.add(rs.allReached());
-                avg_ro1.add(rr.allReached());
-            }
-            sw.printf("%4.0f%% %10.3f %10.3f\n", 100 * goal,
-                      sp.reach(), ro.reach());
-        }
-        sw.printf("%-6s %10.3f %10.3f\n", "AVG", avg_sp1.reach(),
-                  avg_ro1.reach());
-
-        // ---- (c) two QoS kernels per trio ----
-        sw.header("Figure 6c: QoSreach, trios with two QoS kernels");
-        sw.printf("%-8s %10s %10s\n", "goal", "spart", "rollover");
-        ReachStat avg_sp2, avg_ro2;
-        for (double goal : paperDualGoalSweep()) {
-            ReachStat sp, ro;
-            for (const auto &t : trios) {
-                CaseResult rs = sw.run({t[0], t[1], t[2]},
-                                       {goal, goal, 0.0}, "spart");
-                CaseResult rr = sw.run({t[0], t[1], t[2]},
-                                       {goal, goal, 0.0},
-                                       "rollover");
-                sp.add(rs.allReached());
-                ro.add(rr.allReached());
-                avg_sp2.add(rs.allReached());
-                avg_ro2.add(rr.allReached());
-            }
-            sw.printf("2x%3.0f%% %10.3f %10.3f\n", 100 * goal,
-                      sp.reach(), ro.reach());
-        }
-        sw.printf("%-8s %10.3f %10.3f\n", "AVG", avg_sp2.reach(),
-                  avg_ro2.reach());
+        goalTable(sw, {.title = "Figure 6a: QoSreach vs QoS goal (pairs)",
+                       .goals = paperGoalSweep(),
+                       .sets = pairs,
+                       .policies = {"spart", "naive", "elastic",
+                                    "rollover"}});
+        goalTable(sw, {.title = "Figure 6b: QoSreach, trios with one "
+                                "QoS kernel",
+                       .goals = paperGoalSweep(),
+                       .sets = trios,
+                       .policies = {"spart", "rollover"}});
+        goalTable(sw, {.title = "Figure 6c: QoSreach, trios with two "
+                                "QoS kernels",
+                       .goals = paperDualGoalSweep(),
+                       .qosKernels = 2,
+                       .labelWidth = 8,
+                       .sets = trios,
+                       .policies = {"spart", "rollover"}});
 
         sw.printf("\n[paper] 6a AVG: Spart 0.788, Naive 0.206, "
                   "Rollover 0.884 (Elastic between)\n"

@@ -35,6 +35,9 @@
 # default preset also runs `python3 perfbench/run.py --selftest`,
 # which builds the repository benchmark against the current src/
 # and runs its tests, so an API change that breaks it fails here.
+# It also runs the examples smoke: each of the five examples/
+# binaries runs with --cycles 20000 from a temporary directory and
+# must exit 0 with non-empty stdout.
 #
 #   scripts/check.sh            # all four presets + smokes
 #   scripts/check.sh default    # just the fast one
@@ -474,6 +477,28 @@ bench_ablations bench_fairness"
     done
 }
 
+examples_smoke() {
+    local preset="$1"
+    local bdir
+    bdir="$(cd "$(builddir_for "$preset")/examples" && pwd)"
+    local scratch
+    scratch="$(mktemp -d)"
+    trap 'rm -rf "$scratch"' RETURN
+
+    echo "==> [$preset] examples smoke (exit 0, non-empty stdout)"
+    # The examples write .qos_cache/ into their working directory.
+    local ex
+    for ex in characterize quickstart policy_trace video_analytics \
+              datacenter_trio; do
+        (cd "$scratch" && "$bdir/$ex" --cycles 20000) \
+            > "$scratch/$ex.out" 2>/dev/null || {
+            echo "examples smoke: $ex failed" >&2; return 1; }
+        [ -s "$scratch/$ex.out" ] || {
+            echo "examples smoke: $ex printed nothing" >&2; return 1; }
+        echo "    $ex: ok"
+    done
+}
+
 for preset in "${presets[@]}"; do
     echo "==> [$preset] configure"
     cmake --preset "$preset"
@@ -492,6 +517,7 @@ for preset in "${presets[@]}"; do
     # it once, on the fast Release binary.
     if [ "$preset" = default ]; then
         engine_smoke "$preset"
+        examples_smoke "$preset"
         echo "==> [$preset] perfbench selftest"
         python3 perfbench/run.py --selftest
     fi

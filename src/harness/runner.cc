@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <sstream>
 
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
@@ -125,21 +124,6 @@ Runner::Runner(Options opts, GpuConfig cfg,
             cache_ = ResultCache::open(cachePath_);
         }
     }
-}
-
-std::string
-Runner::caseKey(const std::vector<std::string> &kernels,
-                const std::vector<double> &goal_frac,
-                const std::string &policy) const
-{
-    std::ostringstream os;
-    os << policy;
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.4f", goal_frac[i]);
-        os << "|" << kernels[i] << ":" << buf;
-    }
-    return os.str();
 }
 
 Result<Runner::Simulated>
@@ -402,6 +386,20 @@ Runner::run(const std::vector<std::string> &kernels,
         opts_.report->addCase(std::move(rc));
     }
     return result;
+}
+
+std::string
+caseKey(const std::vector<std::string> &kernels,
+        const std::vector<double> &goals, const std::string &policy)
+{
+    std::string key = policy;
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+        char goal[32] = "?";
+        if (i < goals.size())
+            std::snprintf(goal, sizeof(goal), "%.4f", goals[i]);
+        key += "|" + kernels[i] + ":" + goal;
+    }
+    return key;
 }
 
 std::vector<double>

@@ -250,9 +250,6 @@ class Runner
         std::vector<CycleBreakdown> breakdown;
     };
 
-    std::string caseKey(const std::vector<std::string> &kernels,
-                        const std::vector<double> &goal_frac,
-                        const std::string &policy) const;
     Result<Simulated> simulate(
         const std::vector<std::string> &kernels,
         const std::vector<double> &goal_frac,
@@ -275,6 +272,12 @@ class Runner
      */
     int runDepth_ = 0;
 };
+
+/** Case key "policy|k0:g0|k1:g1" (goals "%.4f", "?" if missing) of
+ *  trace records, run-report cases and sweep errors. */
+std::string caseKey(const std::vector<std::string> &kernels,
+                    const std::vector<double> &goals,
+                    const std::string &policy);
 
 /** Standard goal sweep of the paper: 50%..95% step 5%. */
 std::vector<double> paperGoalSweep();

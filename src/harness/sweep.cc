@@ -23,7 +23,6 @@
 #include <mutex>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -52,26 +51,12 @@ struct BaselineJob
     std::optional<double> ipc; //!< set once the job has succeeded
 };
 
-std::string
-formatGoal(double goal)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.4f", goal);
-    return buf;
-}
-
 } // anonymous namespace
 
 std::string
 SweepCase::describe() const
 {
-    std::ostringstream os;
-    os << policy;
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-        os << "|" << kernels[i] << ":"
-           << (i < goals.size() ? formatGoal(goals[i]) : "?");
-    }
-    return os.str();
+    return caseKey(kernels, goals, policy);
 }
 
 int

@@ -312,11 +312,10 @@ QuotaController::beginEpoch(Gpu &gpu, bool initial)
                 // the kernel ungated for many epochs. Debt
                 // (negative counters) carries for everyone.
                 carry = std::min(cur, localQuota_[s][kid]);
-            } else if (opts_.scheme == QuotaScheme::Elastic) {
-                // At an elastic restart every counter is <= 0; at a
-                // forced boundary leftovers are discarded.
-                carry = std::min(cur, 0.0);
             } else {
+                // Only debt carries. At an elastic restart every
+                // counter is <= 0; at a forced boundary leftovers
+                // are discarded.
                 carry = std::min(cur, 0.0);
             }
             double share = localQuota_[s][kid];

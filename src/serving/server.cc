@@ -72,6 +72,22 @@ isolatedBaseline(const KernelDesc &desc, const GpuConfig &cfg,
     return gpu.ipc(0);
 }
 
+/** Add one finished run's totals to the serving.* counters. */
+void
+exportServingCounters(const ServingReport &report, MetricsRegistry &m)
+{
+    for (const TenantServingStats &t : report.tenants) {
+        m.counter("serving.arrivals").inc(t.arrivals);
+        m.counter("serving.admitted").inc(t.admitted);
+        m.counter("serving.completed").inc(t.completed);
+        m.counter("serving.rejected")
+            .inc(t.rejectedQueueFull + t.rejectedShed +
+                 t.rejectedProjected);
+        m.counter("serving.abandoned").inc(t.abandoned);
+        m.counter("serving.tenant_stalls").inc(t.stalled ? 1 : 0);
+    }
+}
+
 } // anonymous namespace
 
 ServingDriver::ServingDriver(std::vector<TenantSpec> tenants,
@@ -179,18 +195,6 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
     TraceSink *out = sink ? &labeled : nullptr;
     policy.attachTelemetry(out, opts_.metrics);
 
-    MetricsRegistry::Counter *cArrivals = nullptr, *cAdmit = nullptr,
-                             *cComplete = nullptr, *cReject = nullptr,
-                             *cAbandon = nullptr, *cStall = nullptr;
-    if (opts_.metrics) {
-        cArrivals = &opts_.metrics->counter("serving.arrivals");
-        cAdmit = &opts_.metrics->counter("serving.admitted");
-        cComplete = &opts_.metrics->counter("serving.completed");
-        cReject = &opts_.metrics->counter("serving.rejected");
-        cAbandon = &opts_.metrics->counter("serving.abandoned");
-        cStall = &opts_.metrics->counter("serving.tenant_stalls");
-    }
-
     Gpu gpu(cfg_);
     std::vector<const KernelDesc *> descPtrs;
     for (const KernelDesc &d : descs_)
@@ -281,8 +285,6 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
                 st.sloMet++;
             }
             st.maxLatency = std::max(st.maxLatency, latency);
-            if (cComplete)
-                cComplete->inc();
             emit("complete", t, ts[t].req.seq, latency, "");
             ts[t].running = false;
         }
@@ -293,30 +295,20 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
             const Arrival &a = arrivals[ai++];
             TenantServingStats &st = report.tenants[a.tenant];
             st.arrivals++;
-            if (cArrivals)
-                cArrivals->inc();
             const AdmitOutcome outcome = admission.onArrival(
                 a.tenant, a.seq, now, ts[a.tenant].ewmaService);
             switch (outcome) {
               case AdmitOutcome::Admitted:
                 st.admitted++;
-                if (cAdmit)
-                    cAdmit->inc();
                 break;
               case AdmitOutcome::RejectedQueueFull:
                 st.rejectedQueueFull++;
-                if (cReject)
-                    cReject->inc();
                 break;
               case AdmitOutcome::RejectedShed:
                 st.rejectedShed++;
-                if (cReject)
-                    cReject->inc();
                 break;
               case AdmitOutcome::RejectedProjected:
                 st.rejectedProjected++;
-                if (cReject)
-                    cReject->inc();
                 break;
             }
             emit("arrival", a.tenant, a.seq, 0, toString(outcome));
@@ -331,8 +323,6 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
             for (const QueuedRequest &req :
                  admission.expireAbandoned(t, now)) {
                 report.tenants[t].abandoned++;
-                if (cAbandon)
-                    cAbandon->inc();
                 emit("abandon", t, req.seq, now - req.arrival,
                      "deadline");
             }
@@ -379,8 +369,6 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
             if (ts[t].stall.observe(now, instrs, live)) {
                 report.tenants[t].stalled = true;
                 report.anyTenantStalled = true;
-                if (cStall)
-                    cStall->inc();
                 emit("tenant_stalled", t, ts[t].req.seq,
                      now - ts[t].dispatchedAt, "watchdog");
                 gqos_warn("serving: tenant '%s' stalled at cycle "
@@ -473,6 +461,8 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
                     st.completed + st.abandoned +
                         st.droppedAtShutdown);
     }
+    if (opts_.metrics)
+        exportServingCounters(report, *opts_.metrics);
     if (out)
         out->flush();
     return report;

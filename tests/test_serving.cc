@@ -754,6 +754,43 @@ TEST(ServingDriver, MetricsCarryEngineCounters)
     EXPECT_EQ(stepped + skipped, r.endCycle);
 }
 
+TEST(ServingDriver, ServingCountersEqualReportSums)
+{
+    // The overload mix of OverloadDegradesElasticBeforeGuaranteed:
+    // every counter, rejections and abandonment included, moves.
+    std::vector<TenantSpec> mix = servingMix();
+    for (TenantSpec &t : mix)
+        t.queueCap = 4;
+    MetricsRegistry metrics;
+    ServingOptions opts = servingOpts();
+    opts.drainGrace = 100000;
+    opts.metrics = &metrics;
+    ServingReport r = runServing(servingArrivals(0.3, 250000),
+                                 nullptr, opts, mix);
+    std::uint64_t arrivals = 0, admitted = 0, completed = 0,
+                  rejected = 0, abandoned = 0, stalls = 0;
+    for (const TenantServingStats &t : r.tenants) {
+        arrivals += t.arrivals;
+        admitted += t.admitted;
+        completed += t.completed;
+        rejected += t.rejectedQueueFull + t.rejectedShed +
+                    t.rejectedProjected;
+        abandoned += t.abandoned;
+        stalls += t.stalled ? 1 : 0;
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(abandoned + completed, 0u);
+    EXPECT_EQ(metrics.counter("serving.arrivals").value(), arrivals);
+    EXPECT_EQ(metrics.counter("serving.admitted").value(), admitted);
+    EXPECT_EQ(metrics.counter("serving.completed").value(),
+              completed);
+    EXPECT_EQ(metrics.counter("serving.rejected").value(), rejected);
+    EXPECT_EQ(metrics.counter("serving.abandoned").value(),
+              abandoned);
+    EXPECT_EQ(metrics.counter("serving.tenant_stalls").value(),
+              stalls);
+}
+
 TEST(ServingDriver, RejectsInvalidOptions)
 {
     ServingOptions opts = servingOpts();
