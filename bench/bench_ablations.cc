@@ -10,6 +10,8 @@
  * Plus the epoch-length sensitivity check DESIGN.md calls out.
  */
 
+#include <map>
+
 #include "bench/bench_common.hh"
 
 #include "common/stats.hh"
@@ -24,44 +26,26 @@ main(int argc, char **argv)
     Runner runner = makeRunner(args);
     auto pairs = selectedPairs(args, 8);
 
-    // Parts 1 and 2 share one sweep over the standard runner.
+    // Parts 1 and 2 share one sweep over the standard runner: each
+    // (goal, pair) runs rollover and its two ablated variants once.
+    // The preemption leg below reuses the paid rollover results.
+    std::map<std::string, CaseResult> paid;
     Sweep sweep(runner, sweepOptions(args, "ablations"));
     sweep.execute([&](Sweep &sw) {
-        // ---- history adjustment ----
-        sw.header("Ablation: history-based quota adjustment "
-                  "(Rollover)");
-        ReachStat with_h, without_h;
-        for (double goal : paperGoalSweep()) {
-            for (const auto &[qos, bg] : pairs) {
-                with_h.add(sw.run({qos, bg}, {goal, 0.0},
-                                  "rollover").allReached());
-                without_h.add(sw.run({qos, bg}, {goal, 0.0},
-                                     "rollover-nohist")
-                                  .allReached());
-            }
-        }
-        sw.printf("QoSreach with history:    %.3f (%d/%d)\n",
-                  with_h.reach(), with_h.success(),
-                  with_h.total());
-        sw.printf("QoSreach without history: %.3f (%d/%d)\n",
-                  without_h.reach(), without_h.success(),
-                  without_h.total());
-        sw.printf("[paper] enabling history covers 86.4%% more "
-                  "cases\n");
-
-        // ---- static TB adjustment (M+M pairs) ----
-        sw.header("Ablation: static TB adjustment (Rollover, M+M "
-                  "focus)");
-        ReachStat st_on, st_off;
+        ReachStat reach_on, reach_nohist, reach_nostatic;
         SampleStat mm_on, mm_off;
         for (double goal : paperGoalSweep()) {
             for (const auto &[qos, bg] : pairs) {
                 CaseResult on = sw.run({qos, bg}, {goal, 0.0},
                                        "rollover");
+                CaseResult nohist = sw.run({qos, bg}, {goal, 0.0},
+                                           "rollover-nohist");
                 CaseResult off = sw.run({qos, bg}, {goal, 0.0},
                                         "rollover-nostatic");
-                st_on.add(on.allReached());
-                st_off.add(off.allReached());
+                paid[caseKey({qos, bg}, {goal, 0.0}, "rollover")] = on;
+                reach_on.add(on.allReached());
+                reach_nohist.add(nohist.allReached());
+                reach_nostatic.add(off.allReached());
                 bool mm = parboilKernel(qos).wclass ==
                               WorkloadClass::Memory &&
                           parboilKernel(bg).wclass ==
@@ -72,10 +56,26 @@ main(int argc, char **argv)
                     mm_off.add(off.nonQosThroughput());
             }
         }
+
+        // ---- history adjustment ----
+        sw.header("Ablation: history-based quota adjustment "
+                  "(Rollover)");
+        sw.printf("QoSreach with history:    %.3f (%d/%d)\n",
+                  reach_on.reach(), reach_on.success(),
+                  reach_on.total());
+        sw.printf("QoSreach without history: %.3f (%d/%d)\n",
+                  reach_nohist.reach(), reach_nohist.success(),
+                  reach_nohist.total());
+        sw.printf("[paper] enabling history covers 86.4%% more "
+                  "cases\n");
+
+        // ---- static TB adjustment (M+M pairs) ----
+        sw.header("Ablation: static TB adjustment (Rollover, M+M "
+                  "focus)");
         sw.printf("QoSreach with static adjust:    %.3f\n",
-                  st_on.reach());
+                  reach_on.reach());
         sw.printf("QoSreach without static adjust: %.3f\n",
-                  st_off.reach());
+                  reach_nostatic.reach());
         if (mm_off.mean() > 0.0) {
             sw.printf("M+M non-QoS throughput: %.3f vs %.3f "
                       "(%+.1f%%)\n", mm_on.mean(), mm_off.mean(),
@@ -87,42 +87,36 @@ main(int argc, char **argv)
 
     // ---- preemption overhead ----
     // The free-preemption variant runs on its own runner (distinct
-    // cache file), so it gets its own sweep; the paid counterparts
-    // were already swept above and replay from the warm cache.
+    // cache file), so it gets its own sweep; its paid counterparts
+    // are rollover cases of the sweep above.
     printHeader("Ablation: preemption (partial context switch) "
                 "cost");
     Runner::Options free_opts = runnerOptions(args);
     free_opts.freePreemption = true;
     Runner free_runner = okOrDie(Runner::make(free_opts));
-    std::vector<CaseResult> free_results;
+    SampleStat thr_paid, thr_free;
     Sweep free_sweep(free_runner,
                      sweepOptions(args, "ablations-freepre"));
     free_sweep.execute([&](Sweep &sw) {
         for (double goal : {0.6, 0.8}) {
             for (const auto &[qos, bg] : subsample(pairs, 6)) {
-                CaseResult r = sw.run({qos, bg}, {goal, 0.0},
-                                      "rollover");
-                if (!sw.planning())
-                    free_results.push_back(r);
+                CaseResult free_r = sw.run({qos, bg}, {goal, 0.0},
+                                           "rollover");
+                if (sw.planning())
+                    continue;
+                const CaseResult &paid_r =
+                    paid.at(caseKey({qos, bg}, {goal, 0.0},
+                                    "rollover"));
+                // Compare total throughput (QoS + non-QoS IPC share).
+                double tp = paid_r.kernels[1].normalizedThroughput();
+                double tf = free_r.kernels[1].normalizedThroughput();
+                if (tf > 0.0) {
+                    thr_paid.add(tp);
+                    thr_free.add(tf);
+                }
             }
         }
     });
-    SampleStat thr_paid, thr_free;
-    std::size_t fi = 0;
-    for (double goal : {0.6, 0.8}) {
-        for (const auto &[qos, bg] : subsample(pairs, 6)) {
-            CaseResult paid = runCase(runner, {qos, bg},
-                                      {goal, 0.0}, "rollover");
-            CaseResult free_r = free_results[fi++];
-            // Compare total throughput (QoS + non-QoS IPC share).
-            double tp = paid.kernels[1].normalizedThroughput();
-            double tf = free_r.kernels[1].normalizedThroughput();
-            if (tf > 0.0) {
-                thr_paid.add(tp);
-                thr_free.add(tf);
-            }
-        }
-    }
     if (thr_free.mean() > 0.0) {
         std::printf("non-QoS throughput with preemption cost: "
                     "%.3f, free: %.3f -> overhead %.2f%%\n",

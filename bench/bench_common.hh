@@ -77,10 +77,9 @@ constexpr int defaultTrios = 12;
 
 /**
  * Process-wide telemetry owned by the bench binary. The trace sink,
- * metrics registry and run report outlive every Runner (and every
- * Options copy handed to sweep workers); the destructor — running at
- * static teardown after main() returns — writes the --stats-json
- * report and closes the trace file.
+ * metrics registry and run report outlive every Runner; the
+ * destructor — running at static teardown after main() returns —
+ * writes the --stats-json report and closes the trace file.
  */
 struct BenchTelemetry
 {
@@ -227,14 +226,6 @@ inline Runner
 makeRunner(const CliArgs &args, const std::string &config = "default")
 {
     return okOrDie(Runner::make(runnerOptions(args, config)));
-}
-
-/** Run one case or fatal() with the error message. */
-inline CaseResult
-runCase(Runner &runner, const std::vector<std::string> &kernels,
-        const std::vector<double> &goals, const std::string &policy)
-{
-    return okOrDie(runner.run(kernels, goals, policy));
 }
 
 /** Isolated-baseline lookup or fatal(). */

@@ -36,10 +36,8 @@
  *                        P.<label>.jsonl (replayable via file:)
  */
 
-#include <atomic>
 #include <cinttypes>
 #include <cmath>
-#include <thread>
 
 #include "bench/bench_common.hh"
 #include "common/fault_injection.hh"
@@ -59,8 +57,6 @@ struct LoadPoint
     std::vector<Arrival> arrivals;
     ServingReport report;
     RecordingTraceSink buffer;
-    bool failed = false;
-    std::string error;
 };
 
 std::string
@@ -207,66 +203,47 @@ servingMain(const CliArgs &args)
     // ---- run the points across workers; results are deterministic
     // because each point buffers its trace records and faults are
     // scoped to the point's submission index ----
-    int jobs = static_cast<int>(args.getInt("jobs", 0));
-    if (jobs <= 0)
-        jobs = defaultSweepJobs();
-    jobs = std::min<int>(jobs, static_cast<int>(points.size()));
-
-    std::atomic<std::size_t> nextPoint{0};
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t i =
-                nextPoint.fetch_add(1, std::memory_order_relaxed);
-            if (i >= points.size())
-                return;
-            LoadPoint &pt = points[i];
-            FaultInjector::instance().beginScope(i);
-            if (fromFile) {
-                std::uint64_t malformed = 0;
-                auto loaded = loadArrivalTrace(
-                    arrivalSpec.substr(5),
-                    static_cast<int>(mix.size()), &malformed);
-                if (!loaded.ok()) {
-                    pt.failed = true;
-                    pt.error = loaded.error().describe();
-                    continue;
-                }
-                pt.arrivals = std::move(loaded.value());
-            }
-            ServingOptions opts = base;
-            opts.caseKey = "serving|" + pt.label;
-            auto driver = ServingDriver::make(mix, opts);
-            if (!driver.ok()) {
-                pt.failed = true;
-                pt.error = driver.error().describe();
-                continue;
-            }
-            // The point buffers its records for in-order replay to
-            // the process-wide sink; with no sink attached the run
-            // stays on the untraced fast path.
-            auto rep = driver.value()->run(
-                pt.arrivals, tel.sink() ? &pt.buffer : nullptr);
-            if (!rep.ok()) {
-                pt.failed = true;
-                pt.error = rep.error().describe();
-                continue;
-            }
-            pt.report = std::move(rep.value());
+    auto runPoint = [&](LoadPoint &pt) -> Result<void> {
+        if (fromFile) {
+            std::uint64_t malformed = 0;
+            auto loaded = loadArrivalTrace(
+                arrivalSpec.substr(5), static_cast<int>(mix.size()),
+                &malformed);
+            if (!loaded.ok())
+                return loaded.error();
+            pt.arrivals = std::move(loaded.value());
         }
+        ServingOptions opts = base;
+        opts.caseKey = "serving|" + pt.label;
+        auto driver = ServingDriver::make(mix, opts);
+        if (!driver.ok())
+            return driver.error();
+        // The point buffers its records for in-order replay to the
+        // process-wide sink; with no sink attached the run stays on
+        // the untraced fast path.
+        auto rep = driver.value()->run(
+            pt.arrivals, tel.sink() ? &pt.buffer : nullptr);
+        if (!rep.ok())
+            return rep.error();
+        pt.report = std::move(rep.value());
+        return {};
     };
-    std::vector<std::thread> threads;
-    for (int j = 1; j < jobs; ++j)
-        threads.emplace_back(worker);
-    worker();
-    for (std::thread &t : threads)
-        t.join();
+    okOrDie(forEachOrdered(
+        points.size(), static_cast<int>(args.getInt("jobs", 0)),
+        [&](std::size_t i) -> Result<void> {
+            FaultInjector::instance().beginScope(i);
+            Result<void> r = runPoint(points[i]);
+            if (!r.ok()) {
+                return Error(r.error().code(),
+                             points[i].label + ": " +
+                                 r.error().message());
+            }
+            return {};
+        }));
 
     // ---- emit in submission order: stdout, trace, report ----
     printHeader("Online serving: attainment vs load");
     for (const LoadPoint &pt : points) {
-        if (pt.failed)
-            gqos_fatal("%s: %s", pt.label.c_str(),
-                       pt.error.c_str());
         if (TraceSink *s = tel.sink())
             pt.buffer.replayTo(*s);
         printPoint(pt, mix, base.policy);

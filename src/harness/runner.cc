@@ -67,12 +67,6 @@ CaseResult::qosOvershoot() const
 Result<Runner>
 Runner::make(Options opts)
 {
-    return make(std::move(opts), nullptr);
-}
-
-Result<Runner>
-Runner::make(Options opts, std::shared_ptr<ResultCache> cache)
-{
     Result<GpuConfig> cfg = configByName(opts.configName);
     if (!cfg.ok())
         return cfg.error();
@@ -98,12 +92,10 @@ Runner::make(Options opts, std::shared_ptr<ResultCache> cache)
                                  ec.message().c_str());
         }
     }
-    return Runner(std::move(opts), std::move(cfg).value(),
-                  std::move(cache));
+    return Runner(std::move(opts), std::move(cfg).value());
 }
 
-Runner::Runner(Options opts, GpuConfig cfg,
-               std::shared_ptr<ResultCache> cache)
+Runner::Runner(Options opts, GpuConfig cfg)
     : opts_(std::move(opts)), cfg_(std::move(cfg))
 {
     if (opts_.freePreemption) {
@@ -117,12 +109,7 @@ Runner::Runner(Options opts, GpuConfig cfg,
                      std::to_string(opts_.warmupCycles) +
                      (opts_.freePreemption ? "-freepre" : "") +
                      ".csv";
-        if (cache) {
-            gqos_assert(cache->path() == cachePath_);
-            cache_ = std::move(cache);
-        } else {
-            cache_ = ResultCache::open(cachePath_);
-        }
+        cache_ = ResultCache::open(cachePath_);
     }
 }
 
@@ -141,7 +128,7 @@ Runner::simulate(const std::vector<std::string> &kernels,
             return desc.error();
         descs.push_back(desc.value());
         if (goal_frac[i] > 0.0) {
-            Result<double> iso = isolatedIpc(kernels[i]);
+            Result<double> iso = baseline(kernels[i], false);
             if (!iso.ok())
                 return iso.error();
             // A window too short to retire anything leaves no goal
@@ -243,7 +230,10 @@ Runner::simulate(const std::vector<std::string> &kernels,
     c.preemptions = pre;
     c.dramPerKcycle = 1000.0 *
         gpu.mem().totalDramAccesses() / std::max<Cycle>(1, gpu.now());
-    simulated_++;
+    const int done = [&] {
+        std::lock_guard<std::mutex> guard(shared_->mutex);
+        return ++shared_->simulated;
+    }();
     if (opts_.metrics) {
         opts_.metrics->counter("harness.cases_simulated").inc();
         exportEngineCounters(engine, gpu, *opts_.metrics);
@@ -251,21 +241,46 @@ Runner::simulate(const std::vector<std::string> &kernels,
     if (opts_.verbose) {
         gqos_inform("simulated %s [%d done]",
                     caseKey(kernels, goal_frac, policy).c_str(),
-                    simulated_);
+                    done);
     }
     return out;
+}
+
+std::map<std::string, double>
+Runner::isolatedBaselines() const
+{
+    std::lock_guard<std::mutex> guard(shared_->mutex);
+    return shared_->baselines;
+}
+
+int
+Runner::simulatedCases() const
+{
+    std::lock_guard<std::mutex> guard(shared_->mutex);
+    return shared_->simulated;
 }
 
 Result<double>
 Runner::isolatedIpc(const std::string &kernel)
 {
-    if (auto it = baselines_.find(kernel); it != baselines_.end())
-        return it->second;
-    Result<CaseResult> r = run({kernel}, {0.0}, "even");
+    return baseline(kernel, true);
+}
+
+Result<double>
+Runner::baseline(const std::string &kernel, bool report)
+{
+    {
+        std::lock_guard<std::mutex> guard(shared_->mutex);
+        auto it = shared_->baselines.find(kernel);
+        if (it != shared_->baselines.end())
+            return it->second;
+    }
+    Result<CaseResult> r = execute({kernel}, {0.0}, "even", report);
     if (!r.ok())
         return r.error();
     const double ipc = r.value().kernels[0].ipc;
-    baselines_.emplace(kernel, ipc);
+    std::lock_guard<std::mutex> guard(shared_->mutex);
+    shared_->baselines.emplace(kernel, ipc);
     return ipc;
 }
 
@@ -273,6 +288,14 @@ Result<CaseResult>
 Runner::run(const std::vector<std::string> &kernels,
             const std::vector<double> &goal_frac,
             const std::string &policy)
+{
+    return execute(kernels, goal_frac, policy, true);
+}
+
+Result<CaseResult>
+Runner::execute(const std::vector<std::string> &kernels,
+                const std::vector<double> &goal_frac,
+                const std::string &policy, bool report)
 {
     if (kernels.size() != goal_frac.size()) {
         return Error::format(
@@ -292,14 +315,6 @@ Runner::run(const std::vector<std::string> &kernels,
         }
     }
 
-    // Isolated-baseline lookups recurse through run(); only the
-    // depth-1 (caller-visible) case feeds the report.
-    runDepth_++;
-    struct DepthGuard
-    {
-        int &d;
-        ~DepthGuard() { d--; }
-    } depth_guard{runDepth_};
     auto t0 = std::chrono::steady_clock::now();
 
     std::string key = caseKey(kernels, goal_frac, policy);
@@ -353,7 +368,7 @@ Runner::run(const std::vector<std::string> &kernels,
         if (kernels.size() == 1 && policy == "even") {
             kr.ipcIsolated = kr.ipc;
         } else {
-            Result<double> iso = isolatedIpc(kernels[i]);
+            Result<double> iso = baseline(kernels[i], false);
             if (!iso.ok())
                 return iso.error();
             kr.ipcIsolated = iso.value();
@@ -362,7 +377,7 @@ Runner::run(const std::vector<std::string> &kernels,
         result.kernels.push_back(std::move(kr));
     }
 
-    if (opts_.report && runDepth_ == 1) {
+    if (opts_.report && report) {
         ReportCase rc;
         rc.key = key;
         rc.freePreemption = opts_.freePreemption;

@@ -13,9 +13,10 @@
  * non-advancing simulations with a structured error instead of
  * spinning forever.
  *
- * Concurrency: one Runner must stay on one thread, but several
- * Runners (one per sweep worker, see harness/sweep.hh) may share a
- * single ResultCache, which is thread-safe.
+ * Concurrency: a Runner is thread-safe. Sweep workers (see
+ * harness/sweep.hh) all run cases on their caller's Runner; its
+ * baseline memo and simulation count sit behind one mutex, and the
+ * ResultCache and the telemetry observers are thread-safe too.
  */
 
 #ifndef GQOS_HARNESS_RUNNER_HH
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -134,11 +136,11 @@ class Runner
         EngineKind engine = EngineKind::Event;
 
         // -- telemetry (observers, owned by the caller; all three
-        //    must outlive every Runner copied from these options) --
+        //    must outlive every Runner built from these options) --
 
         /**
-         * Epoch-trace sink shared by every case this runner (and
-         * its sweep workers) simulates. Records are stamped with
+         * Epoch-trace sink shared by every case this runner
+         * simulates, on any sweep worker. Records are stamped with
          * the case key, so one file can hold a whole sweep. Null =
          * no tracing. Tracing never changes simulation results.
          */
@@ -159,45 +161,21 @@ class Runner
      */
     static Result<Runner> make(Options opts);
 
-    /**
-     * Like make(), but share @p cache instead of opening (and
-     * re-loading) the cache file. Used by sweep workers so every
-     * thread sees one coherent memo. @p cache must back the same
-     * file the options resolve to; a null @p cache behaves exactly
-     * like make(opts).
-     */
-    static Result<Runner> make(Options opts,
-                               std::shared_ptr<ResultCache> cache);
-
     Runner(Runner &&) = default;
     Runner &operator=(Runner &&) = default;
 
     /**
      * Isolated (full-GPU, single-kernel) IPC of @p kernel. Each
      * kernel is looked up in the result cache or simulated at most
-     * once per Runner; successful results are memoized in memory,
-     * so a cache-off Runner does not re-simulate baselines per case.
+     * once per Runner (unless two threads ask for the same missing
+     * kernel at once; a sweep's pre-pass asks for each kernel once);
+     * successful results are memoized in memory, so a cache-off
+     * Runner does not re-simulate baselines per case.
      */
     Result<double> isolatedIpc(const std::string &kernel);
 
     /** Baselines memoized so far (kernel name -> isolated IPC). */
-    const std::map<std::string, double> &
-    isolatedBaselines() const
-    {
-        return baselines_;
-    }
-
-    /**
-     * Adopt @p baselines measured by a Runner with the same options
-     * (a sweep hands its pre-pass results to every worker Runner).
-     * Entries this Runner already holds are kept.
-     */
-    void
-    adoptIsolatedBaselines(
-        const std::map<std::string, double> &baselines)
-    {
-        baselines_.insert(baselines.begin(), baselines.end());
-    }
+    std::map<std::string, double> isolatedBaselines() const;
 
     /**
      * Run one co-run case.
@@ -214,7 +192,7 @@ class Runner
     const Options &options() const { return opts_; }
 
     /** Cases simulated (not served from cache) so far. */
-    int simulatedCases() const { return simulated_; }
+    int simulatedCases() const;
 
     /** Cache lines quarantined while loading the cache file. */
     int
@@ -226,7 +204,7 @@ class Runner
     /** On-disk cache file backing this runner ("" if disabled). */
     const std::string &cachePath() const { return cachePath_; }
 
-    /** The cache instance, for sharing with make() (may be null). */
+    /** The cache instance (null when the cache is off). */
     std::shared_ptr<ResultCache> sharedCache() const
     {
         return cache_;
@@ -236,8 +214,19 @@ class Runner
     static constexpr const char *cacheHeader = ResultCache::header;
 
   private:
-    Runner(Options opts, GpuConfig cfg,
-           std::shared_ptr<ResultCache> cache);
+    Runner(Options opts, GpuConfig cfg);
+
+    /**
+     * run() and isolatedIpc(): look the case up in the cache or
+     * simulate it. @p report adds it to the run report; a caller's
+     * case is reported, a nested baseline lookup is not.
+     */
+    Result<CaseResult> execute(const std::vector<std::string> &kernels,
+                               const std::vector<double> &goal_frac,
+                               const std::string &policy, bool report);
+
+    /** isolatedIpc(), reporting a simulated baseline if @p report. */
+    Result<double> baseline(const std::string &kernel, bool report);
 
     /** What one simulate() call measured. */
     struct Simulated
@@ -259,18 +248,22 @@ class Runner
     GpuConfig cfg_;
     std::string cachePath_;
     std::shared_ptr<ResultCache> cache_;
-    /**
-     * isolatedIpc() memo. The kernel name is a complete key: config,
-     * cycles, warmup, free preemption and engine are fixed per
-     * Runner, and both engines are bit-identical by contract.
-     */
-    std::map<std::string, double> baselines_;
-    int simulated_ = 0;
-    /**
-     * run() nesting depth: isolated-baseline runs recurse through
-     * run(), and only depth-1 calls are report-worthy cases.
-     */
-    int runDepth_ = 0;
+
+    /** What concurrent callers update, behind one mutex. */
+    struct Shared
+    {
+        std::mutex mutex;
+        /**
+         * isolatedIpc() memo. The kernel name is a complete key:
+         * config, cycles, warmup, free preemption and engine are
+         * fixed per Runner, and both engines are bit-identical by
+         * contract.
+         */
+        std::map<std::string, double> baselines;
+        int simulated = 0;
+    };
+    /** Heap-held so the Runner stays movable. */
+    std::unique_ptr<Shared> shared_ = std::make_unique<Shared>();
 };
 
 /** Case key "policy|k0:g0|k1:g1" (goals "%.4f", "?" if missing) of

@@ -3,10 +3,10 @@
  * Sweep-executor implementation.
  *
  * Structure: the case list is executed in two phases — isolated-
- * baseline warm-up and the cases themselves — by a fixed pool of
- * workers that pop a shared atomic cursor. Because the cursor is
- * popped in submission order, the first error recorded with the
- * lowest submission priority is exactly the error the sequential
+ * baseline warm-up and the cases themselves — each one
+ * forEachOrdered() call on the caller's Runner. Workers pop a shared
+ * atomic cursor, so indices start in submission order and the error
+ * of the lowest failing index is exactly the error the sequential
  * path would have hit first, which keeps failure reporting
  * deterministic under any job count.
  */
@@ -19,7 +19,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -27,9 +26,9 @@
 #include <utility>
 
 #include "common/fault_injection.hh"
-#include "common/logging.hh"
 #include "common/metrics.hh"
 #include "harness/run_report.hh"
+#include "telemetry/trace.hh"
 
 namespace gqos
 {
@@ -48,7 +47,6 @@ struct BaselineJob
 {
     std::string kernel;
     std::size_t firstCase; //!< first case referencing the kernel
-    std::optional<double> ipc; //!< set once the job has succeeded
 };
 
 } // anonymous namespace
@@ -64,6 +62,52 @@ defaultSweepJobs()
 {
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+Result<void>
+forEachOrdered(std::size_t count, int jobs,
+               const std::function<Result<void>(std::size_t)> &work)
+{
+    std::atomic<std::size_t> cursor{0};
+    std::atomic<bool> failed{false};
+    std::mutex errMutex;
+    std::optional<Error> firstError;
+    std::size_t firstFailure = count;
+
+    auto loop = [&] {
+        while (!failed.load(std::memory_order_relaxed)) {
+            const std::size_t i = cursor.fetch_add(1);
+            if (i >= count)
+                return;
+            Result<void> r = work(i);
+            if (r.ok())
+                continue;
+            std::lock_guard<std::mutex> guard(errMutex);
+            if (i < firstFailure) {
+                firstFailure = i;
+                firstError = r.error();
+            }
+            failed.store(true, std::memory_order_relaxed);
+        }
+    };
+
+    const std::size_t workers = std::min<std::size_t>(
+        count, jobs > 0 ? jobs : defaultSweepJobs());
+    if (workers <= 1) {
+        loop();
+    } else {
+        // The caller's thread stays out of the pool, so the fault
+        // scope it carries is the one it had before the call.
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
+        for (std::size_t w = 0; w < workers; ++w)
+            pool.emplace_back(loop);
+        for (std::thread &t : pool)
+            t.join();
+    }
+    if (firstError)
+        return *std::move(firstError);
+    return {};
 }
 
 Result<std::vector<CaseResult>>
@@ -98,39 +142,20 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
 
     // ---- baseline warm-up jobs ----
     // Every referenced kernel's isolated IPC is computed once, up
-    // front, whether or not the cache is on; the results then seed
-    // the baseline memo of every case-phase Runner, so no worker
-    // simulates (or even looks up) a baseline again.
+    // front, into the Runner's baseline memo, whether or not the
+    // cache is on; the cases then find every baseline there.
     std::vector<BaselineJob> baselines;
     std::set<std::string> seen;
     for (std::size_t i = 0; i < n; ++i) {
         for (const std::string &kernel : cases[i].kernels) {
             if (seen.insert(kernel).second)
-                baselines.push_back({kernel, i, {}});
+                baselines.push_back({kernel, i});
         }
     }
-    // Baselines handed to every worker Runner, starting from
-    // whatever the caller's Runner already knows.
-    std::map<std::string, double> known = runner.isolatedBaselines();
 
-    // ---- shared execution state ----
     std::vector<CaseResult> results(n);
-    std::atomic<std::size_t> cursor{0};
     std::atomic<std::size_t> done{0};
     std::atomic<std::size_t> hits{0};
-    std::atomic<bool> abort{false};
-    std::mutex errMutex;
-    std::optional<Error> firstError;
-    std::size_t firstErrorPriority = static_cast<std::size_t>(-1);
-
-    auto recordError = [&](std::size_t priority, Error e) {
-        std::lock_guard<std::mutex> guard(errMutex);
-        if (priority < firstErrorPriority) {
-            firstErrorPriority = priority;
-            firstError = std::move(e);
-        }
-        abort.store(true, std::memory_order_relaxed);
-    };
 
     auto elapsedSec = [&] {
         return std::chrono::duration<double>(Clock::now() - t0)
@@ -149,11 +174,10 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
                      hits.load(), elapsedSec());
     };
 
-    auto runBaseline = [&](Runner &r,
-                           std::size_t j) -> Result<void> {
+    auto runBaseline = [&](std::size_t j) -> Result<void> {
         FaultInjector::instance().beginScope(baselineScopeBase + j);
-        BaselineJob &b = baselines[j];
-        Result<double> iso = r.isolatedIpc(b.kernel);
+        const BaselineJob &b = baselines[j];
+        Result<double> iso = runner.isolatedIpc(b.kernel);
         if (!iso.ok()) {
             return Error::format(
                 iso.error().code(),
@@ -163,16 +187,14 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
                 cases[b.firstCase].describe().c_str(),
                 b.kernel.c_str(), iso.error().message().c_str());
         }
-        b.ipc = iso.value();
         return {};
     };
 
-    auto runOneCase = [&](Runner &r,
-                          std::size_t i) -> Result<void> {
+    auto runOneCase = [&](std::size_t i) -> Result<void> {
         FaultInjector::instance().beginScope(i);
         Result<CaseResult> cr =
-            r.run(cases[i].kernels, cases[i].goals,
-                  cases[i].policy);
+            runner.run(cases[i].kernels, cases[i].goals,
+                       cases[i].policy);
         if (!cr.ok()) {
             return Error::format(
                 cr.error().code(), "sweep case %zu/%zu (%s): %s",
@@ -187,70 +209,19 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
         return {};
     };
 
-    /**
-     * Pop-and-run @p count items of one phase. Workers pop the
-     * shared cursor (submission order) and run @p work on a
-     * thread-local Runner sharing the caller's options and cache.
-     * With one job the loop runs inline on the caller's own Runner
-     * — the classic sequential path.
-     */
-    auto runPhase = [&](std::size_t count, auto &&work,
-                        std::size_t priorityBase) {
-        if (count == 0 || abort.load(std::memory_order_relaxed))
-            return;
-        cursor.store(0);
-        auto loop = [&](Runner *r) {
-            std::optional<Runner> own;
-            for (;;) {
-                if (abort.load(std::memory_order_relaxed))
-                    break;
-                std::size_t i = cursor.fetch_add(1);
-                if (i >= count)
-                    break;
-                if (!r) {
-                    Result<Runner> mr = Runner::make(
-                        runner.options(), runner.sharedCache());
-                    if (!mr.ok()) {
-                        recordError(priorityBase + i, mr.error());
-                        continue;
-                    }
-                    own.emplace(std::move(mr).value());
-                    own->adoptIsolatedBaselines(known);
-                    r = &*own;
-                }
-                Result<void> w = work(*r, i);
-                if (!w.ok())
-                    recordError(priorityBase + i, w.error());
-            }
-        };
-
-        int workers = static_cast<int>(
-            std::min<std::size_t>(jobs, count));
-        if (workers <= 1) {
-            loop(&runner);
-            return;
-        }
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (int w = 0; w < workers; ++w)
-            pool.emplace_back([&] { loop(nullptr); });
-        for (std::thread &t : pool)
-            t.join();
-    };
-
-    runPhase(baselines.size(), runBaseline, 0);
-    for (const BaselineJob &b : baselines) {
-        if (b.ipc)
-            known.emplace(b.kernel, *b.ipc);
-    }
-    runner.adoptIsolatedBaselines(known);
-    runPhase(n, runOneCase, baselines.size());
+    Result<void> status =
+        forEachOrdered(baselines.size(), jobs, runBaseline);
+    if (status.ok())
+        status = forEachOrdered(n, jobs, runOneCase);
 
     // Make everything computed so far durable in one batch flush;
     // after this, at most nothing is pending — a later crash cannot
-    // lose sweep results.
+    // lose sweep results. The trace sink is flushed once here too
+    // (a timeline flush rewrites its whole document).
     if (std::shared_ptr<ResultCache> cache = runner.sharedCache())
         cache->flush();
+    if (TraceSink *trace = runner.options().traceSink)
+        trace->flush();
 
     const double secs = elapsedSec();
     const int used = static_cast<int>(std::min<std::size_t>(jobs, n));
@@ -263,7 +234,7 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
         // Every fault absorbed without surfacing an error counts as
         // recovered; an aborted sweep makes no such claim.
         report->addSweep({opts.label, swept,
-                          firstError ? 0 : faultsSeen});
+                          status.ok() ? faultsSeen : 0});
     }
     if (MetricsRegistry *metrics = runner.options().metrics) {
         metrics->counter("harness.sweeps").inc();
@@ -281,8 +252,8 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
                      used == 1 ? "" : "s");
     }
 
-    if (firstError)
-        return *std::move(firstError);
+    if (!status.ok())
+        return status.error();
     return results;
 }
 

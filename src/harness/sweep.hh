@@ -5,17 +5,17 @@
  * Every figure bench walks an embarrassingly parallel space of
  * independent (kernels, goals, policy) cases. runSweep() fans a
  * submitted case vector across a fixed-size pool of worker threads
- * — each worker owning its own Runner, all workers sharing the
- * caller's thread-safe ResultCache — and returns results in
- * *submission order* regardless of completion order, so a bench's
- * printed output is byte-identical whatever --jobs is. Every case
- * runs on the caller's GPU configuration; a bench that needs
- * another machine builds its own Runner.
+ * that all run on the caller's thread-safe Runner (one result
+ * cache, one baseline memo, one simulation count), and returns
+ * results in *submission order* regardless of completion order, so
+ * a bench's printed output is byte-identical whatever --jobs is.
+ * Every case runs on the caller's GPU configuration; a bench that
+ * needs another machine builds its own Runner.
  *
  * Guarantees:
  *  - Determinism: the returned vector (values and order) does not
- *    depend on the job count; `--jobs 1` runs the cases inline on
- *    the caller's Runner, reproducing the classic sequential path.
+ *    depend on the job count; `--jobs 1` runs the cases inline,
+ *    reproducing the classic sequential path.
  *  - Fault determinism: before each case the executor rebases the
  *    fault-injection stream onto the case's stable submission index
  *    (FaultInjector::beginScope), so GQOS_FAULT sweeps are
@@ -25,10 +25,12 @@
  *    sweep returns the failing case's Error annotated with its
  *    identity — never a fatal() from a worker thread.
  *  - Baseline warm-up: isolated baselines of every referenced kernel
- *    are computed first (in parallel), cache on or off, and handed
- *    to every case-phase Runner and to the caller's. Each baseline
- *    is simulated at most once per sweep at any --jobs, so a
- *    cache-off sweep traces the same records as a cold-cache one.
+ *    are computed first (in parallel) into the Runner's memo, cache
+ *    on or off, so each baseline is simulated at most once per
+ *    sweep at any --jobs, and a cache-off sweep traces the same
+ *    records as a cold-cache one.
+ *  - Durability: the sweep flushes the result cache and the trace
+ *    sink once, when it ends (also when it fails).
  */
 
 #ifndef GQOS_HARNESS_SWEEP_HH
@@ -36,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -89,12 +92,21 @@ struct SweepStats
 int defaultSweepJobs();
 
 /**
- * Run @p cases and return their results in submission order.
- * @p runner provides the options and the result cache every case
- * shares (and runs the cases itself when one job is used). On
- * failure the error names the first failing case by submission
- * index and identity. @p stats, when given, receives the same
- * SweepStats the run report records.
+ * Run @p work(i) for every i < @p count on min(@p jobs, @p count)
+ * threads (@p jobs <= 0 selects defaultSweepJobs()); one worker runs
+ * inline on the calling thread. Indices start in ascending order.
+ * After a failure no new index starts, so every index below the
+ * lowest failing one has run, and its error is returned.
+ */
+Result<void>
+forEachOrdered(std::size_t count, int jobs,
+               const std::function<Result<void>(std::size_t)> &work);
+
+/**
+ * Run @p cases on @p runner and return their results in submission
+ * order. On failure the error names the first failing case by
+ * submission index and identity. @p stats, when given, receives the
+ * same SweepStats the run report records.
  */
 Result<std::vector<CaseResult>>
 runSweep(Runner &runner, const std::vector<SweepCase> &cases,

@@ -167,7 +167,6 @@ QuotaController::finishTrace(Gpu &gpu)
     traceFinished_ = true;
     if (gpu.now() > epochStart_)
         emitEpochTrace(gpu, true);
-    trace_->flush();
 }
 
 void

@@ -489,8 +489,10 @@ SmCore::genAddress(Warp &w, const PhaseRt &ph, const KernelRun &run)
 }
 
 void
-SmCore::retireInstr(Warp &w, KernelCtx &kc, Cycle ready_at)
+SmCore::retireInstr(int warp_slot, Cycle ready_at, Cycle now)
 {
+    Warp &w = warps_[warp_slot];
+    KernelCtx &kc = kernels_[w.kernel];
     kc.stats.threadInstrs += w.next.lanes;
     kc.stats.warpInstrs++;
     if (quotaGating_) {
@@ -505,6 +507,13 @@ SmCore::retireInstr(Warp &w, KernelCtx &kc, Cycle ready_at)
     }
     w.instrIdx++;
     w.readyAt = ready_at;
+    if (w.instrIdx >= kc.run->desc().warpInstrPerTb) {
+        finishWarp(warp_slot, now);
+    } else {
+        generateNext(w, *kc.run);
+        refreshInstrMasks(warp_slot);
+        scheduleWake(warp_slot, ready_at, now);
+    }
 }
 
 void
@@ -538,15 +547,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
             stats_.issuedSfu++;
         else
             stats_.issuedSmem++;
-        Cycle ready_at = now + w.next.latency;
-        retireInstr(w, kc, ready_at);
-        if (w.instrIdx >= run.desc().warpInstrPerTb) {
-            finishWarp(warp_slot, now);
-        } else {
-            generateNext(w, run);
-            refreshInstrMasks(warp_slot);
-            scheduleWake(warp_slot, ready_at, now);
-        }
+        retireInstr(warp_slot, now + w.next.latency, now);
         break;
       }
       case InstrClass::GlobalLoad: {
@@ -576,14 +577,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
             stats_.issuedLoads++;
             Cycle ready_at = std::max(w.memDoneAt, now + 1);
             w.memDoneAt = 0;
-            retireInstr(w, kc, ready_at);
-            if (w.instrIdx >= run.desc().warpInstrPerTb) {
-                finishWarp(warp_slot, now);
-            } else {
-                generateNext(w, run);
-                refreshInstrMasks(warp_slot);
-                scheduleWake(warp_slot, ready_at, now);
-            }
+            retireInstr(warp_slot, ready_at, now);
         }
         break;
       }
@@ -602,15 +596,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
             scheduleWake(warp_slot, w.readyAt, now);
         } else {
             stats_.issuedStores++;
-            Cycle ready_at = now + 4; // store-buffer latency
-            retireInstr(w, kc, ready_at);
-            if (w.instrIdx >= run.desc().warpInstrPerTb) {
-                finishWarp(warp_slot, now);
-            } else {
-                generateNext(w, run);
-                refreshInstrMasks(warp_slot);
-                scheduleWake(warp_slot, ready_at, now);
-            }
+            retireInstr(warp_slot, now + 4, now); // store buffer
         }
         break;
       }

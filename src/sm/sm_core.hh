@@ -355,7 +355,9 @@ class SmCore
     void refreshInstrMasks(int warp_slot);
     void generateNext(Warp &w, const KernelRun &run);
     void issueWarp(int warp_slot, Cycle now);
-    void retireInstr(Warp &w, KernelCtx &kc, Cycle ready_at);
+    /** Retire the warp's instruction (ready again at @p ready_at),
+     *  then finish the warp or fetch its next instruction. */
+    void retireInstr(int warp_slot, Cycle ready_at, Cycle now);
     void finishWarp(int warp_slot, Cycle now);
     void freeTb(int tb_slot, TbExit exit, Cycle now);
     Addr genAddress(Warp &w, const PhaseRt &ph,

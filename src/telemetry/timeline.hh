@@ -25,6 +25,11 @@
  * the complete, valid JSON document from scratch — a run that is
  * cut short (serving watchdog `tenant_stalled`, first-error sweep
  * cancellation) still leaves a loadable file behind.
+ *
+ * Who flushes: never a producer. runSweep() flushes once when the
+ * sweep ends (failed or not), ServingDriver::run() once per run,
+ * and the owner of the sink when it is destroyed; a flush costs a
+ * rewrite of every event buffered so far.
  */
 
 #ifndef GQOS_TELEMETRY_TIMELINE_HH

@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault_injection.hh"
@@ -305,6 +309,10 @@ TEST_F(SweepFixture, BaselinesSimulateOncePerSweep)
             EXPECT_EQ(metrics.counter("harness.cases_simulated")
                           .value(),
                       kernels.size() + cases.size());
+            // Every worker simulates on the caller's Runner, so its
+            // count covers the whole sweep.
+            EXPECT_EQ(runner.simulatedCases(),
+                      static_cast<int>(kernels.size() + cases.size()));
             // The caller's Runner holds every baseline afterwards.
             EXPECT_EQ(runner.isolatedBaselines().size(),
                       kernels.size());
@@ -380,9 +388,94 @@ TEST_F(SweepFixture, TraceBypassWarningOnlyForWarmHits)
     }
 }
 
+TEST_F(SweepFixture, TraceSinkFlushesOncePerSweep)
+{
+    // A flush can be costly (a timeline rewrites its whole
+    // document), so the sweep flushes once at its end, not once per
+    // simulated case.
+    struct CountingSink : TraceSink
+    {
+        std::atomic<int> flushes{0};
+        void flush() override { flushes++; }
+    };
+    std::vector<SweepCase> cases = standardCases();
+    cases.resize(3); // the three rollover cases
+    for (int jobs : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << "jobs " << jobs);
+        CountingSink sink;
+        Runner::Options opts = makeOptions("flush", /*useCache=*/false);
+        opts.traceSink = &sink;
+        Runner runner = Runner::make(opts).value();
+        SweepOptions so;
+        so.jobs = jobs;
+        so.progress = false;
+        ASSERT_TRUE(runSweep(runner, cases, so).ok());
+        EXPECT_EQ(sink.flushes.load(), 1);
+    }
+}
+
 // ---------------------------------------------------------------
 // Smaller pieces of the sweep API.
 // ---------------------------------------------------------------
+
+TEST(ForEachOrdered, RunsEveryIndexOnce)
+{
+    for (int jobs : {1, 4}) {
+        std::vector<std::atomic<int>> runs(50);
+        ASSERT_TRUE(forEachOrdered(runs.size(), jobs,
+                                   [&](std::size_t i) -> Result<void> {
+                                       runs[i]++;
+                                       return {};
+                                   })
+                        .ok());
+        for (const std::atomic<int> &r : runs)
+            EXPECT_EQ(r.load(), 1) << "jobs " << jobs;
+    }
+}
+
+TEST(ForEachOrdered, StopsAfterAFailureAndReportsTheLowest)
+{
+    // Index 8 fails late and index 9 fails at once, so with several
+    // workers 9's error is recorded first and 8's must replace it.
+    constexpr std::size_t count = 200;
+    constexpr std::size_t first = 8;
+    for (int jobs : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << "jobs " << jobs);
+        std::mutex mutex;
+        std::set<std::size_t> started;
+        Result<void> r = forEachOrdered(
+            count, jobs, [&](std::size_t i) -> Result<void> {
+                {
+                    std::lock_guard<std::mutex> guard(mutex);
+                    started.insert(i);
+                }
+                if (i == first) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(20));
+                }
+                if (i == first || i == first + 1) {
+                    return Error::format(ErrorCode::Internal,
+                                         "index %zu", i);
+                }
+                if (i > first) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(5));
+                }
+                return {};
+            });
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.error().message(), "index 8");
+        for (std::size_t i = 0; i <= first; ++i)
+            EXPECT_EQ(started.count(i), 1u) << "index " << i;
+        if (jobs == 1) {
+            EXPECT_EQ(started.size(), first + 1);
+        } else {
+            // Only the indices already in flight when the failure
+            // landed may start past it; all 200 would run otherwise.
+            EXPECT_LT(*started.rbegin(), first + 32);
+        }
+    }
+}
 
 TEST(SweepApi, DescribeNamesPolicyKernelsGoalsAndConfig)
 {
