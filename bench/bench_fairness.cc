@@ -11,6 +11,7 @@
 #include "bench/bench_common.hh"
 
 #include "common/stats.hh"
+#include "engine/simulation.hh"
 #include "policy/smk_fair.hh"
 
 using namespace gqos;
@@ -46,25 +47,20 @@ main(int argc, char **argv)
                 continue;
 
             // Fairness mode: baselines are warm from the sweep.
-            GpuConfig cfg = runner.config();
-            double iso0 = isolatedIpc(runner, k0);
-            double iso1 = isolatedIpc(runner, k1);
-            Gpu gpu(cfg);
-            const KernelDesc &d0 = parboilKernel(k0);
-            const KernelDesc &d1 = parboilKernel(k1);
-            gpu.launch({&d0, &d1});
-            SmkFairPolicy fair({iso0, iso1}, cfg.epochLength);
-            fair.onLaunch(gpu);
-            SimEngine engine(runner.options().engine, cfg.epochLength);
-            if (engine.runUntil(gpu, fair, cycles)) {
-                gqos_fatal("stalled: smk-fair %s+%s retired no "
-                           "instruction for %llu cycles (at cycle "
-                           "%llu)", k0.c_str(), k1.c_str(),
-                           static_cast<unsigned long long>(
-                               engine.stallWindow()),
-                           static_cast<unsigned long long>(
-                               gpu.now()));
-            }
+            auto owned = std::make_unique<SmkFairPolicy>(
+                std::vector<double>{isolatedIpc(runner, k0),
+                                    isolatedIpc(runner, k1)},
+                runner.config().epochLength);
+            const SmkFairPolicy &fair = *owned;
+            Simulation sim(runner.config(),
+                           {&parboilKernel(k0), &parboilKernel(k1)},
+                           std::move(owned),
+                           {.engine = runner.options().engine,
+                            .stallWindow =
+                                runner.config().epochLength,
+                            .label = caseKey({k0, k1}, {0.0, 0.0},
+                                             fair.name())});
+            okOrDie(sim.runUntil(cycles));
 
             total++;
             if (r.allReached())

@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "common/cli.hh"
-#include "gpu/gpu.hh"
+#include "engine/simulation.hh"
 #include "harness/runner.hh"
 #include "policy/policy_factory.hh"
 #include "qos/qos_spec.hh"
@@ -62,18 +62,17 @@ main(int argc, char **argv)
         return 1;
     }
 
-    std::vector<const KernelDesc *> descs = {
-        &vd, &parboilKernel(train)};
     std::vector<QosSpec> specs = {QosSpec::qos(ipc_goal),
                                   QosSpec::nonQos()};
-    Gpu gpu(cfg);
-    gpu.launch(descs);
-    auto policy = okOrDie(makePolicy("rollover", specs, cfg));
-    policy->onLaunch(gpu);
-    for (Cycle c = 0; c < cycles; ++c) {
-        policy->onCycle(gpu);
-        gpu.step();
-    }
+    Simulation sim(cfg, {&vd, &parboilKernel(train)},
+                   okOrDie(makePolicy("rollover", specs, cfg)),
+                   {.engine = runner.options().engine,
+                    .stallWindow = cfg.epochLength,
+                    .label = caseKey({video, train},
+                                     {ipc_goal / iso, 0.0},
+                                     "rollover")});
+    okOrDie(sim.runUntil(cycles));
+    const Gpu &gpu = sim.gpu();
 
     double achieved_ipc = gpu.ipc(0);
     double achieved_fps = fps * achieved_ipc / ipc_goal;

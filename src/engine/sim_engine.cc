@@ -7,8 +7,6 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-#include "common/metrics.hh"
 #include "gpu/gpu.hh"
 #include "policy/sharing_policy.hh"
 
@@ -93,41 +91,6 @@ SimEngine::runUntil(Gpu &gpu, SharingPolicy &policy, Cycle until)
         }
     }
     return false;
-}
-
-void
-exportEngineCounters(const SimEngine &engine, const Gpu &gpu,
-                     MetricsRegistry &metrics)
-{
-    metrics.counter("engine.stepped_cycles")
-        .inc(engine.stats().steppedCycles);
-    metrics.counter("engine.skipped_cycles")
-        .inc(engine.stats().skippedCycles);
-    metrics.counter("engine.control_points")
-        .inc(engine.stats().controlPoints);
-    metrics.counter("engine.sm_skipped_cycles")
-        .inc(gpu.smSkippedCycles());
-}
-
-std::vector<CycleBreakdown>
-exportCycleBreakdowns(const Gpu &gpu, MetricsRegistry *metrics)
-{
-    std::vector<CycleBreakdown> out;
-    for (KernelId k = 0; k < gpu.numKernels(); ++k) {
-        for (int s = 0; s < gpu.numSms(); ++s) {
-            gqos_assert(gpu.sm(s).cycleBreakdown(k).total() ==
-                        gpu.sm(s).stats().cycles);
-        }
-        out.push_back(gpu.cycleBreakdown(k));
-        if (!metrics)
-            continue;
-        for (int i = 0; i < numCycleCats; ++i) {
-            metrics->counter(std::string("cycles.") +
-                             toString(static_cast<CycleCat>(i)))
-                .inc(out.back().counts[i]);
-        }
-    }
-    return out;
 }
 
 } // namespace gqos

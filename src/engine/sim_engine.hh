@@ -35,17 +35,14 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "arch/types.hh"
 #include "common/result.hh"
-#include "telemetry/cycle_accounting.hh"
 
 namespace gqos
 {
 
 class Gpu;
-class MetricsRegistry;
 class SharingPolicy;
 
 /**
@@ -150,24 +147,6 @@ class SimEngine
      */
     bool lastStepActive_ = true;
 };
-
-/**
- * Add how @p engine spent the simulated time of @p gpu to
- * @p metrics: engine.stepped_cycles, engine.skipped_cycles,
- * engine.control_points and engine.sm_skipped_cycles.
- */
-void exportEngineCounters(const SimEngine &engine, const Gpu &gpu,
-                          MetricsRegistry &metrics);
-
-/**
- * End-of-run cycle attribution of @p gpu (cycle accounting on):
- * asserts that per (SM, kernel) the categories telescope exactly
- * to the SM's cycle count, whichever engine ran, adds every
- * kernel's breakdown to the cycles.* counters of @p metrics (if
- * non-null) and returns the breakdowns, KernelId-indexed.
- */
-std::vector<CycleBreakdown> exportCycleBreakdowns(
-    const Gpu &gpu, MetricsRegistry *metrics);
 
 } // namespace gqos
 

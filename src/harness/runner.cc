@@ -16,11 +16,10 @@
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
-#include "gpu/gpu.hh"
+#include "engine/simulation.hh"
 #include "harness/run_report.hh"
 #include "policy/policy_factory.hh"
 #include "power/power_model.hh"
-#include "telemetry/trace.hh"
 #include "workloads/parboil.hh"
 
 namespace gqos
@@ -150,70 +149,43 @@ Runner::simulate(const std::vector<std::string> &kernels,
         }
     }
 
-    Gpu gpu(cfg_);
-    gpu.launch(descs);
-    // Cycle attribution rides along whenever the run is observed
-    // (metrics or --stats-json); simulation results are identical
-    // either way, the profiler only counts.
-    const bool accounting = opts_.metrics || opts_.report;
-    if (accounting)
-        gpu.setCycleAccounting(true);
     Result<std::unique_ptr<SharingPolicy>> pol =
         makePolicy(policy, specs, cfg_);
     if (!pol.ok())
         return pol.error();
-    // Stamp this case's records so a shared multi-case trace file
-    // stays attributable; the proxy must outlive the run loop.
-    std::unique_ptr<CaseLabelingSink> case_sink;
-    if (opts_.traceSink) {
-        case_sink = std::make_unique<CaseLabelingSink>(
-            opts_.traceSink, caseKey(kernels, goal_frac, policy));
-        gpu.setSmSliceCallback(smSliceEmitter(case_sink.get()));
-    }
-    if (case_sink || opts_.metrics) {
-        pol.value()->attachTelemetry(case_sink.get(),
-                                     opts_.metrics);
-    }
-    pol.value()->onLaunch(gpu);
-
-    // The stepping engine drives the cycle loop; its stall
-    // watchdog aborts non-advancing simulations (a policy bug
-    // gating every warp forever) with a structured error instead
-    // of spinning: no instruction retired across a full epoch
-    // window while live warps exist.
-    SimEngine engine(opts_.engine, cfg_.epochLength);
+    const std::string key = caseKey(kernels, goal_frac, policy);
+    // Cycle attribution rides along whenever the run is observed
+    // (metrics or --stats-json). The stall watchdog aborts a case
+    // that retires no instruction across a full epoch window while
+    // live warps exist (a policy bug gating every warp forever).
+    Simulation sim(cfg_, descs, std::move(pol).value(),
+                   {.engine = opts_.engine,
+                    .stallWindow = cfg_.epochLength,
+                    .label = key,
+                    .trace = opts_.traceSink,
+                    .metrics = opts_.metrics,
+                    .accounting = opts_.metrics || opts_.report});
+    const Gpu &gpu = sim.gpu();
 
     std::vector<std::uint64_t> instr_at_warmup(kernels.size(), 0);
     auto sim_t0 = std::chrono::steady_clock::now();
-    bool stalled = engine.runUntil(gpu, *pol.value(), warmup);
-    if (!stalled) {
+    Result<void> ran = sim.runUntil(warmup);
+    if (ran.ok()) {
         for (std::size_t i = 0; i < kernels.size(); ++i)
             instr_at_warmup[i] =
                 gpu.threadInstrs(static_cast<KernelId>(i));
-        stalled = engine.runUntil(gpu, *pol.value(), opts_.cycles);
+        ran = sim.runUntil(opts_.cycles);
     }
     double sim_wall = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - sim_t0).count();
-    if (stalled) {
-        return Error::format(
-            ErrorCode::Stalled,
-            "case '%s' retired no instruction for %llu "
-            "cycles (at cycle %llu) with live warps; "
-            "aborting the case",
-            caseKey(kernels, goal_frac, policy).c_str(),
-            static_cast<unsigned long long>(engine.stallWindow()),
-            static_cast<unsigned long long>(gpu.now()));
-    }
-
-    pol.value()->onFinish(gpu);
-    gpu.closeOpenSmSlices();
+    if (!ran.ok())
+        return ran.error();
 
     Simulated out;
     out.simCyclesPerSec = sim_wall > 0.0
         ? static_cast<double>(gpu.now()) / sim_wall
         : 0.0;
-    if (accounting)
-        out.breakdown = exportCycleBreakdowns(gpu, opts_.metrics);
+    out.breakdown = sim.finish();
 
     Cycle window = opts_.cycles - warmup;
     CachedCase &c = out.numbers;
@@ -234,14 +206,10 @@ Runner::simulate(const std::vector<std::string> &kernels,
         std::lock_guard<std::mutex> guard(shared_->mutex);
         return ++shared_->simulated;
     }();
-    if (opts_.metrics) {
+    if (opts_.metrics)
         opts_.metrics->counter("harness.cases_simulated").inc();
-        exportEngineCounters(engine, gpu, *opts_.metrics);
-    }
     if (opts_.verbose) {
-        gqos_inform("simulated %s [%d done]",
-                    caseKey(kernels, goal_frac, policy).c_str(),
-                    done);
+        gqos_inform("simulated %s [%d done]", key.c_str(), done);
     }
     return out;
 }

@@ -10,10 +10,9 @@
 
 #include "common/logging.hh"
 #include "common/metrics.hh"
-#include "gpu/gpu.hh"
+#include "engine/simulation.hh"
 #include "policy/policy_factory.hh"
 #include "serving/admission.hh"
-#include "telemetry/trace.hh"
 
 namespace gqos
 {
@@ -57,19 +56,14 @@ isolatedBaseline(const KernelDesc &desc, const GpuConfig &cfg,
         makePolicy("even", {QosSpec::nonQos()}, cfg);
     if (!policy.ok())
         return policy.error();
-    Gpu gpu(cfg);
-    gpu.launch({&desc});
-    policy.value()->onLaunch(gpu);
-    SimEngine engine(kind, defaultStallWindow);
-    if (engine.runUntil(gpu, *policy.value(), baselineCycles)) {
-        return Error::format(ErrorCode::Stalled,
-                             "isolated baseline of '%s' stalled at "
-                             "cycle %llu",
-                             desc.name.c_str(),
-                             static_cast<unsigned long long>(
-                                 gpu.now()));
-    }
-    return gpu.ipc(0);
+    Simulation sim(cfg, {&desc}, std::move(policy).value(),
+                   {.engine = kind,
+                    .stallWindow = defaultStallWindow,
+                    .label = "even|" + desc.name});
+    Result<void> ran = sim.runUntil(baselineCycles);
+    if (!ran.ok())
+        return ran.error();
+    return sim.gpu().ipc(0);
 }
 
 /** Add one finished run's totals to the serving.* counters. */
@@ -189,30 +183,22 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
     auto policyOr = makePolicy(opts_.policy, specs, cfg_);
     if (!policyOr.ok())
         return policyOr.error();
-    SharingPolicy &policy = *policyOr.value();
-
-    CaseLabelingSink labeled(sink, opts_.caseKey);
-    TraceSink *out = sink ? &labeled : nullptr;
-    policy.attachTelemetry(out, opts_.metrics);
-
-    Gpu gpu(cfg_);
     std::vector<const KernelDesc *> descPtrs;
     for (const KernelDesc &d : descs_)
         descPtrs.push_back(&d);
-    gpu.launch(descPtrs);
-    for (int t = 0; t < n; ++t)
-        gpu.setManualLaunch(t);
     // Cycle attribution is on whenever anyone can observe it (the
     // metrics registry or a trace/timeline sink); otherwise the
     // profiler stays off the hot path entirely.
-    const bool accounting = opts_.metrics || sink;
-    if (accounting)
-        gpu.setCycleAccounting(true);
-    if (out)
-        gpu.setSmSliceCallback(smSliceEmitter(out));
-    policy.onLaunch(gpu);
-
-    SimEngine engine(opts_.engine, stallWindow);
+    Simulation sim(cfg_, descPtrs, std::move(policyOr).value(),
+                   {.engine = opts_.engine,
+                    .stallWindow = stallWindow,
+                    .label = opts_.caseKey,
+                    .trace = sink,
+                    .metrics = opts_.metrics,
+                    .accounting = opts_.metrics || sink,
+                    .manualLaunch = true});
+    Gpu &gpu = sim.gpu();
+    TraceSink *out = sim.trace();
     AdmissionController admission(tenants_);
 
     struct TState
@@ -403,11 +389,11 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
         target = std::min(target, hardEnd);
         if (target <= now)
             target = now + 1;
-        if (engine.runUntil(gpu, policy, target)) {
+        Result<void> ran = sim.runUntil(target);
+        if (!ran.ok()) {
             report.engineStalled = true;
             emit("engine_stalled", -1, 0, 0, "watchdog");
-            gqos_warn("serving: engine watchdog fired at cycle %llu",
-                      static_cast<unsigned long long>(gpu.now()));
+            gqos_warn("serving: %s", ran.error().message().c_str());
             break;
         }
     }
@@ -424,16 +410,9 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
         if (residual[t] > 0)
             emit("shutdown_drop", t, residual[t], 0, "queued");
     }
-    policy.onFinish(gpu);
-    gpu.closeOpenSmSlices();
-
     // Conservation holds however the run ended (drained, hard
     // end, stall).
-    if (accounting)
-        report.cycleBreakdown =
-            exportCycleBreakdowns(gpu, opts_.metrics);
-    if (opts_.metrics)
-        exportEngineCounters(engine, gpu, *opts_.metrics);
+    report.cycleBreakdown = sim.finish();
     report.endCycle = gpu.now();
     report.finalLevel = admission.level();
     const double mcycles =

@@ -10,8 +10,8 @@
  * (one in-flight grid per tenant — requests of one tenant are
  * serialized, tenants run concurrently under the sharing policy).
  *
- * The control loop advances the machine through the event-aware
- * SimEngine in short ticks, pinned to exact arrival cycles, so
+ * The control loop advances the machine through one Simulation
+ * (engine/simulation.hh) in short ticks, pinned to exact arrival cycles, so
  * admission decisions happen at deterministic simulated times and
  * the whole run — trace records included — is byte-identical across
  * reruns with the same seed. Completion latencies are exact even at

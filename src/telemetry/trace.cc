@@ -177,19 +177,6 @@ emit(TraceSink &sink, const TraceRecord &rec)
     std::visit(Dispatch{sink}, rec);
 }
 
-std::function<void(SmId, KernelId, Cycle, Cycle)>
-smSliceEmitter(TraceSink *sink)
-{
-    return [sink](SmId sm, KernelId k, Cycle start, Cycle end) {
-        SmSliceRecord rec;
-        rec.sm = sm;
-        rec.kernel = k;
-        rec.start = start;
-        rec.end = end;
-        sink->onSmSlice(rec);
-    };
-}
-
 void
 CaseLabelingSink::onRecord(const TraceRecord &rec)
 {

@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -206,13 +205,6 @@ class TraceSink
 
 /** Hand @p rec to the typed entry point of @p sink it belongs to. */
 void emit(TraceSink &sink, const TraceRecord &rec);
-
-/**
- * The Gpu::setSmSliceCallback callback that emits each closed
- * kernel-occupancy span to @p sink as an SmSliceRecord.
- */
-std::function<void(SmId, KernelId, Cycle, Cycle)>
-smSliceEmitter(TraceSink *sink);
 
 /**
  * Decorator stamping every record with a case key before forwarding
