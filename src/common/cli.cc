@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -57,37 +58,48 @@ CliArgs::getString(const std::string &name, const std::string &def) const
     return it == values_.end() ? def : it->second;
 }
 
-namespace
+Result<std::uint64_t>
+parseUnsigned(const std::string &token, const std::string &field)
 {
-
-/**
- * Strict numeric parses: the whole token must be consumed, so
- * "10k", "1.5x" or an empty value are rejected rather than silently
- * truncated to their numeric prefix.
- */
-bool
-parseFullInt(const std::string &text, std::int64_t &out)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoll(text.c_str(), &end, 0);
-    return end == text.c_str() + text.size() && errno != ERANGE;
+    bool ok = !token.empty() &&
+              token.find_first_not_of("0123456789") ==
+                  std::string::npos &&
+              (token.size() == 1 || token[0] != '0');
+    std::uint64_t v = 0;
+    if (ok) {
+        errno = 0;
+        v = std::strtoull(token.c_str(), nullptr, 10);
+        ok = errno != ERANGE;
+    }
+    if (!ok) {
+        return Error::format(ErrorCode::InvalidArgument,
+                             "%s expects a non-negative integer, got "
+                             "'%s'", field.c_str(), token.c_str());
+    }
+    return v;
 }
 
-bool
-parseFullDouble(const std::string &text, double &out)
+Result<double>
+parseFinite(const std::string &token, const std::string &field)
 {
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end == text.c_str() + text.size() && errno != ERANGE;
+    bool ok = !token.empty() &&
+              token.find_first_not_of("0123456789.eE+-") ==
+                  std::string::npos;
+    double v = 0.0;
+    if (ok) {
+        errno = 0;
+        char *end = nullptr;
+        v = std::strtod(token.c_str(), &end);
+        ok = end == token.c_str() + token.size() && errno != ERANGE &&
+             std::isfinite(v);
+    }
+    if (!ok) {
+        return Error::format(ErrorCode::InvalidArgument,
+                             "%s expects a finite number, got '%s'",
+                             field.c_str(), token.c_str());
+    }
+    return v;
 }
-
-} // anonymous namespace
 
 std::int64_t
 CliArgs::getInt(const std::string &name, std::int64_t def) const
@@ -95,14 +107,16 @@ CliArgs::getInt(const std::string &name, std::int64_t def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
-    std::int64_t v = 0;
     // No option takes a negative count; callers cast the value to
     // an unsigned type, where -1 would become 2^64 - 1.
-    if (!parseFullInt(it->second, v) || v < 0) {
+    Result<std::uint64_t> v =
+        parseUnsigned(it->second, "option --" + name);
+    if (!v.ok() ||
+        v.value() > std::numeric_limits<std::int64_t>::max()) {
         gqos_fatal("option --%s expects a non-negative integer, "
                    "got '%s'", name.c_str(), it->second.c_str());
     }
-    return v;
+    return static_cast<std::int64_t>(v.value());
 }
 
 double
@@ -111,11 +125,7 @@ CliArgs::getDouble(const std::string &name, double def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
-    double v = 0.0;
-    if (!parseFullDouble(it->second, v))
-        gqos_fatal("option --%s expects a number, got '%s'",
-                   name.c_str(), it->second.c_str());
-    return v;
+    return okOrDie(parseFinite(it->second, "option --" + name));
 }
 
 Result<std::vector<double>>
@@ -126,15 +136,14 @@ CliArgs::getPositiveList(const std::string &name,
     for (const std::string &tok : splitList(getString(name, def))) {
         if (tok.empty())
             continue;
-        double v = 0.0;
-        if (!parseFullDouble(tok, v) || !std::isfinite(v) ||
-            !(v > 0.0)) {
+        Result<double> v = parseFinite(tok, "option --" + name);
+        if (!v.ok() || !(v.value() > 0.0)) {
             return Error::format(ErrorCode::InvalidArgument,
                                  "option --%s expects positive finite "
                                  "numbers, got '%s'",
                                  name.c_str(), tok.c_str());
         }
-        out.push_back(v);
+        out.push_back(v.value());
     }
     if (out.empty()) {
         return Error::format(ErrorCode::InvalidArgument,

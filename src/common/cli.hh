@@ -71,6 +71,22 @@ class CliArgs
     std::vector<std::string> positional_;
 };
 
+/**
+ * Strict number parsing, shared by CLI options, tenant specs and
+ * GQOS_FAULT. The whole token must parse, in base 10: no space, no
+ * hex, no trailing text. An InvalidArgument names @p field and the
+ * token.
+ */
+
+/** Digits only: no sign, and no leading zero ("010" is neither 8
+ *  nor 10). */
+Result<std::uint64_t> parseUnsigned(const std::string &token,
+                                    const std::string &field);
+
+/** Decimal or exponent form, sign allowed; finite values only. */
+Result<double> parseFinite(const std::string &token,
+                           const std::string &field);
+
 /** Split a comma-separated list into trimmed tokens. */
 std::vector<std::string> splitList(const std::string &text,
                                    char sep = ',');

@@ -14,6 +14,7 @@
 
 #include <cstdlib>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 
 namespace gqos
@@ -50,14 +51,11 @@ FaultInjector::reloadFromEnv()
 {
     clear();
     if (const char *seed = std::getenv(seedEnvVar)) {
-        char *end = nullptr;
-        std::uint64_t s = std::strtoull(seed, &end, 0);
-        if (end != seed && *end == '\0') {
-            reseed(s);
-        } else {
-            gqos_warn("%s='%s' is not an integer seed; using 1",
-                      seedEnvVar, seed);
-        }
+        Result<std::uint64_t> s = parseUnsigned(seed, seedEnvVar);
+        if (s.ok())
+            reseed(s.value());
+        else
+            gqos_warn("%s; using seed 1", s.error().message().c_str());
     }
     if (const char *spec = std::getenv(specEnvVar))
         configure(spec);
@@ -80,11 +78,10 @@ FaultInjector::configure(const std::string &spec)
         bool bad = colon == std::string::npos || colon == 0;
         double prob = 0.0;
         if (!bad) {
-            const std::string text = entry.substr(colon + 1);
-            char *end = nullptr;
-            prob = std::strtod(text.c_str(), &end);
-            bad = end == text.c_str() || *end != '\0' ||
-                  prob < 0.0 || prob > 1.0;
+            Result<double> p = parseFinite(entry.substr(colon + 1),
+                                           "probability");
+            prob = p.valueOr(0.0);
+            bad = !p.ok() || prob < 0.0 || prob > 1.0;
         }
         if (bad) {
             gqos_warn("%s: skipping malformed entry '%s' "

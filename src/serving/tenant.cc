@@ -5,8 +5,6 @@
 
 #include "serving/tenant.hh"
 
-#include <cstdlib>
-
 #include "common/cli.hh"
 #include "workloads/parboil.hh"
 
@@ -54,7 +52,7 @@ TenantSpec::check() const
                              "tenant '%s': unknown kernel '%s'",
                              name.c_str(), kernel.c_str());
     }
-    if (goalFrac < 0.0 || goalFrac >= 1.0) {
+    if (!(goalFrac >= 0.0 && goalFrac < 1.0)) {
         return Error::format(ErrorCode::InvalidArgument,
                              "tenant '%s': goal %g out of [0, 1)",
                              name.c_str(), goalFrac);
@@ -67,38 +65,6 @@ TenantSpec::check() const
     }
     return {};
 }
-
-namespace
-{
-
-/** strtod wrapper that insists the whole token parses. */
-bool
-parseDoubleToken(const std::string &s, double *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end != s.c_str() + s.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parseU64Token(const std::string &s, std::uint64_t *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-} // anonymous namespace
 
 Result<TenantSpec>
 parseTenantSpec(const std::string &text)
@@ -121,28 +87,31 @@ parseTenantSpec(const std::string &text)
             return c.error();
         spec.qosClass = c.value();
     }
-    if (parts.size() > 3 &&
-        !parseDoubleToken(parts[3], &spec.goalFrac)) {
-        return Error::format(ErrorCode::InvalidArgument,
-                             "tenant spec '%s': bad goal '%s'",
-                             text.c_str(), parts[3].c_str());
+    const std::string field = "tenant spec '" + text + "': ";
+    if (parts.size() > 3) {
+        Result<double> goal = parseFinite(parts[3], field + "goal");
+        if (!goal.ok())
+            return goal.error();
+        spec.goalFrac = goal.value();
     }
-    std::uint64_t u = 0;
     if (parts.size() > 4) {
-        if (!parseU64Token(parts[4], &u)) {
-            return Error::format(ErrorCode::InvalidArgument,
-                                 "tenant spec '%s': bad slo '%s'",
-                                 text.c_str(), parts[4].c_str());
-        }
-        spec.sloCycles = u;
+        Result<std::uint64_t> slo =
+            parseUnsigned(parts[4], field + "slo");
+        if (!slo.ok())
+            return slo.error();
+        spec.sloCycles = slo.value();
     }
     if (parts.size() > 5) {
-        if (!parseU64Token(parts[5], &u) || u == 0) {
+        Result<std::uint64_t> queue =
+            parseUnsigned(parts[5], field + "queue");
+        if (!queue.ok())
+            return queue.error();
+        if (queue.value() == 0) {
             return Error::format(ErrorCode::InvalidArgument,
-                                 "tenant spec '%s': bad queue '%s'",
-                                 text.c_str(), parts[5].c_str());
+                                 "%sbad queue '0' (want >= 1)",
+                                 field.c_str());
         }
-        spec.queueCap = static_cast<std::size_t>(u);
+        spec.queueCap = static_cast<std::size_t>(queue.value());
     }
     auto ok = spec.check();
     if (!ok.ok())

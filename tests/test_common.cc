@@ -220,6 +220,68 @@ TEST(CliDeath, RejectsNegativeIntegers)
     EXPECT_EQ(args.getInt("zero", 1), 0);
 }
 
+TEST(CliDeath, RejectsSignsLeadingZerosAndOtherBases)
+{
+    // "010" used to be read as octal 8, "0x10" as 16 and "+5" as 5.
+    const char *argv[] = {"prog", "--cycles", "010", "--hex=0x10",
+                          "--plus=+5", "--space= 5"};
+    CliArgs args(6, argv);
+    EXPECT_EXIT(args.getInt("cycles", 0),
+                ::testing::ExitedWithCode(1), "--cycles .*'010'");
+    EXPECT_EXIT(args.getInt("hex", 0), ::testing::ExitedWithCode(1),
+                "--hex .*'0x10'");
+    EXPECT_EXIT(args.getInt("plus", 0), ::testing::ExitedWithCode(1),
+                "--plus .*'\\+5'");
+    EXPECT_EXIT(args.getInt("space", 0), ::testing::ExitedWithCode(1),
+                "--space");
+}
+
+TEST(CliDeath, RejectsNonFiniteDoubles)
+{
+    const char *argv[] = {"prog", "--rate=nan", "--fps=inf",
+                          "--goal=0x1p-1", "--big=1e400"};
+    CliArgs args(5, argv);
+    EXPECT_EXIT(args.getDouble("rate", 0.0),
+                ::testing::ExitedWithCode(1), "--rate .*'nan'");
+    EXPECT_EXIT(args.getDouble("fps", 0.0),
+                ::testing::ExitedWithCode(1), "--fps .*'inf'");
+    EXPECT_EXIT(args.getDouble("goal", 0.0),
+                ::testing::ExitedWithCode(1), "--goal .*'0x1p-1'");
+    EXPECT_EXIT(args.getDouble("big", 0.0),
+                ::testing::ExitedWithCode(1), "--big .*'1e400'");
+}
+
+TEST(NumberParse, UnsignedTakesPlainBaseTenDigitsOnly)
+{
+    EXPECT_EQ(parseUnsigned("0", "n").value(), 0u);
+    EXPECT_EQ(parseUnsigned("200000", "n").value(), 200000u);
+    EXPECT_EQ(parseUnsigned("18446744073709551615", "n").value(),
+              18446744073709551615ull);
+    for (const char *bad : {"", "-1", "+1", "010", "0x10", " 1", "1 ",
+                            "1.0", "1e3", "18446744073709551616"}) {
+        Result<std::uint64_t> r = parseUnsigned(bad, "tenant slo");
+        ASSERT_FALSE(r.ok()) << bad;
+        EXPECT_EQ(r.error().code(), ErrorCode::InvalidArgument);
+        EXPECT_EQ(r.error().message(),
+                  std::string("tenant slo expects a non-negative "
+                              "integer, got '") + bad + "'");
+    }
+}
+
+TEST(NumberParse, FiniteTakesDecimalAndExponentForms)
+{
+    EXPECT_DOUBLE_EQ(parseFinite("0.5", "g").value(), 0.5);
+    EXPECT_DOUBLE_EQ(parseFinite("-2.5e-1", "g").value(), -0.25);
+    EXPECT_DOUBLE_EQ(parseFinite("3", "g").value(), 3.0);
+    for (const char *bad : {"", "nan", "inf", "-inf", "1e400", "0x1p3",
+                            "1.5x", " 1", "1,5", "e", "-", "1e"}) {
+        Result<double> r = parseFinite(bad, "goal");
+        ASSERT_FALSE(r.ok()) << bad;
+        EXPECT_NE(r.error().message().find("goal expects a finite"),
+                  std::string::npos);
+    }
+}
+
 /** Death-test stderr matcher: says "fatal:", never @p marker. */
 class FatalWithout
     : public ::testing::MatcherInterface<const std::string &>

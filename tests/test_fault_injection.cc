@@ -53,6 +53,34 @@ TEST_F(FaultFixture, SpecParsingSkipsMalformedEntries)
     EXPECT_TRUE(fi.checked("cache_write") == 0);
 }
 
+TEST_F(FaultFixture, SpecParsingRejectsNonFiniteAndHexRates)
+{
+    auto &fi = FaultInjector::instance();
+    EXPECT_EQ(fi.configure("cache_write:nan,cache_read:-nan,"
+                           "config_parse:0x1p-1,x: 0.5"),
+              0);
+    EXPECT_FALSE(fi.enabled());
+}
+
+TEST_F(FaultFixture, SignedSeedFallsBackToSeedOne)
+{
+    // "-1" used to parse as 2^64 - 1 and pick a different stream.
+    auto draws = [](const char *seed) {
+        ::setenv(FaultInjector::specEnvVar, "cache_write:0.5", 1);
+        ::setenv(FaultInjector::seedEnvVar, seed, 1);
+        auto &fi = FaultInjector::instance();
+        fi.reloadFromEnv();
+        ::unsetenv(FaultInjector::specEnvVar);
+        ::unsetenv(FaultInjector::seedEnvVar);
+        std::vector<bool> out;
+        for (int i = 0; i < 64; ++i)
+            out.push_back(fi.shouldFail("cache_write"));
+        return out;
+    };
+    EXPECT_EQ(draws("-1"), draws("1"));
+    EXPECT_NE(draws("7"), draws("1"));
+}
+
 TEST_F(FaultFixture, ZeroProbabilitySiteNeverFires)
 {
     auto &fi = FaultInjector::instance();

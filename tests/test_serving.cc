@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -76,6 +77,33 @@ TEST(TenantSpec, SloZeroMeansNoSloButQueueZeroIsRejected)
     ASSERT_FALSE(q.ok());
     EXPECT_NE(q.error().message().find("bad queue"), std::string::npos)
         << q.error().message();
+}
+
+TEST(TenantSpec, RejectsSignedAndNonFiniteNumbers)
+{
+    // An slo of -1 used to parse as 2^64 - 1, so every deadline
+    // wrapped and every admitted request was abandoned.
+    struct Case
+    {
+        const char *spec;
+        const char *field;
+    };
+    for (const Case &c :
+         {Case{"web:sgemm:guaranteed:0.5:-1:16", "slo"},
+          Case{"web:sgemm:guaranteed:0.5:30000:-1", "queue"},
+          Case{"web:sgemm:guaranteed:nan", "goal"},
+          Case{"web:sgemm:guaranteed:0.5:+30000", "slo"},
+          Case{"web:sgemm:guaranteed:0.5:0x10", "slo"}}) {
+        auto r = parseTenantSpec(c.spec);
+        ASSERT_FALSE(r.ok()) << c.spec;
+        EXPECT_NE(r.error().message().find(std::string(c.field) +
+                                           " expects"),
+                  std::string::npos)
+            << r.error().message();
+    }
+    TenantSpec t{"w", "sgemm", QosClass::Guaranteed,
+                 std::numeric_limits<double>::quiet_NaN(), 0, 16};
+    EXPECT_FALSE(t.check().ok());
 }
 
 TEST(TenantSpec, ListParsingAndDefaultMix)
