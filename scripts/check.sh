@@ -7,13 +7,14 @@
 # stdout at --jobs 1 and --jobs 4, cold and warm cache, and with
 # the cache off it must match the cold-cache run in stdout and
 # --trace JSONL (the TSan binary runs the same sweeps to catch
-# races in the executor, the shared result cache and the baseline
-# hand-off to workers). Every preset also runs the serving
-# smoke: a short Poisson arrival trace through bench_serving must
-# print byte-identical stdout and trace JSONL across two runs and
-# across --jobs 1 vs 4, with and without admission-path fault
-# injection, and its --stats-json accounting must conserve every
-# arrival. Every preset also runs the timeline smoke: --timeline
+# races in the executor, the shared result cache and the Runner's
+# shared baseline memo), and bench_ablations' paid and free-
+# preemption runs must write no duplicate --trace line. Every
+# preset also runs the serving smoke: a short Poisson arrival trace
+# through bench_serving must print byte-identical stdout and trace
+# JSONL across two runs and across --jobs 1 vs 4, with and without
+# admission-path fault injection, and its --stats-json accounting
+# must conserve every arrival. Every preset also runs the timeline smoke: --timeline
 # must leave stdout byte-identical, export one valid JSON document
 # that is byte-identical across --jobs 1 vs 4, and the cycle-
 # attribution breakdowns in --stats-json must conserve every SM
@@ -126,9 +127,9 @@ sweep_smoke() {
     cmp "$scratch/fault.j1" "$scratch/fault.j4"
 
     # Cache off: the sweep still simulates each isolated baseline
-    # exactly once (the pre-pass seeds every worker's baseline memo),
-    # so stdout and trace match the cold-cache run: byte for byte at
-    # --jobs 1, as a sorted record set at --jobs 4.
+    # exactly once (the pre-pass fills the Runner memo all workers
+    # share), so stdout and trace match the cold-cache run: byte for
+    # byte at --jobs 1, as a sorted record set at --jobs 4.
     echo "==> [$preset] sweep smoke (cache off matches cold cache)"
     # shellcheck disable=SC2086
     "$bin" $flags --jobs 1 --cache "$scratch/tc" \
@@ -144,6 +145,18 @@ sweep_smoke() {
     cmp "$scratch/cold.jsonl" "$scratch/nc1.jsonl"
     cmp "$scratch/cold.out" "$scratch/nc4.out"
     cmp <(sort "$scratch/cold.jsonl") <(sort "$scratch/nc4.jsonl")
+
+    # bench_ablations traces its paid and its free-preemption runs
+    # into one file; their labels differ, so no line appears twice.
+    echo "==> [$preset] sweep smoke (ablations trace has no duplicate line)"
+    "$(builddir_for "$preset")/bench/bench_ablations" --cycles 20000 \
+        --warmup 4000 --pairs 2 --jobs 1 --no-cache \
+        --trace "$scratch/abl.jsonl" > /dev/null 2>&1
+    local dups
+    dups="$(sort "$scratch/abl.jsonl" | uniq -d | wc -l)"
+    [ "$dups" = 0 ] || {
+        echo "ablations trace: $dups duplicate lines" >&2
+        return 1; }
 
     trace_smoke "$preset"
 }

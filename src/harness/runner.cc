@@ -157,11 +157,16 @@ Runner::simulate(const std::vector<std::string> &kernels,
     // Cycle attribution rides along whenever the run is observed
     // (metrics or --stats-json). The stall watchdog aborts a case
     // that retires no instruction across a full epoch window while
-    // live warps exist (a policy bug gating every warp forever).
+    // live warps exist (a policy bug gating every warp forever). A
+    // free-preemption run of a key gets its own trace label, so a
+    // trace shared with the paid run keeps the two apart; its cache
+    // and report entries keep the plain key.
     Simulation sim(cfg_, descs, std::move(pol).value(),
                    {.engine = opts_.engine,
                     .stallWindow = cfg_.epochLength,
-                    .label = key,
+                    .label = opts_.freePreemption
+                                 ? key + "|free-preemption"
+                                 : key,
                     .trace = opts_.traceSink,
                     .metrics = opts_.metrics,
                     .accounting = opts_.metrics || opts_.report});

@@ -141,8 +141,9 @@ class Runner
         /**
          * Epoch-trace sink shared by every case this runner
          * simulates, on any sweep worker. Records are stamped with
-         * the case key, so one file can hold a whole sweep. Null =
-         * no tracing. Tracing never changes simulation results.
+         * the case key (suffixed "|free-preemption" under
+         * freePreemption), so one file can hold a whole sweep, or
+         * both runs of bench_ablations. Null = no tracing. Tracing never changes simulation results.
          */
         TraceSink *traceSink = nullptr;
         /** Where traceSink writes, recorded in reports/cache meta. */

@@ -12,10 +12,13 @@
 #include <filesystem>
 #include <fstream>
 #include <algorithm>
+#include <set>
 #include <sstream>
+#include <variant>
 
 #include "harness/run_report.hh"
 #include "harness/runner.hh"
+#include "telemetry/trace.hh"
 
 namespace gqos
 {
@@ -118,6 +121,50 @@ TEST_F(HarnessFixture, ReportTellsFreePreemptionRunsApart)
                   std::string::npos)
             << json;
     }
+}
+
+/** Case keys of the records @p sink holds, from the @p skip-th. */
+std::vector<std::string>
+labelsFrom(const RecordingTraceSink &sink, std::size_t skip)
+{
+    struct Labels : TraceSink
+    {
+        std::vector<std::string> keys;
+        void
+        onRecord(const TraceRecord &rec) override
+        {
+            keys.push_back(std::visit(
+                [](const auto &r) { return r.caseKey; }, rec));
+        }
+    } labels;
+    sink.replayTo(labels);
+    return {labels.keys.begin() + skip, labels.keys.end()};
+}
+
+TEST_F(HarnessFixture, FreePreemptionTraceLabelsAreDistinct)
+{
+    // bench_ablations traces the same cases on its paid and its
+    // free-preemption Runner into one file; the two simulations
+    // must stay apart there, as they do in the report.
+    opts.useCache = false;
+    opts.cycles = 4000;
+    opts.warmupCycles = 1000;
+    RecordingTraceSink sink;
+    opts.traceSink = &sink;
+    std::set<std::string> labels[2];
+    for (bool free_pre : {false, true}) {
+        opts.freePreemption = free_pre;
+        const std::size_t before = sink.size();
+        makeRunner().run({"sgemm", "lbm"}, {0.5, 0.0}, "rollover")
+            .value();
+        for (const std::string &k : labelsFrom(sink, before))
+            labels[free_pre].insert(k);
+    }
+    EXPECT_EQ(labels[0].count("rollover|sgemm:0.5000|lbm:0.0000"),
+              1u);
+    ASSERT_FALSE(labels[1].empty());
+    for (const std::string &k : labels[1])
+        EXPECT_EQ(labels[0].count(k), 0u) << k;
 }
 
 TEST_F(HarnessFixture, FailedBaselineIsNotMemoized)
