@@ -24,7 +24,6 @@ main(int argc, char **argv)
     Runner runner = makeRunner(args);
     auto pairs = subsample(parboilPairs(),
                            static_cast<int>(args.getInt("pairs", 8)));
-    Cycle cycles = args.getInt("cycles", 200000);
 
     // The Rollover cases sweep in parallel (which also warms the
     // isolated baselines); the inline SMK-fair simulation below is
@@ -47,20 +46,19 @@ main(int argc, char **argv)
                 continue;
 
             // Fairness mode: baselines are warm from the sweep.
+            const GpuConfig &cfg = runner.config();
             auto owned = std::make_unique<SmkFairPolicy>(
                 std::vector<double>{isolatedIpc(runner, k0),
                                     isolatedIpc(runner, k1)},
-                runner.config().epochLength);
+                cfg.epochLength);
             const SmkFairPolicy &fair = *owned;
-            Simulation sim(runner.config(),
-                           {&parboilKernel(k0), &parboilKernel(k1)},
+            Simulation sim(cfg, {&parboilKernel(k0), &parboilKernel(k1)},
                            std::move(owned),
                            {.engine = runner.options().engine,
-                            .stallWindow =
-                                runner.config().epochLength,
+                            .stallWindow = cfg.epochLength,
                             .label = caseKey({k0, k1}, {0.0, 0.0},
                                              fair.name())});
-            okOrDie(sim.runUntil(cycles));
+            okOrDie(sim.runUntil(runner.options().cycles));
 
             total++;
             if (r.allReached())

@@ -107,14 +107,11 @@ printPoint(const LoadPoint &pt, const std::vector<TenantSpec> &mix,
                     rejected, t.abandoned, t.droppedAtShutdown,
                     t.maxQueueDepth);
 
-        // Robustness invariants, checked at every load point:
-        // bounded queues and full conservation of arrivals.
+        // Robustness invariant, checked at every load point (the
+        // driver itself asserts conservation of arrivals).
         gqos_assert(t.maxQueueDepth <= mix[i].queueCap,
                     "tenant %s queue exceeded its bound",
                     t.name.c_str());
-        gqos_assert(t.arrivals == t.admitted + rejected);
-        gqos_assert(t.admitted == t.completed + t.abandoned +
-                                      t.droppedAtShutdown);
     }
     // A healthy overload run degrades; it must never wedge.
     gqos_assert(!r.engineStalled, "engine stalled at %s",

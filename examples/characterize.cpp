@@ -14,7 +14,8 @@
 
 #include "arch/gpu_config.hh"
 #include "common/cli.hh"
-#include "gpu/gpu.hh"
+#include "engine/simulation.hh"
+#include "policy/even_share.hh"
 #include "workloads/parboil.hh"
 
 using namespace gqos;
@@ -37,13 +38,13 @@ main(int argc, char **argv)
     for (const auto &desc : parboilSuite()) {
         auto t0 = std::chrono::steady_clock::now();
 
-        Gpu gpu(cfg);
-        gpu.launch({&desc});
+        // Alone, even share fills each SM with the kernel's max TBs.
+        Simulation sim(cfg, {&desc}, std::make_unique<EvenSharePolicy>(),
+                       {.stallWindow = cfg.epochLength,
+                        .label = "even|" + desc.name});
+        okOrDie(sim.runUntil(cycles));
+        const Gpu &gpu = sim.gpu();
         int per_sm = desc.maxTbsPerSm(cfg);
-        for (int s = 0; s < gpu.numSms(); ++s)
-            gpu.setTbTarget(s, 0, per_sm);
-        for (Cycle c = 0; c < cycles; ++c)
-            gpu.step();
 
         auto t1 = std::chrono::steady_clock::now();
         double ms = std::chrono::duration<double, std::milli>(

@@ -15,9 +15,7 @@
 
 #include "common/cli.hh"
 #include "common/logging.hh"
-#include "gpu/gpu.hh"
 #include "harness/runner.hh"
-#include "policy/policy_factory.hh"
 #include "workloads/parboil.hh"
 
 using namespace gqos;
@@ -41,8 +39,8 @@ main(int argc, char **argv)
     ropts.useCache = false;
     Runner runner = okOrDie(Runner::make(ropts));
 
-    double g0 = std::strtod(goal_strs[0].c_str(), nullptr);
-    double g1 = std::strtod(goal_strs[1].c_str(), nullptr);
+    double g0 = okOrDie(parseFinite(goal_strs[0], "--goals"));
+    double g1 = okOrDie(parseFinite(goal_strs[1], "--goals"));
 
     std::printf("services: %s (SLA %.0f%%), %s (SLA %.0f%%), %s "
                 "(best effort)\n\n", kernels[0].c_str(), 100 * g0,

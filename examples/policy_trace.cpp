@@ -49,7 +49,7 @@ main(int argc, char **argv)
     std::vector<double> iso;
     for (std::size_t i = 0; i < kernels.size(); ++i) {
         descs.push_back(&parboilKernel(kernels[i]));
-        double frac = std::strtod(goal_strs[i].c_str(), nullptr);
+        double frac = okOrDie(parseFinite(goal_strs[i], "--goals"));
         iso.push_back(okOrDie(runner.isolatedIpc(kernels[i])));
         specs.push_back(frac > 0.0
                             ? QosSpec::qos(frac * iso.back())

@@ -59,46 +59,39 @@ CliArgs::getString(const std::string &name, const std::string &def) const
 }
 
 Result<std::uint64_t>
-parseUnsigned(const std::string &token, const std::string &field)
+parseUnsigned(const std::string &token, const std::string &field,
+              std::uint64_t max)
 {
-    bool ok = !token.empty() &&
-              token.find_first_not_of("0123456789") ==
-                  std::string::npos &&
-              (token.size() == 1 || token[0] != '0');
-    std::uint64_t v = 0;
-    if (ok) {
-        errno = 0;
-        v = std::strtoull(token.c_str(), nullptr, 10);
-        ok = errno != ERANGE;
-    }
-    if (!ok) {
-        return Error::format(ErrorCode::InvalidArgument,
-                             "%s expects a non-negative integer, got "
-                             "'%s'", field.c_str(), token.c_str());
-    }
-    return v;
+    errno = 0;
+    const bool digits =
+        !token.empty() &&
+        token.find_first_not_of("0123456789") == std::string::npos &&
+        (token.size() == 1 || token[0] != '0');
+    const std::uint64_t v =
+        digits ? std::strtoull(token.c_str(), nullptr, 10) : 0;
+    if (digits && errno != ERANGE && v <= max)
+        return v;
+    return Error::format(ErrorCode::InvalidArgument,
+                         "%s expects a non-negative integer, got '%s'",
+                         field.c_str(), token.c_str());
 }
 
 Result<double>
 parseFinite(const std::string &token, const std::string &field)
 {
-    bool ok = !token.empty() &&
-              token.find_first_not_of("0123456789.eE+-") ==
-                  std::string::npos;
-    double v = 0.0;
-    if (ok) {
-        errno = 0;
-        char *end = nullptr;
-        v = std::strtod(token.c_str(), &end);
-        ok = end == token.c_str() + token.size() && errno != ERANGE &&
-             std::isfinite(v);
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    if (!token.empty() &&
+        token.find_first_not_of("0123456789.eE+-") ==
+            std::string::npos &&
+        end == token.c_str() + token.size() && errno != ERANGE &&
+        std::isfinite(v)) {
+        return v;
     }
-    if (!ok) {
-        return Error::format(ErrorCode::InvalidArgument,
-                             "%s expects a finite number, got '%s'",
-                             field.c_str(), token.c_str());
-    }
-    return v;
+    return Error::format(ErrorCode::InvalidArgument,
+                         "%s expects a finite number, got '%s'",
+                         field.c_str(), token.c_str());
 }
 
 std::int64_t
@@ -109,14 +102,9 @@ CliArgs::getInt(const std::string &name, std::int64_t def) const
         return def;
     // No option takes a negative count; callers cast the value to
     // an unsigned type, where -1 would become 2^64 - 1.
-    Result<std::uint64_t> v =
-        parseUnsigned(it->second, "option --" + name);
-    if (!v.ok() ||
-        v.value() > std::numeric_limits<std::int64_t>::max()) {
-        gqos_fatal("option --%s expects a non-negative integer, "
-                   "got '%s'", name.c_str(), it->second.c_str());
-    }
-    return static_cast<std::int64_t>(v.value());
+    return static_cast<std::int64_t>(okOrDie(parseUnsigned(
+        it->second, "option --" + name,
+        std::numeric_limits<std::int64_t>::max())));
 }
 
 double

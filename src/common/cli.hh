@@ -72,18 +72,15 @@ class CliArgs
 };
 
 /**
- * Strict number parsing, shared by CLI options, tenant specs and
- * GQOS_FAULT. The whole token must parse, in base 10: no space, no
- * hex, no trailing text. An InvalidArgument names @p field and the
- * token.
+ * Strict number parses for CLI options, tenant specs and GQOS_FAULT:
+ * the whole token in base 10 (no space, hex or trailing text), else
+ * an InvalidArgument naming @p field and the token. Unsigned tokens
+ * are digits only, without sign or leading zero ("010" is neither 8
+ * nor 10), at most @p max; floating ones must be finite.
  */
-
-/** Digits only: no sign, and no leading zero ("010" is neither 8
- *  nor 10). */
-Result<std::uint64_t> parseUnsigned(const std::string &token,
-                                    const std::string &field);
-
-/** Decimal or exponent form, sign allowed; finite values only. */
+Result<std::uint64_t> parseUnsigned(
+    const std::string &token, const std::string &field,
+    std::uint64_t max = ~std::uint64_t{0});
 Result<double> parseFinite(const std::string &token,
                            const std::string &field);
 

@@ -65,13 +65,7 @@ int
 FaultInjector::configure(const std::string &spec)
 {
     int accepted = 0;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string entry = spec.substr(pos, comma - pos);
-        pos = comma + 1;
+    for (const std::string &entry : splitList(spec)) {
         if (entry.empty())
             continue;
         std::size_t colon = entry.find(':');

@@ -31,12 +31,7 @@ Simulation::Simulation(const GpuConfig &cfg,
     if (setup_.trace) {
         gpu_.setSmSliceCallback(
             [this](SmId sm, KernelId k, Cycle start, Cycle end) {
-                SmSliceRecord rec;
-                rec.sm = sm;
-                rec.kernel = k;
-                rec.start = start;
-                rec.end = end;
-                labeled_.onSmSlice(rec);
+                labeled_.onSmSlice({{}, sm, k, start, end});
             });
     }
     policy_->attachTelemetry(trace(), setup_.metrics);

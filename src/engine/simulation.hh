@@ -1,11 +1,10 @@
 /**
  * @file
  * One simulated run: the Gpu, its sharing policy, the stepping
- * engine and the run's observers, wired in one place. The batch
- * harness's cases and baselines, the serving driver and its
- * baselines, and bench_fairness's SMK-fair co-run all drive the
- * machine through it; what to measure and when to stop stay with
- * the caller.
+ * engine and the run's observers, wired in one place. Batch cases
+ * and baselines, serving runs and their baselines, and the SMK-fair
+ * co-run all drive the machine through it; what to measure and when
+ * to stop stay with the caller.
  */
 
 #ifndef GQOS_ENGINE_SIMULATION_HH
@@ -30,24 +29,22 @@ class MetricsRegistry;
 class Simulation
 {
   public:
-    /** How the run is driven and who observes it. */
     struct Setup
     {
         EngineKind engine = EngineKind::Event;
         Cycle stallWindow = 0; //!< see StallDetector
-        /** Case key stamped on every trace record and named by a
-         *  stall error. */
+        /** Stamped on every trace record; named by a stall error. */
         std::string label;
         TraceSink *trace = nullptr;          //!< null = no tracing
         MetricsRegistry *metrics = nullptr;  //!< null = no counters
-        bool accounting = false; //!< cycle-attribution profiler
+        bool accounting = false;   //!< cycle-attribution profiler
         bool manualLaunch = false; //!< every kernel (serving mode)
     };
 
     /**
      * Launch @p descs (which must outlive the run), attach the
-     * labelled trace sink, SM-slice emitter and policy telemetry,
-     * and call the policy's onLaunch().
+     * labelled sink, SM-slice emitter and policy telemetry, and
+     * call onLaunch().
      */
     Simulation(const GpuConfig &cfg,
                const std::vector<const KernelDesc *> &descs,
@@ -64,11 +61,10 @@ class Simulation
     Result<void> runUntil(Cycle until);
 
     /**
-     * onFinish(), close the open SM slices, then add the engine.*
-     * counters and -- with accounting on -- the conservation-checked
+     * onFinish(), close the open SM slices, and add the engine.*
+     * counters and, with accounting on, the conservation-checked
      * cycles.* breakdowns to the metrics registry (if any).
-     * @return per-kernel cycle attribution, KernelId-indexed; empty
-     *         when accounting is off
+     * @return per-kernel cycle attribution; empty without accounting
      */
     std::vector<CycleBreakdown> finish();
 

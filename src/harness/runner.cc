@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "common/fault_injection.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "engine/simulation.hh"
@@ -155,12 +154,10 @@ Runner::simulate(const std::vector<std::string> &kernels,
         return pol.error();
     const std::string key = caseKey(kernels, goal_frac, policy);
     // Cycle attribution rides along whenever the run is observed
-    // (metrics or --stats-json). The stall watchdog aborts a case
-    // that retires no instruction across a full epoch window while
-    // live warps exist (a policy bug gating every warp forever). A
-    // free-preemption run of a key gets its own trace label, so a
-    // trace shared with the paid run keeps the two apart; its cache
-    // and report entries keep the plain key.
+    // (metrics or --stats-json). The watchdog aborts a case that
+    // retires nothing for an epoch with live warps. A free-
+    // preemption run is labelled apart from the paid run of its key
+    // in a shared trace; cache and report keep the plain key.
     Simulation sim(cfg_, descs, std::move(pol).value(),
                    {.engine = opts_.engine,
                     .stallWindow = cfg_.epochLength,

@@ -143,7 +143,8 @@ class Runner
          * simulates, on any sweep worker. Records are stamped with
          * the case key (suffixed "|free-preemption" under
          * freePreemption), so one file can hold a whole sweep, or
-         * both runs of bench_ablations. Null = no tracing. Tracing never changes simulation results.
+         * both runs of bench_ablations. Null = no tracing. Tracing
+         * never changes simulation results.
          */
         TraceSink *traceSink = nullptr;
         /** Where traceSink writes, recorded in reports/cache meta. */

@@ -11,6 +11,7 @@
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "engine/simulation.hh"
+#include "policy/even_share.hh"
 #include "policy/policy_factory.hh"
 #include "serving/admission.hh"
 
@@ -52,11 +53,7 @@ Result<double>
 isolatedBaseline(const KernelDesc &desc, const GpuConfig &cfg,
                  EngineKind kind)
 {
-    auto policy =
-        makePolicy("even", {QosSpec::nonQos()}, cfg);
-    if (!policy.ok())
-        return policy.error();
-    Simulation sim(cfg, {&desc}, std::move(policy).value(),
+    Simulation sim(cfg, {&desc}, std::make_unique<EvenSharePolicy>(),
                    {.engine = kind,
                     .stallWindow = defaultStallWindow,
                     .label = "even|" + desc.name});
@@ -132,13 +129,11 @@ ServingDriver::make(std::vector<TenantSpec> tenants,
         auto desc = servingKernelDesc(t);
         if (!desc.ok())
             return desc.error();
-        driver->descs_.push_back(std::move(desc.value()));
-    }
-    for (const KernelDesc &d : driver->descs_) {
-        auto ipc = isolatedBaseline(d, driver->cfg_,
+        auto ipc = isolatedBaseline(desc.value(), driver->cfg_,
                                     driver->opts_.engine);
         if (!ipc.ok())
             return ipc.error();
+        driver->descs_.push_back(std::move(desc.value()));
         driver->isolatedIpc_.push_back(ipc.value());
     }
     return driver;

@@ -59,8 +59,8 @@ TenantSpec::check() const
     }
     if (queueCap == 0) {
         return Error::format(ErrorCode::InvalidArgument,
-                             "tenant '%s': queue capacity must be "
-                             ">= 1",
+                             "tenant '%s': bad queue capacity 0 "
+                             "(want >= 1)",
                              name.c_str());
     }
     return {};
@@ -106,11 +106,6 @@ parseTenantSpec(const std::string &text)
             parseUnsigned(parts[5], field + "queue");
         if (!queue.ok())
             return queue.error();
-        if (queue.value() == 0) {
-            return Error::format(ErrorCode::InvalidArgument,
-                                 "%sbad queue '0' (want >= 1)",
-                                 field.c_str());
-        }
         spec.queueCap = static_cast<std::size_t>(queue.value());
     }
     auto ok = spec.check();

@@ -57,7 +57,7 @@ TEST_F(FaultFixture, SpecParsingRejectsNonFiniteAndHexRates)
 {
     auto &fi = FaultInjector::instance();
     EXPECT_EQ(fi.configure("cache_write:nan,cache_read:-nan,"
-                           "config_parse:0x1p-1,x: 0.5"),
+                           "config_parse:0x1p-1,x:0.5e"),
               0);
     EXPECT_FALSE(fi.enabled());
 }
