@@ -69,7 +69,6 @@ class Simulation
     std::vector<CycleBreakdown> finish();
 
     Gpu &gpu() { return gpu_; }
-    const Gpu &gpu() const { return gpu_; }
 
     /** The labelled trace sink, or null when tracing is off. */
     TraceSink *trace() { return setup_.trace ? &labeled_ : nullptr; }

@@ -222,7 +222,8 @@ TEST(CliDeath, RejectsNegativeIntegers)
 
 TEST(CliDeath, RejectsSignsLeadingZerosAndOtherBases)
 {
-    // "010" used to be read as octal 8, "0x10" as 16 and "+5" as 5.
+    // Base 10 only: "010" is not octal 8, "0x10" is not hex, and a
+    // count takes no sign.
     const char *argv[] = {"prog", "--cycles", "010", "--hex=0x10",
                           "--plus=+5", "--space= 5"};
     CliArgs args(6, argv);

@@ -64,7 +64,7 @@ TEST_F(FaultFixture, SpecParsingRejectsNonFiniteAndHexRates)
 
 TEST_F(FaultFixture, SignedSeedFallsBackToSeedOne)
 {
-    // "-1" used to parse as 2^64 - 1 and pick a different stream.
+    // A signed seed is rejected, not wrapped to 2^64 - 1.
     auto draws = [](const char *seed) {
         ::setenv(FaultInjector::specEnvVar, "cache_write:0.5", 1);
         ::setenv(FaultInjector::seedEnvVar, seed, 1);

@@ -81,8 +81,8 @@ TEST(TenantSpec, SloZeroMeansNoSloButQueueZeroIsRejected)
 
 TEST(TenantSpec, RejectsSignedAndNonFiniteNumbers)
 {
-    // An slo of -1 used to parse as 2^64 - 1, so every deadline
-    // wrapped and every admitted request was abandoned.
+    // A signed slo must not wrap to 2^64 - 1: every deadline would
+    // wrap, and every admitted request would be abandoned.
     struct Case
     {
         const char *spec;
