@@ -30,11 +30,12 @@
  *                  https://ui.perfetto.dev. Composable with --trace.
  *   --stats-json=FILE
  *                  write a structured end-of-run report (cases,
- *                  sweeps, harness metrics) to FILE at exit; FILE
- *                  is created empty at startup, so an unwritable
- *                  FILE is fatal before any case runs
+ *                  sweeps, qos.* and engine.* counters) to FILE at
+ *                  exit; FILE is created empty at startup, so an
+ *                  unwritable FILE is fatal before any case runs
  *   --quiet / --verbose
- *                  lower / raise the log level
+ *                  lower / raise the log level (--verbose prints a
+ *                  line per simulated case)
  *
  * Results are memoized in the cache directory, so running fig6
  * first makes fig7/8/9/14 nearly free. Case sweeps execute in
@@ -204,7 +205,6 @@ runnerOptions(const CliArgs &args, const std::string &config = "default")
     bool cacheOn = cache != "false";
     opts.cacheDir = cacheOn ? cache : ".qos_cache";
     opts.useCache = cacheOn;
-    opts.verbose = args.getBool("verbose", false);
     opts.engine = okOrDie(
         parseEngineKind(args.getString("engine", "event")));
     opts.traceSink = t.sink();

@@ -18,7 +18,9 @@
 # must leave stdout byte-identical, export one valid JSON document
 # that is byte-identical across --jobs 1 vs 4, and the cycle-
 # attribution breakdowns in --stats-json must conserve every SM
-# cycle. --stats-json to an unwritable path must fail at startup
+# cycle, and the report must be schema 4 with a metrics object of
+# qos.* and engine.* counters only. --stats-json to an unwritable
+# path must fail at startup
 # with nothing on stdout, and so must a negative integer option
 # (bench_fig5 --cycles -5, bench_serving --drain-grace -1), whose
 # error must name the option. The default preset additionally
@@ -207,10 +209,16 @@ assert kinds.get("epoch_mem", 0) > 0, "no epoch_mem records"
 assert kinds.get("sm_slice", 0) > 0, "no sm_slice records"
 with open(stats) as f:
     rep = json.load(f)
-assert rep["schema_version"] >= 2, "stats report lacks schema_version"
+assert rep["schema_version"] == 4, "stats report is not schema 4"
 assert rep["cases"], "stats report has no cases"
 assert rep["sweeps"], "stats report has no sweeps"
-assert "metrics" in rep, "stats report has no metrics"
+# The registry holds only counters with no other home in the report:
+# a harness, serving or cycle total would copy the entries.
+assert list(rep["metrics"]) == ["counters"], rep["metrics"].keys()
+counters = rep["metrics"]["counters"]
+assert counters, "stats report has no counters"
+stray = [n for n in counters if not n.startswith(("qos.", "engine."))]
+assert not stray, f"counters outside qos.*/engine.*: {stray}"
 cats = ("issued", "quota_gated", "mem_stall", "no_ready_warp",
         "drain_preempt", "inert_skipped")
 for case in rep["cases"]:

@@ -7,10 +7,11 @@ every host, at every job count and under either stepping engine:
   - per case: key, kernels, cycle_breakdown, preemptions,
     dram_per_kcycle and instr_per_watt, sorted by key;
   - the serving section;
-  - metrics.counters, minus the engine.* and harness.* counters.
+  - metrics.counters, minus the engine.* counters: what remains are
+    the policy's qos.* counters (schema 4 has no harness.* counters).
 
 Host-time and cache fields (wall_sec, sim_cycles_per_sec, from_cache,
-engine, trace, samples, sweeps) are left out, and so is a case's
+engine, trace, sweeps) are left out, and so is a case's
 free_preemption flag: it says which Runner ran the case, and the
 golden files predate it.
 
@@ -23,7 +24,7 @@ import sys
 
 CASE_FIELDS = ("key", "kernels", "cycle_breakdown", "preemptions",
                "dram_per_kcycle", "instr_per_watt")
-HOST_COUNTER_PREFIXES = ("engine.", "harness.")
+HOST_COUNTER_PREFIXES = ("engine.",)
 
 
 def canonical(report):

@@ -36,34 +36,14 @@ MetricsRegistry::counter(const std::string &name)
 }
 
 void
-MetricsRegistry::observe(const std::string &name, double value)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    samples_[name].add(value);
-}
-
-void
 MetricsRegistry::writeJson(std::ostream &os) const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    os << "{";
-
-    os << "\"counters\":{";
+    os << "{\"counters\":{";
     bool first = true;
     for (const auto &[name, c] : counters_) {
         os << (first ? "" : ",") << "\"" << name
            << "\":" << c->value();
-        first = false;
-    }
-    os << "},\"samples\":{";
-    first = true;
-    for (const auto &[name, s] : samples_) {
-        os << (first ? "" : ",") << "\"" << name << "\":{"
-           << "\"count\":" << s.count()
-           << ",\"mean\":" << jsonNumber(s.mean())
-           << ",\"min\":" << jsonNumber(s.min())
-           << ",\"max\":" << jsonNumber(s.max())
-           << ",\"variance\":" << jsonNumber(s.variance()) << "}";
         first = false;
     }
     os << "}}";

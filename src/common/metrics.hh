@@ -1,18 +1,15 @@
 /**
  * @file
- * Named-metric registry: counters and sample distributions that
- * simulator components register into by name.
+ * Named-metric registry: counters that simulator components register
+ * into by name, serialized as JSON.
  *
- * Builds on the primitive accumulator SampleStat in common/stats.hh
- * and adds naming and JSON serialization on top. One registry typically spans one run (a
- * Runner owns one and shares it with its sweep workers), so the
- * registry is thread-safe:
- *
- *  - counter() hands out a stable Counter handle whose inc() is a
- *    relaxed atomic add — safe to call from any thread without
- *    re-entering the registry;
- *  - observe() takes the registry mutex; it is meant for epoch- or
- *    case-grained call sites where a lock is negligible.
+ * It holds only counters that have no other home: the policy's
+ * qos.* and the stepping engine's engine.* totals. What the harness
+ * and the serving driver know is in the run report's own entries
+ * (harness/run_report.hh). One registry typically spans one run (a
+ * Runner shares it with its sweep workers), so counter() hands out
+ * a stable Counter handle whose inc() is a relaxed atomic add, safe
+ * to call from any thread without re-entering the registry.
  *
  * Overhead-when-disabled guarantee: instrumented components hold a
  * `MetricsRegistry *` that defaults to nullptr and cache their
@@ -32,8 +29,6 @@
 #include <ostream>
 #include <string>
 
-#include "common/stats.hh"
-
 namespace gqos
 {
 
@@ -48,7 +43,7 @@ std::string jsonNumber(double v);
 /**
  * Registry of named metrics. Names are free-form strings; the
  * convention used by the simulator is dotted lower-case paths such
- * as "qos.epochs" or "harness.cache_hits".
+ * as "qos.epochs" or "engine.stepped_cycles".
  */
 class MetricsRegistry
 {
@@ -84,13 +79,9 @@ class MetricsRegistry
      */
     Counter &counter(const std::string &name);
 
-    /** Record @p value into the sample distribution @p name. */
-    void observe(const std::string &name, double value);
-
     /**
-     * Serialize every metric as one JSON object, sections keyed by
-     * kind ("counters", "samples"), metrics sorted by name within
-     * each section.
+     * Serialize as one JSON object {"counters":{...}}, counters
+     * sorted by name.
      */
     void writeJson(std::ostream &os) const;
 
@@ -98,7 +89,6 @@ class MetricsRegistry
     mutable std::mutex mutex_;
     // node-based maps: references into them are stable
     std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, SampleStat> samples_;
 };
 
 } // namespace gqos

@@ -28,7 +28,6 @@ class SampleStat
     {
         count_++;
         sum_ += v;
-        sumSq_ += v * v;
         if (v < min_)
             min_ = v;
         if (v > max_)
@@ -48,21 +47,9 @@ class SampleStat
     double min() const { return count_ ? min_ : 0.0; }
     double max() const { return count_ ? max_ : 0.0; }
 
-    /** Population variance of the recorded samples. */
-    double
-    variance() const
-    {
-        if (count_ == 0)
-            return 0.0;
-        double m = mean();
-        double v = sumSq_ / count_ - m * m;
-        return v > 0.0 ? v : 0.0;
-    }
-
   private:
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
-    double sumSq_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
 };

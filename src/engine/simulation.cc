@@ -57,7 +57,6 @@ Simulation::finish()
 {
     policy_->onFinish(gpu_);
     gpu_.closeOpenSmSlices();
-    MetricsRegistry *metrics = setup_.metrics;
     std::vector<CycleBreakdown> out;
     for (KernelId k = 0; setup_.accounting && k < gpu_.numKernels();
          ++k) {
@@ -68,13 +67,8 @@ Simulation::finish()
                         gpu_.sm(s).stats().cycles);
         }
         out.push_back(gpu_.cycleBreakdown(k));
-        for (int i = 0; metrics && i < numCycleCats; ++i) {
-            metrics->counter(std::string("cycles.") +
-                             toString(static_cast<CycleCat>(i)))
-                .inc(out.back().counts[i]);
-        }
     }
-    if (metrics) {
+    if (MetricsRegistry *metrics = setup_.metrics) {
         const EngineStats &st = engine_.stats();
         metrics->counter("engine.stepped_cycles").inc(st.steppedCycles);
         metrics->counter("engine.skipped_cycles").inc(st.skippedCycles);

@@ -62,9 +62,9 @@ class Simulation
 
     /**
      * onFinish(), close the open SM slices, and add the engine.*
-     * counters and, with accounting on, the conservation-checked
-     * cycles.* breakdowns to the metrics registry (if any).
-     * @return per-kernel cycle attribution; empty without accounting
+     * counters to the metrics registry (if any).
+     * @return per-kernel cycle attribution, conservation-checked
+     *         per SM; empty without accounting
      */
     std::vector<CycleBreakdown> finish();
 

@@ -18,6 +18,7 @@
 #include <sstream>
 
 #include "common/checksum.hh"
+#include "common/cli.hh"
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
 #include "common/result.hh"
@@ -168,14 +169,26 @@ ResultCache::parseLine(const std::string &line, std::string &key,
     }
     if (key.empty() || ipcs.empty())
         return false;
+    // Every number must parse whole: a sealed but empty or
+    // non-numeric token is corrupt, not a zero.
     c.ipc.clear();
     std::istringstream is(ipcs);
     std::string tok;
-    while (std::getline(is, tok, ','))
-        c.ipc.push_back(std::strtod(tok.c_str(), nullptr));
-    c.instrPerWatt = std::strtod(ipw.c_str(), nullptr);
-    c.preemptions = std::strtoull(pre.c_str(), nullptr, 10);
-    c.dramPerKcycle = std::strtod(dram.c_str(), nullptr);
+    while (std::getline(is, tok, ',')) {
+        Result<double> ipc = parseFinite(tok, "cache ipc");
+        if (!ipc.ok())
+            return false;
+        c.ipc.push_back(ipc.value());
+    }
+    Result<double> perWatt = parseFinite(ipw, "cache instr/W");
+    Result<std::uint64_t> preempts =
+        parseUnsigned(pre, "cache preemptions");
+    Result<double> dramRate = parseFinite(dram, "cache dram rate");
+    if (!perWatt.ok() || !preempts.ok() || !dramRate.ok())
+        return false;
+    c.instrPerWatt = perWatt.value();
+    c.preemptions = preempts.value();
+    c.dramPerKcycle = dramRate.value();
     return true;
 }
 

@@ -117,8 +117,9 @@ class ResultCache
 
     /**
      * Validate and split one sealed cache line into (key, case).
-     * False on any malformation: bad CRC field, CRC mismatch, or
-     * missing payload fields. Exposed for tests.
+     * False on any malformation: bad CRC field, CRC mismatch,
+     * missing payload fields, or a number that does not parse whole
+     * (parseFinite/parseUnsigned, common/cli.hh). Exposed for tests.
      */
     static bool parseLine(const std::string &line, std::string &key,
                           CachedCase &c);

@@ -42,8 +42,11 @@ class MetricsRegistry;
  *      "cycle_breakdown" (cycle-attribution profiler)
  *   3: cases gain "free_preemption" after "key"; metrics lose the
  *      always-empty "gauges" and "histograms" objects
+ *   4: metrics is {"counters":{...}} with qos.* and engine.* only;
+ *      the cycles.*, harness.* and serving.* counters and the
+ *      "samples" section, sums over the entries, are gone
  */
-constexpr int reportSchemaVersion = 3;
+constexpr int reportSchemaVersion = 4;
 
 /**
  * One top-level harness case: the CaseResult the caller got, plus

@@ -14,7 +14,6 @@
 #include <filesystem>
 
 #include "common/logging.hh"
-#include "common/metrics.hh"
 #include "engine/simulation.hh"
 #include "harness/run_report.hh"
 #include "policy/policy_factory.hh"
@@ -153,8 +152,8 @@ Runner::simulate(const std::vector<std::string> &kernels,
     if (!pol.ok())
         return pol.error();
     const std::string key = caseKey(kernels, goal_frac, policy);
-    // Cycle attribution rides along whenever the run is observed
-    // (metrics or --stats-json). The watchdog aborts a case that
+    // Cycle attribution rides along whenever the run report
+    // (--stats-json) can show it. The watchdog aborts a case that
     // retires nothing for an epoch with live warps. A free-
     // preemption run is labelled apart from the paid run of its key
     // in a shared trace; cache and report keep the plain key.
@@ -166,7 +165,7 @@ Runner::simulate(const std::vector<std::string> &kernels,
                                  : key,
                     .trace = opts_.traceSink,
                     .metrics = opts_.metrics,
-                    .accounting = opts_.metrics || opts_.report});
+                    .accounting = opts_.report != nullptr});
     const Gpu &gpu = sim.gpu();
 
     std::vector<std::uint64_t> instr_at_warmup(kernels.size(), 0);
@@ -208,11 +207,7 @@ Runner::simulate(const std::vector<std::string> &kernels,
         std::lock_guard<std::mutex> guard(shared_->mutex);
         return ++shared_->simulated;
     }();
-    if (opts_.metrics)
-        opts_.metrics->counter("harness.cases_simulated").inc();
-    if (opts_.verbose) {
-        gqos_inform("simulated %s [%d done]", key.c_str(), done);
-    }
+    gqos_debug("simulated %s [%d done]", key.c_str(), done);
     return out;
 }
 
@@ -305,22 +300,18 @@ Runner::execute(const std::vector<std::string> &kernels,
             if (opts_.traceSink && !opts_.tracePath.empty())
                 cache_->noteArtifact(key, opts_.tracePath);
         }
-    } else {
-        if (opts_.metrics)
-            opts_.metrics->counter("harness.cache_hits").inc();
-        if (opts_.traceSink &&
-            cache_->claimTraceBypassWarning(key)) {
-            // A hit skips the simulation, so nothing lands in the
-            // requested trace. Point at the recorded artifact of
-            // the run that produced the entry, if any.
-            std::string prev = cache_->artifact(key);
-            gqos_warn("cache hit for '%s' bypasses the requested "
-                      "trace%s%s; rerun with the cache disabled to "
-                      "re-trace cached cases",
-                      key.c_str(),
-                      prev.empty() ? "" : " (earlier trace: ",
-                      prev.empty() ? "" : (prev + ")").c_str());
-        }
+    } else if (opts_.traceSink &&
+               cache_->claimTraceBypassWarning(key)) {
+        // A hit skips the simulation, so nothing lands in the
+        // requested trace. Point at the recorded artifact of the
+        // run that produced the entry, if any.
+        std::string prev = cache_->artifact(key);
+        gqos_warn("cache hit for '%s' bypasses the requested "
+                  "trace%s%s; rerun with the cache disabled to "
+                  "re-trace cached cases",
+                  key.c_str(),
+                  prev.empty() ? "" : " (earlier trace: ",
+                  prev.empty() ? "" : (prev + ")").c_str());
     }
 
     CaseResult result;
@@ -364,10 +355,6 @@ Runner::execute(const std::vector<std::string> &kernels,
                 : opts_.tracePath;
         }
         rc.result = result;
-        if (opts_.metrics) {
-            opts_.metrics->observe("harness.case_wall_sec",
-                                   rc.wallSec);
-        }
         opts_.report->addCase(std::move(rc));
     }
     return result;

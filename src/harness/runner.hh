@@ -123,7 +123,6 @@ class Runner
         std::string configName = "default"; //!< or "large"
         std::string cacheDir = ".qos_cache";
         bool useCache = true;
-        bool verbose = false;
         /** Make partial context switches free (Section 4.8). */
         bool freePreemption = false;
         /**
@@ -149,7 +148,8 @@ class Runner
         TraceSink *traceSink = nullptr;
         /** Where traceSink writes, recorded in reports/cache meta. */
         std::string tracePath;
-        /** Registry for qos.* / harness.* metrics (null = off). */
+        /** Registry for the qos.* and engine.* counters (null =
+         *  off). */
         MetricsRegistry *metrics = nullptr;
         /** Per-case report collector (--stats-json; null = off). */
         RunReport *report = nullptr;

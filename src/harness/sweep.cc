@@ -26,7 +26,6 @@
 #include <utility>
 
 #include "common/fault_injection.hh"
-#include "common/metrics.hh"
 #include "harness/run_report.hh"
 #include "telemetry/trace.hh"
 
@@ -235,13 +234,6 @@ runSweep(Runner &runner, const std::vector<SweepCase> &cases,
         // recovered; an aborted sweep makes no such claim.
         report->addSweep({opts.label, swept,
                           status.ok() ? faultsSeen : 0});
-    }
-    if (MetricsRegistry *metrics = runner.options().metrics) {
-        metrics->counter("harness.sweeps").inc();
-        metrics->counter("harness.sweep_cases").inc(n);
-        metrics->counter("harness.sweep_cache_hits")
-            .inc(hits.load());
-        metrics->observe("harness.sweep_wall_sec", secs);
     }
     if (opts.progress) {
         std::fprintf(stderr,

@@ -11,7 +11,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <tuple>
 
+#include "common/cli.hh"
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -184,6 +187,25 @@ genDiurnal(Rng &rng, const ArrivalConfig &cfg,
     }
 }
 
+/** Trace order, generated or loaded: (cycle, tenant, seq). */
+bool
+arrivesBefore(const Arrival &a, const Arrival &b)
+{
+    return std::tie(a.cycle, a.tenant, a.seq) <
+           std::tie(b.cycle, b.tenant, b.seq);
+}
+
+/** @p token as a strict base-10 unsigned of at most @p max. */
+bool
+readUnsigned(const char *token, std::uint64_t *out,
+             std::uint64_t max = ~std::uint64_t{0})
+{
+    Result<std::uint64_t> v = parseUnsigned(token, "arrival field", max);
+    if (v.ok())
+        *out = v.value();
+    return v.ok();
+}
+
 } // anonymous namespace
 
 std::vector<Arrival>
@@ -210,14 +232,7 @@ generateArrivals(const ArrivalConfig &cfg)
         for (Cycle c : times)
             merged.push_back({c, tenant, seq++});
     }
-    std::sort(merged.begin(), merged.end(),
-              [](const Arrival &a, const Arrival &b) {
-                  if (a.cycle != b.cycle)
-                      return a.cycle < b.cycle;
-                  if (a.tenant != b.tenant)
-                      return a.tenant < b.tenant;
-                  return a.seq < b.seq;
-              });
+    std::sort(merged.begin(), merged.end(), arrivesBefore);
     return merged;
 }
 
@@ -261,15 +276,20 @@ loadArrivalTrace(const std::string &path, int numTenants,
         ++lineNo;
         if (line.empty())
             continue;
-        unsigned long long cycle = 0, seq = 0;
-        int tenant = 0;
+        // Each field is one strict unsigned token: "-5", "+5" or
+        // "1e3" is malformed, not a wrapped or truncated number.
+        char cycle[32], tenant[32], seq[32];
+        std::uint64_t c = 0, t = 0, q = 0;
         const bool parsed =
             !faultAt("arrival_parse") &&
             std::sscanf(line.c_str(),
-                        " { \"cycle\" : %llu , \"tenant\" : %d , "
-                        "\"seq\" : %llu }",
-                        &cycle, &tenant, &seq) == 3 &&
-            tenant >= 0 && tenant < numTenants;
+                        " { \"cycle\" : %31[^ \t,] , "
+                        "\"tenant\" : %31[^ \t,] , "
+                        "\"seq\" : %31[^ \t}]",
+                        cycle, tenant, seq) == 3 &&
+            readUnsigned(cycle, &c) &&
+            readUnsigned(tenant, &t, std::numeric_limits<int>::max()) &&
+            static_cast<int>(t) < numTenants && readUnsigned(seq, &q);
         if (!parsed) {
             ++bad;
             if (bad <= 5) {
@@ -280,19 +300,11 @@ loadArrivalTrace(const std::string &path, int numTenants,
             }
             continue;
         }
-        out.push_back({static_cast<Cycle>(cycle), tenant,
-                       static_cast<std::uint64_t>(seq)});
+        out.push_back({c, static_cast<int>(t), q});
     }
     if (malformed)
         *malformed = bad;
-    std::sort(out.begin(), out.end(),
-              [](const Arrival &a, const Arrival &b) {
-                  if (a.cycle != b.cycle)
-                      return a.cycle < b.cycle;
-                  if (a.tenant != b.tenant)
-                      return a.tenant < b.tenant;
-                  return a.seq < b.seq;
-              });
+    std::sort(out.begin(), out.end(), arrivesBefore);
     return out;
 }
 

@@ -86,8 +86,10 @@ Result<void> writeArrivalTrace(const std::string &path,
  * warning (and counted in @p malformed when non-null) — a damaged
  * trace degrades, it does not kill the server. Fault site
  * "arrival_parse" forces per-line parse failures for robustness
- * testing. Entries are re-sorted into (cycle, tenant, seq) order;
- * tenants outside [0, numTenants) are dropped as malformed.
+ * testing. Entries are re-sorted into (cycle, tenant, seq) order.
+ * A field that is not a plain base-10 unsigned integer (parseUnsigned,
+ * common/cli.hh) or a tenant outside [0, numTenants) makes its line
+ * malformed.
  */
 Result<std::vector<Arrival>> loadArrivalTrace(
     const std::string &path, int numTenants,

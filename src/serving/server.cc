@@ -9,7 +9,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/metrics.hh"
 #include "engine/simulation.hh"
 #include "policy/even_share.hh"
 #include "policy/policy_factory.hh"
@@ -61,22 +60,6 @@ isolatedBaseline(const KernelDesc &desc, const GpuConfig &cfg,
     if (!ran.ok())
         return ran.error();
     return sim.gpu().ipc(0);
-}
-
-/** Add one finished run's totals to the serving.* counters. */
-void
-exportServingCounters(const ServingReport &report, MetricsRegistry &m)
-{
-    for (const TenantServingStats &t : report.tenants) {
-        m.counter("serving.arrivals").inc(t.arrivals);
-        m.counter("serving.admitted").inc(t.admitted);
-        m.counter("serving.completed").inc(t.completed);
-        m.counter("serving.rejected")
-            .inc(t.rejectedQueueFull + t.rejectedShed +
-                 t.rejectedProjected);
-        m.counter("serving.abandoned").inc(t.abandoned);
-        m.counter("serving.tenant_stalls").inc(t.stalled ? 1 : 0);
-    }
 }
 
 } // anonymous namespace
@@ -181,9 +164,11 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
     std::vector<const KernelDesc *> descPtrs;
     for (const KernelDesc &d : descs_)
         descPtrs.push_back(&d);
-    // Cycle attribution is on whenever anyone can observe it (the
-    // metrics registry or a trace/timeline sink); otherwise the
-    // profiler stays off the hot path entirely.
+    // Cycle attribution is on whenever the run is observed (a
+    // metrics registry, which bench_serving attaches with the
+    // --stats-json report that carries the breakdown, or a
+    // trace/timeline sink); otherwise the profiler stays off the
+    // hot path entirely.
     Simulation sim(cfg_, descPtrs, std::move(policyOr).value(),
                    {.engine = opts_.engine,
                     .stallWindow = stallWindow,
@@ -435,8 +420,6 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
                     st.completed + st.abandoned +
                         st.droppedAtShutdown);
     }
-    if (opts_.metrics)
-        exportServingCounters(report, *opts_.metrics);
     if (out)
         out->flush();
     return report;

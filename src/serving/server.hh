@@ -64,7 +64,7 @@ struct ServingOptions
     double watchdogMs = 0.0;
     /** Case label stamped on every trace record. */
     std::string caseKey;
-    /** Optional counters ("serving.*"); may be null. */
+    /** Optional qos.* and engine.* counters; may be null. */
     MetricsRegistry *metrics = nullptr;
 };
 

@@ -16,6 +16,8 @@
 #include <sstream>
 #include <variant>
 
+#include "common/checksum.hh"
+#include "harness/result_cache.hh"
 #include "harness/run_report.hh"
 #include "harness/runner.hh"
 #include "telemetry/trace.hh"
@@ -371,6 +373,100 @@ TEST_F(HarnessFixture, CacheRoundTripIsBitExact)
     }
     EXPECT_EQ(cached.preemptions, fresh.preemptions);
     EXPECT_DOUBLE_EQ(cached.dramPerKcycle, fresh.dramPerKcycle);
+}
+
+/** "crc;payload": a cache line sealed with a valid CRC. */
+std::string
+sealed(const std::string &payload)
+{
+    char crc[16];
+    std::snprintf(crc, sizeof(crc), "%08x", crc32(payload));
+    return std::string(crc) + ";" + payload;
+}
+
+TEST(ResultCacheLine, EveryFormattedDoubleParsesBitExact)
+{
+    // The writer formats doubles "%.17g"; every finite value a case
+    // can produce (0 or normal) must read back bit for bit.
+    for (double v : {0.0, 1.0, 1234.5678901234567, 1e-5, 2.5e-19,
+                     1e21, 2.2250738585072014e-308,
+                     1.7976931348623157e308}) {
+        char text[32];
+        std::snprintf(text, sizeof(text), "%.17g", v);
+        const std::string t = text;
+        std::string key;
+        CachedCase c;
+        ASSERT_TRUE(ResultCache::parseLine(
+            sealed("even|a:0.0000;" + t + "," + t + ";" + t + ";7;" +
+                   t + ";"),
+            key, c))
+            << t;
+        ASSERT_EQ(c.ipc.size(), 2u);
+        EXPECT_EQ(c.ipc[1], v);
+        EXPECT_EQ(c.instrPerWatt, v);
+        EXPECT_EQ(c.preemptions, 7u);
+        EXPECT_EQ(c.dramPerKcycle, v);
+    }
+}
+
+TEST(ResultCacheLine, SealedNonNumericTokenIsCorrupt)
+{
+    // The CRC proves the line is what was written, not that the
+    // writer wrote numbers: each field must parse whole.
+    for (const char *payload :
+         {"even|a:0.0000;812.5,,101.25;3.5;12;40.25;",
+          "even|a:0.0000;abc;3.5;12;40.25;",
+          "even|a:0.0000;812.5x;3.5;12;40.25;",
+          "even|a:0.0000;812.5;;12;40.25;",
+          "even|a:0.0000;812.5;nan;12;40.25;",
+          "even|a:0.0000;812.5;3.5;;40.25;",
+          "even|a:0.0000;812.5;3.5;-1;40.25;",
+          "even|a:0.0000;812.5;3.5;1.5;40.25;",
+          "even|a:0.0000;812.5;3.5;12;abc;"}) {
+        std::string key;
+        CachedCase c;
+        EXPECT_FALSE(ResultCache::parseLine(sealed(payload), key, c))
+            << payload;
+    }
+}
+
+TEST_F(HarnessFixture, SealedNonNumericLineIsQuarantined)
+{
+    {
+        Runner runner = makeRunner();
+        runner.run({"sgemm", "lbm"}, {0.5, 0.0}, "rollover").value();
+    }
+    std::string path;
+    {
+        Runner probe = makeRunner();
+        path = probe.cachePath();
+    }
+    auto lines = readLines(path);
+    auto victim = std::find_if(lines.begin(), lines.end(),
+                               [](const std::string &l) {
+                                   return l.find("rollover|") !=
+                                          std::string::npos;
+                               });
+    ASSERT_NE(victim, lines.end());
+    // Reseal the pair line with "abc" for its instructions/Watt.
+    std::vector<std::string> fields;
+    std::istringstream payload(victim->substr(9));
+    for (std::string f; std::getline(payload, f, ';');)
+        fields.push_back(f);
+    ASSERT_EQ(fields.size(), 5u);
+    fields[2] = "abc";
+    std::string text;
+    for (const std::string &f : fields)
+        text += f + ";";
+    *victim = sealed(text);
+    writeLines(path, lines);
+
+    Runner runner = makeRunner();
+    EXPECT_EQ(runner.quarantinedLines(), 1);
+    CaseResult r = runner.run({"sgemm", "lbm"}, {0.5, 0.0},
+                              "rollover").value();
+    EXPECT_FALSE(r.fromCache);
+    EXPECT_GT(r.instrPerWatt, 0.0);
 }
 
 // ---------------------------------------------------------------

@@ -265,16 +265,35 @@ TEST_F(TraceFileFixture, MalformedLinesAreSkippedNotFatal)
         << "{\"cycle\":90,\"tenant\":1,\"seq\":0}\n"
         << "{\"cycle\":200,\"tenant\":9,\"seq\":1}\n" // bad tenant
         << "\n"
-        << "{\"cycle\":300,\"tenant\":1,\"seq\":1}\n";
+        // Not plain unsigned integers.
+        << "{\"cycle\":+5,\"tenant\":1,\"seq\":1}\n"
+        << "{\"cycle\":1e3,\"tenant\":1,\"seq\":2}\n"
+        << "{\"cycle\":7,\"tenant\":-1,\"seq\":3}\n"
+        << "{\"cycle\":8,\"tenant\":1,\"seq\":-4}\n"
+        << " { \"cycle\" : 300 , \"tenant\" : 1 , \"seq\" : 1 }\n";
     out.close();
     std::uint64_t malformed = 0;
     auto loaded = loadArrivalTrace(path, 2, &malformed);
     ASSERT_TRUE(loaded.ok());
     EXPECT_EQ(loaded.value().size(), 3u);
-    EXPECT_EQ(malformed, 2u); // blank lines are not counted
+    EXPECT_EQ(malformed, 6u); // blank lines are not counted
     // Out-of-order entries were re-sorted.
     EXPECT_EQ(loaded.value()[0].cycle, 90u);
     EXPECT_EQ(loaded.value()[0].tenant, 1);
+}
+
+TEST_F(TraceFileFixture, NegativeCycleIsMalformed)
+{
+    // "-5" must not wrap to 2^64 - 5 and sort last, where it would
+    // push the serving hard stop past 2^64.
+    std::ofstream(path) << "{\"cycle\":100,\"tenant\":0,\"seq\":0}\n"
+                        << "{\"cycle\":-5,\"tenant\":1,\"seq\":0}\n";
+    std::uint64_t malformed = 0;
+    auto loaded = loadArrivalTrace(path, 2, &malformed);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_EQ(malformed, 1u);
+    ASSERT_EQ(loaded.value().size(), 1u);
+    EXPECT_EQ(loaded.value()[0].cycle, 100u);
 }
 
 TEST_F(TraceFileFixture, MissingFileIsAnError)
@@ -780,43 +799,6 @@ TEST(ServingDriver, MetricsCarryEngineCounters)
         metrics.counter("engine.skipped_cycles").value();
     EXPECT_GT(stepped, 0u);
     EXPECT_EQ(stepped + skipped, r.endCycle);
-}
-
-TEST(ServingDriver, ServingCountersEqualReportSums)
-{
-    // The overload mix of OverloadDegradesElasticBeforeGuaranteed:
-    // every counter, rejections and abandonment included, moves.
-    std::vector<TenantSpec> mix = servingMix();
-    for (TenantSpec &t : mix)
-        t.queueCap = 4;
-    MetricsRegistry metrics;
-    ServingOptions opts = servingOpts();
-    opts.drainGrace = 100000;
-    opts.metrics = &metrics;
-    ServingReport r = runServing(servingArrivals(0.3, 250000),
-                                 nullptr, opts, mix);
-    std::uint64_t arrivals = 0, admitted = 0, completed = 0,
-                  rejected = 0, abandoned = 0, stalls = 0;
-    for (const TenantServingStats &t : r.tenants) {
-        arrivals += t.arrivals;
-        admitted += t.admitted;
-        completed += t.completed;
-        rejected += t.rejectedQueueFull + t.rejectedShed +
-                    t.rejectedProjected;
-        abandoned += t.abandoned;
-        stalls += t.stalled ? 1 : 0;
-    }
-    EXPECT_GT(rejected, 0u);
-    EXPECT_GT(abandoned + completed, 0u);
-    EXPECT_EQ(metrics.counter("serving.arrivals").value(), arrivals);
-    EXPECT_EQ(metrics.counter("serving.admitted").value(), admitted);
-    EXPECT_EQ(metrics.counter("serving.completed").value(),
-              completed);
-    EXPECT_EQ(metrics.counter("serving.rejected").value(), rejected);
-    EXPECT_EQ(metrics.counter("serving.abandoned").value(),
-              abandoned);
-    EXPECT_EQ(metrics.counter("serving.tenant_stalls").value(),
-              stalls);
 }
 
 TEST(ServingDriver, RejectsInvalidOptions)

@@ -474,21 +474,19 @@ TEST(Trace, OpenTraceSinkParsesSpecs)
 TEST(Metrics, CountersGaugesAndJson)
 {
     MetricsRegistry reg;
-    MetricsRegistry::Counter &c = reg.counter("test.hits");
+    MetricsRegistry::Counter &c = reg.counter("qos.tb_swaps");
     c.inc();
     c.inc(4);
     EXPECT_EQ(c.value(), 5u);
     // counter() is create-or-get with stable references.
-    EXPECT_EQ(&reg.counter("test.hits"), &c);
-    reg.observe("test.wall", 1.0);
-    reg.observe("test.wall", 3.0);
+    EXPECT_EQ(&reg.counter("qos.tb_swaps"), &c);
+    reg.counter("qos.epochs").inc(2);
 
+    // Counters are the only section, sorted by name.
     std::ostringstream os;
     reg.writeJson(os);
-    const std::string json = os.str();
-    EXPECT_TRUE(looksLikeJsonObject(json));
-    EXPECT_NE(json.find("\"test.hits\":5"), std::string::npos);
-    EXPECT_NE(json.find("test.wall"), std::string::npos);
+    EXPECT_EQ(os.str(),
+              R"({"counters":{"qos.epochs":2,"qos.tb_swaps":5}})");
 }
 
 TEST(RunReport, WritesSortedCasesSweepsAndMetrics)
@@ -514,7 +512,7 @@ TEST(RunReport, WritesSortedCasesSweepsAndMetrics)
     EXPECT_EQ(report.caseCount(), 2u);
 
     MetricsRegistry metrics;
-    metrics.counter("harness.cases_simulated").inc(2);
+    metrics.counter("qos.epochs").inc(2);
     std::ostringstream os;
     report.write(os, &metrics);
     std::string json = os.str();
@@ -525,13 +523,15 @@ TEST(RunReport, WritesSortedCasesSweepsAndMetrics)
     EXPECT_LT(json.find("rollover|a:0.9"), json.find("spart|b:0.9"));
     EXPECT_NE(json.find("\"sweeps\""), std::string::npos);
     EXPECT_NE(json.find("fig6"), std::string::npos);
-    EXPECT_NE(json.find("harness.cases_simulated"), std::string::npos);
+    EXPECT_NE(json.find(R"("metrics":{"counters":{"qos.epochs":2}})"),
+              std::string::npos);
+    EXPECT_EQ(json.find("samples"), std::string::npos);
 }
 
 /**
  * The whole --stats-json document, byte for byte: one two-kernel
  * case with a cycle breakdown, one sweep, one two-tenant serving
- * entry and a registry holding a counter and a sample.
+ * entry and a registry holding a counter.
  */
 TEST(RunReport, GoldenDocument)
 {
@@ -612,13 +612,12 @@ TEST(RunReport, GoldenDocument)
     report.addServing(sv);
 
     MetricsRegistry metrics;
-    metrics.counter("harness.cases_simulated").inc();
-    metrics.observe("harness.case_wall_sec", 0.5);
+    metrics.counter("qos.epochs").inc();
 
     std::ostringstream os;
     report.write(os, &metrics);
     const std::string expected =
-        R"({"schema_version":3,"cases":[)"
+        R"({"schema_version":4,"cases":[)"
         R"({"key":"rollover|a:0.5000|b:0.0000","free_preemption":false,)"
         R"("policy":"rollover",)"
         R"("config":"default","engine":"event","from_cache":false,)"
@@ -655,9 +654,7 @@ TEST(RunReport, GoldenDocument)
         R"("no_ready_warp":0,"drain_preempt":0,"inert_skipped":0},)"
         R"({"issued":0,"quota_gated":0,"mem_stall":5,)"
         R"("no_ready_warp":0,"drain_preempt":0,"inert_skipped":0}]}],)"
-        R"("metrics":{"counters":{"harness.cases_simulated":1},)"
-        R"("samples":{"harness.case_wall_sec":{"count":1,"mean":0.5,)"
-        R"("min":0.5,"max":0.5,"variance":0}}}})"
+        R"("metrics":{"counters":{"qos.epochs":1}}})"
         "\n";
     EXPECT_EQ(os.str(), expected);
 }

@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.hh"
 #include "engine/sim_engine.hh"
 #include "gpu/gpu.hh"
+#include "harness/run_report.hh"
 #include "harness/runner.hh"
 #include "policy/even_share.hh"
 #include "policy/smk_fair.hh"
@@ -51,8 +51,8 @@ slurp(const std::string &path)
 
 TEST(CycleAccounting, CategoryNamesAreStable)
 {
-    // These names are the cycles.* metric keys and the
-    // cycle_breakdown JSON keys; changing one is a schema change.
+    // These names are the cycle_breakdown JSON keys; changing one
+    // is a schema change.
     EXPECT_STREQ(toString(CycleCat::Issued), "issued");
     EXPECT_STREQ(toString(CycleCat::QuotaGated), "quota_gated");
     EXPECT_STREQ(toString(CycleCat::MemStall), "mem_stall");
@@ -209,48 +209,59 @@ class CycleAccountingHarness : public ::testing::Test
     std::string dir;
 };
 
+/** Each case's "cycle_breakdown" array in @p report, by case key. */
+std::vector<std::string>
+caseBreakdowns(const RunReport &report)
+{
+    std::ostringstream os;
+    report.write(os);
+    const std::string json = os.str();
+    const std::string tag = "\"cycle_breakdown\":[";
+    std::vector<std::string> out;
+    for (std::size_t at = json.find(tag); at != std::string::npos;
+         at = json.find(tag, at + 1)) {
+        const std::size_t begin = at + tag.size();
+        out.push_back(json.substr(begin, json.find(']', at) - begin));
+    }
+    return out;
+}
+
 TEST_F(CycleAccountingHarness, AllPoliciesConservedBothEngines)
 {
-    // Attaching a metrics registry turns the profiler on inside
+    // Attaching a run report turns the profiler on inside
     // Runner::simulate(), whose conservation assert then covers
     // every (sm, kernel) of every case — co-runs and the recursive
-    // isolated baselines alike. The registries must agree between
-    // engines category by category across the full policy suite.
-    MetricsRegistry ev, ref;
-    for (const char *policy :
-         {"even", "naive", "elastic", "rollover", "rollover-time",
-          "rollover-nohist", "rollover-nostatic", "spart"}) {
-        SCOPED_TRACE(policy);
-        for (EngineKind kind :
-             {EngineKind::Event, EngineKind::Reference}) {
-            Runner::Options opts;
-            opts.cycles = 24000;
-            opts.warmupCycles = 4000;
-            // One cache per engine: both engines really simulate
-            // every co-run, baselines are simulated once each.
-            opts.cacheDir = dir + "/" + toString(kind);
-            opts.engine = kind;
-            opts.metrics =
-                kind == EngineKind::Event ? &ev : &ref;
-            Runner runner = Runner::make(opts).value();
-            ASSERT_TRUE(runner
-                            .run({"sgemm", "lbm"}, {0.5, 0.0},
-                                 policy)
-                            .ok());
+    // isolated baselines alike. Each reported case's breakdown must
+    // agree between engines, category by category, across the full
+    // policy suite.
+    const std::vector<std::string> policies = {
+        "even", "naive", "elastic", "rollover", "rollover-time",
+        "rollover-nohist", "rollover-nostatic", "spart"};
+    RunReport ev, ref;
+    for (EngineKind kind : {EngineKind::Event, EngineKind::Reference}) {
+        Runner::Options opts;
+        opts.cycles = 24000;
+        opts.warmupCycles = 4000;
+        // One cache per engine: both engines really simulate every
+        // co-run, baselines are simulated once each.
+        opts.cacheDir = dir + "/" + toString(kind);
+        opts.engine = kind;
+        opts.report = kind == EngineKind::Event ? &ev : &ref;
+        Runner runner = Runner::make(opts).value();
+        for (const std::string &policy : policies) {
+            SCOPED_TRACE(policy);
+            ASSERT_TRUE(
+                runner.run({"sgemm", "lbm"}, {0.5, 0.0}, policy).ok());
         }
     }
-    std::uint64_t total = 0;
-    for (int i = 0; i < numCycleCats; ++i) {
-        const std::string name =
-            std::string("cycles.") +
-            toString(static_cast<CycleCat>(i));
-        EXPECT_EQ(ev.counter(name).value(),
-                  ref.counter(name).value())
-            << name;
-        total += ev.counter(name).value();
+    const std::vector<std::string> evCases = caseBreakdowns(ev);
+    ASSERT_EQ(evCases.size(), policies.size());
+    EXPECT_EQ(evCases, caseBreakdowns(ref));
+    for (const std::string &b : evCases) {
+        // Two kernels, and the QoS kernel issued.
+        EXPECT_NE(b.find("},{"), std::string::npos) << b;
+        EXPECT_EQ(b.rfind("{\"issued\":0,", 0), std::string::npos) << b;
     }
-    EXPECT_GT(ev.counter("cycles.issued").value(), 0u);
-    EXPECT_GT(total, 0u);
 }
 
 // ---------------------------------------------------------------
