@@ -28,7 +28,9 @@
 # and bench_serving under the serving, naive, rollover, elastic,
 # rollover-time and spart policies, must print byte-identical
 # stdout (and byte-identical --trace JSONL) under --engine event and
-# --engine reference. The same event-engine runs are also the golden stage:
+# --engine reference, and so must bench_fig8 and bench_serving
+# --policy serving under --config large (56 SMs, 2 schedulers per
+# SM). The same event-engine runs are also the golden stage:
 # their stdout must equal tests/golden/<bench>.out and the digest of
 # their --stats-json (scripts/golden_digest.py) must equal
 # tests/golden/<bench>.digest, so a model change that moves both
@@ -496,6 +498,34 @@ bench_ablations bench_fairness"
             "$scratch/srv.$p.event.json"
         echo "    bench_serving --policy $p: identical"
     done
+
+    # The large config (56 SMs, 2 schedulers per SM) nearly fills
+    # the Gpu's 64-bit parked-SM mask and is the only shipped config
+    # with another scheduler count: both engines must agree on it too.
+    local e
+    for e in event reference; do
+        # shellcheck disable=SC2086
+        "$bdir/bench_fig8" $flags --config large --engine "$e" \
+            --cache "$scratch/large.fig8.$e" \
+            --trace "$scratch/large.fig8.$e.jsonl" \
+            > "$scratch/large.fig8.$e.out" 2>/dev/null
+        # shellcheck disable=SC2086
+        "$bdir/bench_serving" $sflags --policy serving --config large \
+            --engine "$e" --trace "$scratch/large.srv.$e.jsonl" \
+            > "$scratch/large.srv.$e.out" 2>/dev/null
+    done
+    local leg
+    for leg in fig8 srv; do
+        cmp "$scratch/large.$leg.event.out" \
+            "$scratch/large.$leg.reference.out" || {
+            echo "engine smoke: --config large $leg stdout differs" >&2
+            return 1; }
+        cmp "$scratch/large.$leg.event.jsonl" \
+            "$scratch/large.$leg.reference.jsonl" || {
+            echo "engine smoke: --config large $leg trace differs" >&2
+            return 1; }
+    done
+    echo "    --config large bench_fig8, bench_serving --policy serving: identical"
 }
 
 examples_smoke() {

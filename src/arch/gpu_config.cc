@@ -19,8 +19,9 @@ GpuConfig::check() const
     auto fail = [](auto... args) -> Result<void> {
         return Error::format(ErrorCode::InvalidArgument, args...);
     };
-    if (numSms < 1 || numSms > 256)
-        return fail("numSms=%d out of range [1,256]", numSms);
+    if (numSms < 1 || numSms > 64)
+        return fail("numSms=%d out of range [1,64] (the Gpu keeps "
+                    "one bit per SM in 64-bit masks)", numSms);
     if (numMemPartitions < 1)
         return fail("numMemPartitions must be >= 1");
     if (maxThreadsPerSm % warpSize != 0)

@@ -31,7 +31,7 @@ struct GpuConfig
     // ---- Table 1 ----
     double coreFreqGhz = 1.216;     //!< core clock, GHz
     double memFreqGhz = 7.0;        //!< memory data clock, GHz
-    int numSms = 16;                //!< streaming multiprocessors
+    int numSms = 16;                //!< streaming multiprocessors (<= 64)
     int numMemPartitions = 4;       //!< memory controllers (w/ L2)
     int regFileBytes = 256 * 1024;  //!< register file per SM
     int sharedMemBytes = 96 * 1024; //!< scratchpad per SM

@@ -5,6 +5,9 @@
 
 #include "gpu/gpu.hh"
 
+#include <utility>
+
+#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace gqos
@@ -15,15 +18,15 @@ Gpu::Gpu(const GpuConfig &cfg)
 {
     cfg_.validate();
     mem_ = std::make_unique<MemSystem>(cfg_);
-    quotaVersion_ = std::make_shared<std::uint64_t>(0);
+    clock_ = std::make_shared<GpuClock>(cfg_);
     sms_.reserve(cfg_.numSms);
     for (int i = 0; i < cfg_.numSms; ++i)
-        sms_.emplace_back(cfg_, i, *mem_, quotaVersion_);
-    iwSampleInterval_ = cfg_.epochLength / cfg_.iwSamplesPerEpoch;
-    if (iwSampleInterval_ == 0)
-        iwSampleInterval_ = 1;
-    smInertUntil_.assign(sms_.size(), 0);
-    smCacheVersion_.assign(sms_.size(), 0);
+        sms_.emplace_back(cfg_, i, *mem_, clock_);
+    // GpuConfig::check() caps numSms at 64: one bit per SM.
+    allSms_ = cfg_.numSms == 64 ? ~std::uint64_t{0}
+                                : (std::uint64_t{1} << cfg_.numSms) - 1;
+    hot_ = allSms_;
+    dueAt_.assign(sms_.size(), 0);
 }
 
 void
@@ -154,37 +157,38 @@ Gpu::dispatchCycle()
 bool
 Gpu::step(bool event_aware)
 {
-    bool sample_iw = (now_ % iwSampleInterval_) == 0;
+    bool sample_iw = now_ == nextSample_;
+    if (sample_iw)
+        nextSample_ += clock_->iwSampleInterval;
+    std::uint64_t woken = std::exchange(clock_->wakeMask, 0);
+    if (!event_aware) {
+        // Every SM steps; a parked one settles its span in cycle().
+        hot_ = allSms_;
+        minDue_ = cycleNever;
+    } else if ((woken & ~hot_) || minDue_ <= now_) {
+        wakeParked(woken);
+    }
+    smSkipped_ += popCount(allSms_ & ~hot_);
     bool active = false;
-    for (std::size_t s = 0; s < sms_.size(); ++s) {
-        SmCore &sm = sms_[s];
-        if (event_aware && now_ < smInertUntil_[s] &&
-            smCacheVersion_[s] == sm.mutVersion()) {
-            // Proven inert this cycle: batch-account instead of
-            // walking the SM pipeline. Sampling cycles go through
-            // skipCycles so the sampling inputs that live outside
-            // the SM (the interconnect store-throttle backlog) are
-            // evaluated at the sample cycle, exactly like the
-            // reference path; all other cycles defer to an O(1)
-            // counter the SM settles before any observation.
-            if (sample_iw)
-                sm.skipCycles(now_, 1, 1);
-            else
-                sm.deferInertCycle();
-            smSkipped_++;
-            continue;
-        }
+    // Ascending SM order: memory requests reach the shared system in
+    // the same order as when every SM steps.
+    for (std::uint64_t m = hot_; m; m &= m - 1) {
+        int s = firstSetBit(m);
         Cycle bound = 0;
-        bool issued = sm.cycle(now_, sample_iw,
-                               event_aware ? &bound : nullptr);
+        bool issued = sms_[s].cycle(now_, sample_iw,
+                                    event_aware ? &bound : nullptr);
         active |= issued;
-        if (event_aware) {
-            // A no-issue cycle hands back the next-event bound for
-            // free; an issuing SM is hot and re-probes next cycle.
-            smInertUntil_[s] = issued ? 0 : bound;
-            smCacheVersion_[s] = sm.mutVersion();
+        // A no-issue cycle hands back the next-event bound for
+        // free. An SM due next cycle (or issuing) stays hot.
+        if (event_aware && !issued && bound > now_ + 1) {
+            hot_ = clearBit(hot_, s);
+            dueAt_[s] = bound;
+            minDue_ = std::min(minDue_, bound);
         }
     }
+    // Cycle now_ has run: from here on a parked SM owes it, so a
+    // dispatcher mutation below settles through it.
+    clock_->now = now_ + 1;
     if (dispatchDirty_) {
         if (dispatchCycle())
             active = true;
@@ -195,35 +199,40 @@ Gpu::step(bool event_aware)
     return active;
 }
 
+void
+Gpu::wakeParked(std::uint64_t woken)
+{
+    hot_ |= woken;
+    minDue_ = cycleNever;
+    for (std::uint64_t m = allSms_ & ~hot_; m; m &= m - 1) {
+        int s = firstSetBit(m);
+        if (dueAt_[s] <= now_)
+            hot_ = setBit(hot_, s);
+        else
+            minDue_ = std::min(minDue_, dueAt_[s]);
+    }
+}
+
 Cycle
 Gpu::nextEventAt() const
 {
-    // A dirty dispatcher may act this cycle, and a stale inertia
-    // cache (mutated since, or never written by an event-aware
-    // step) proves nothing: step now, which is always sound.
-    if (dispatchDirty_)
+    // A dirty dispatcher may act this cycle, and a hot SM or a
+    // mutated parked one proves nothing: step now, which is always
+    // sound.
+    if (dispatchDirty_ || hot_ || clock_->wakeMask)
         return now_;
-    Cycle next = cycleNever;
-    for (std::size_t s = 0; s < sms_.size(); ++s) {
-        if (smCacheVersion_[s] != sms_[s].mutVersion() ||
-            smInertUntil_[s] <= now_)
-            return now_;
-        next = std::min(next, smInertUntil_[s]);
-    }
-    return next;
+    return minDue_;
 }
 
 void
 Gpu::skipTo(Cycle target)
 {
-    gqos_assert(target > now_);
-    // Idle-warp samples fall on cycles with c % interval == 0;
-    // count those in [now, target).
-    Cycle i = iwSampleInterval_;
-    Cycle samples = (target + i - 1) / i - (now_ + i - 1) / i;
-    for (auto &sm : sms_)
-        sm.skipCycles(now_, target - now_, samples);
+    gqos_assert(target > now_ && target <= nextEventAt());
     now_ = target;
+    clock_->now = target;
+    // The first sampling cycle at or after target.
+    const Cycle i = clock_->iwSampleInterval;
+    nextSample_ = divCeil(target, i) * i;
 }
 
 void

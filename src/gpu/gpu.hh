@@ -75,15 +75,16 @@ class Gpu
      * Advance the machine one core cycle.
      *
      * With @p event_aware set (the event engine's stepping mode),
-     * an SM whose cached next-event bound is still valid is
-     * batch-accounted with SmCore::skipCycles(now, 1, ...) instead
-     * of running its full pipeline; the bound is the one each
-     * no-issue SmCore::cycle() hands back, invalidated by
-     * SmCore::mutVersion(). Only event-aware steps write the cache
-     * that nextEventAt() and skipTo() rely on.
-     * Results are bit-identical to event_aware = false -- a cached
-     * SM is by construction in an inert cycle -- the flag only
-     * trades full per-SM pipeline walks for O(1) accounting.
+     * an SM whose no-issue SmCore::cycle() hands back a bound
+     * beyond the next cycle is *parked*: step() walks only the hot
+     * SMs, in ascending SM order, until the bound arrives or an
+     * external mutation sets the SM's wake bit. A parked SM owes
+     * the cycles it missed and settles them in one span when next
+     * observed, mutated or stepped. Only event-aware steps park the
+     * SMs that nextEventAt() and skipTo() rely on; a reference
+     * step wakes every SM. Results are bit-identical either way --
+     * a parked SM is by construction in an inert cycle -- the flag
+     * only trades per-SM pipeline walks for one settle per span.
      *
      * @return true if any SM issued or the TB dispatcher acted
      *         (activity hint for the event engine; stepping is
@@ -98,20 +99,21 @@ class Gpu
 
     /**
      * Earliest cycle >= now() at which the machine might do real
-     * work: the minimum of the per-SM bounds cached by the last
-     * event-aware step(). Returns now() -- step this cycle -- when
-     * the TB dispatcher is dirty, any SM's cache is stale or never
-     * written, or some SM's bound has arrived; cycleNever when the
-     * machine is fully inert (e.g. nothing resident and no TB
-     * targets to converge toward).
+     * work: the earliest due cycle of the parked SMs. Returns now()
+     * -- step this cycle -- when the TB dispatcher is dirty, some
+     * SM is hot (never parked, woken, or its bound has arrived) or
+     * a parked SM's wake bit is set; cycleNever when the machine is
+     * fully inert (e.g. nothing resident and no TB targets to
+     * converge toward). O(1).
      */
     Cycle nextEventAt() const;
 
     /**
-     * Fast-forward to cycle @p target (> now()), batch-accounting
-     * per-SM idle cycles and idle-warp samples. Only valid when
-     * nextEventAt() >= @p target; results are then bit-identical
-     * to calling step() target - now() times.
+     * Fast-forward to cycle @p target (> now()). Only valid when
+     * nextEventAt() >= @p target: every SM is then parked and owes
+     * the span, which it settles when next observed; results are
+     * bit-identical to calling step() target - now() times. Touches
+     * no SM.
      */
     void skipTo(Cycle target);
 
@@ -139,7 +141,7 @@ class Gpu
      * nothing at version V acts on nothing again until the version
      * moves.
      */
-    std::uint64_t quotaVersion() const { return *quotaVersion_; }
+    std::uint64_t quotaVersion() const { return clock_->quotaVersion; }
 
     // ---- cycle attribution / timeline observability ----
 
@@ -240,25 +242,31 @@ class Gpu
     /** Sum of @p k's per-SM TB targets. */
     int totalTbTarget(KernelId k) const;
 
-    /** Cycles of per-SM pipeline work elided by event-aware steps
-     *  (sum over SMs; one stepped cycle can contribute several). */
+    /** Cycles of per-SM pipeline work elided by event-aware steps:
+     *  the parked SMs of each stepped cycle, summed. */
     std::uint64_t smSkippedCycles() const { return smSkipped_; }
 
   private:
     bool dispatchCycle();
     void onTbEvent(SmId sm, KernelId k, TbExit exit);
+    /**
+     * Move parked SMs that are due by now_ or set in @p woken to
+     * the hot mask, and recompute minDue_ over those left parked.
+     */
+    void wakeParked(std::uint64_t woken);
 
     GpuConfig cfg_;
     std::unique_ptr<MemSystem> mem_;
-    /** Heap-held so the SMs' handles survive a move of the Gpu. */
-    std::shared_ptr<std::uint64_t> quotaVersion_;
+    /** Clock, quota version and wake mask shared with the SMs. */
+    std::shared_ptr<GpuClock> clock_;
     std::vector<SmCore> sms_;
     std::vector<KernelRun> runs_;
     std::vector<KernelDispatchState> dispatch_;
     std::vector<std::vector<int>> tbTargets_; //!< [sm][kernel]
     std::uint64_t tbSeq_ = 0;
     Cycle now_ = 0;
-    Cycle iwSampleInterval_;
+    /** Next idle-warp sampling cycle (a multiple of the interval). */
+    Cycle nextSample_ = 0;
     /**
      * TB-dispatcher dirty flag: set by every state change that can
      * enable a dispatch or preemption (launch, target move, TB
@@ -268,15 +276,16 @@ class Gpu
      * a no-op until one of those events re-arms the flag.
      */
     bool dispatchDirty_ = true;
+    /** Bit s set for every SM of the machine. */
+    std::uint64_t allSms_;
     /**
-     * Per-SM inertia cache for event-aware stepping: SM s is proven
-     * inert for every cycle < smInertUntil_[s] as long as its
-     * mutVersion() still equals smCacheVersion_[s]. A value <=
-     * now_ means "no cache". Written only from SmCore::cycle()'s
-     * next-event bound.
+     * SMs step() walks; the others are parked: SM s is proven inert
+     * for every cycle < dueAt_[s] until its wake bit is set.
      */
-    std::vector<Cycle> smInertUntil_;
-    std::vector<std::uint64_t> smCacheVersion_;
+    std::uint64_t hot_;
+    std::vector<Cycle> dueAt_;
+    /** Earliest dueAt_ of the parked SMs (cycleNever: none). */
+    Cycle minDue_ = cycleNever;
     std::uint64_t smSkipped_ = 0;
     bool accounting_ = false;
     SmSliceFn smSlice_;

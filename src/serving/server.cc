@@ -164,18 +164,18 @@ ServingDriver::run(const std::vector<Arrival> &arrivals,
     std::vector<const KernelDesc *> descPtrs;
     for (const KernelDesc &d : descs_)
         descPtrs.push_back(&d);
-    // Cycle attribution is on whenever the run is observed (a
-    // metrics registry, which bench_serving attaches with the
-    // --stats-json report that carries the breakdown, or a
-    // trace/timeline sink); otherwise the profiler stays off the
-    // hot path entirely.
+    // Cycle attribution is on only for a run report: bench_serving
+    // attaches the metrics registry with the --stats-json report
+    // that carries the breakdown, and nothing else reads it (a
+    // trace or timeline sink does not), so otherwise the profiler
+    // stays off the hot path entirely.
     Simulation sim(cfg_, descPtrs, std::move(policyOr).value(),
                    {.engine = opts_.engine,
                     .stallWindow = stallWindow,
                     .label = opts_.caseKey,
                     .trace = sink,
                     .metrics = opts_.metrics,
-                    .accounting = opts_.metrics || sink,
+                    .accounting = opts_.metrics != nullptr,
                     .manualLaunch = true});
     Gpu &gpu = sim.gpu();
     TraceSink *out = sim.trace();

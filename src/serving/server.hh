@@ -108,7 +108,7 @@ struct ServingReport
     /**
      * Per-tenant (kernel-slot) cycle attribution summed over SMs,
      * index-aligned with `tenants`; empty when the profiler was off
-     * (no metrics registry and no trace sink attached).
+     * (no metrics registry attached).
      */
     std::vector<CycleBreakdown> cycleBreakdown;
 };

@@ -30,8 +30,14 @@ constexpr int mshrReserve = 2;
 
 } // anonymous namespace
 
+GpuClock::GpuClock(const GpuConfig &cfg)
+    : iwSampleInterval(std::max<Cycle>(
+          1, cfg.epochLength / cfg.iwSamplesPerEpoch))
+{
+}
+
 SmCore::SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem,
-               std::shared_ptr<std::uint64_t> quota_version)
+               std::shared_ptr<GpuClock> clock)
     : id_(id),
       numScheds_(cfg.warpSchedulersPerSm),
       maxWarps_(cfg.maxWarpsPerSm()),
@@ -45,7 +51,8 @@ SmCore::SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem,
       drainCycles_(cfg.preemptDrainCycles),
       chargePreemptTraffic_(cfg.chargePreemptTraffic),
       mem_(&mem),
-      quotaVersion_(std::move(quota_version)),
+      clock_(clock ? std::move(clock)
+                   : std::make_shared<GpuClock>(cfg)),
       warps_(cfg.maxWarpsPerSm()),
       tbs_(cfg.maxTbsPerSm),
       scheds_(cfg.warpSchedulersPerSm),
@@ -54,6 +61,8 @@ SmCore::SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem,
       farMask_(cfg.warpSchedulersPerSm),
       mshrFree_(cfg.l1Mshrs)
 {
+    // One wake bit per SM in a 64-bit mask (GpuConfig::check()).
+    gqos_assert(id >= 0 && id < 64);
 }
 
 void
@@ -62,8 +71,8 @@ SmCore::bindKernels(const std::vector<const KernelRun *> &runs)
     gqos_assert(static_cast<int>(runs.size()) <= maxKernels);
     gqos_assert(totalResidentTbs() == 0);
     settle();
-    mutVersion_++;
-    ++*quotaVersion_;
+    requestWake();
+    ++clock_->quotaVersion;
     viewDirty_ = true;
     runs_ = runs;
     for (auto &kc : kernels_)
@@ -104,8 +113,8 @@ SmCore::dispatchTb(KernelId k, std::uint64_t tb_seq,
     if (!canAccept(k))
         return false;
     settle();
-    mutVersion_++;
-    ++*quotaVersion_;
+    requestWake();
+    ++clock_->quotaVersion;
     viewDirty_ = true;
     const KernelRun &run = *runs_[k];
     const KernelDesc &d = run.desc();
@@ -185,7 +194,7 @@ SmCore::startPreemption(KernelId k, Cycle now)
     if (victim < 0)
         return false;
     settle();
-    mutVersion_++;
+    requestWake();
 
     TbSlot &tb = tbs_[victim];
     tb.draining = true;
@@ -259,7 +268,7 @@ SmCore::freeTb(int tb_slot, TbExit exit, Cycle now)
         sc.kernelMask[k] = clearBit(sc.kernelMask[k], laneOf(wslot));
     }
     viewDirty_ = true;
-    ++*quotaVersion_;
+    ++clock_->quotaVersion;
     bool was_draining = tb.draining;
     tb.valid = false;
     tb.draining = false;
@@ -502,7 +511,7 @@ SmCore::retireInstr(int warp_slot, Cycle ready_at, Cycle now)
         kc.quota -= w.next.lanes;
         if (allowed && !(kc.quota > 0.0)) {
             viewDirty_ = true;
-            ++*quotaVersion_;
+            ++clock_->quotaVersion;
         }
     }
     w.instrIdx++;
@@ -664,6 +673,7 @@ bool
 SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
 {
     settle();
+    settledTo_ = now + 1;
     stats_.cycles++;
     processWakes(now);
     if (!drains_.empty())
@@ -785,6 +795,7 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         for (const Drain &d : drains_)
             next = std::min(next, d.finishAt);
         *next_event = std::min(next, nextWakeAfter(now));
+        parkStoreBlocked_ = store_blocked;
     }
 
     epochCycles_++;
@@ -803,8 +814,8 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
                                   (acct_ready >> k) & 1,
                                   (acct_nonmem >> k) & 1);
             kernels_[k].breakdown.add(cat, 1);
-            // A deferred inert cycle replays the classification of
-            // the no-issue cycle that froze the state.
+            // A parked cycle replays the classification of the
+            // no-issue cycle that froze the state.
             if (!any_issue)
                 inertClass_[k] = cat;
         }
@@ -879,8 +890,12 @@ SmCore::classifyStalled(int k, std::uint32_t allowed, bool any_ready,
 }
 
 void
-SmCore::applyInertSpan(Cycle span)
+SmCore::settleSpan()
 {
+    const Cycle from = settledTo_;
+    const Cycle to = clock_->now;
+    const Cycle span = to - from;
+    settledTo_ = to;
     stats_.cycles += span;
     epochCycles_ += span;
     if (viewDirty_)
@@ -890,35 +905,23 @@ SmCore::applyInertSpan(Cycle span)
     if (accounting_) {
         // Every classification input (ready/instr masks, residency,
         // drains, quota gating, MSHR credits, store throttle) is
-        // frozen across an inert span -- the no-issue cycle() that
+        // frozen across a parked span -- the no-issue cycle() that
         // wrote inertClass_ also bounded the span at the first
-        // cycle any of them could change -- so each skipped cycle
+        // cycle any of them could change -- so each parked cycle
         // classifies exactly as the per-cycle engine would have.
         int nk = static_cast<int>(runs_.size());
         for (int k = 0; k < nk; ++k)
             kernels_[k].breakdown.add(inertClass_[k], span);
     }
-}
 
-void
-SmCore::settleDeferred()
-{
-    Cycle span = deferredInert_;
-    deferredInert_ = 0;
-    applyInertSpan(span);
-}
-
-void
-SmCore::skipCycles(Cycle now, Cycle span, Cycle samples)
-{
-    gqos_assert(span >= 1);
-    settle();
-    applyInertSpan(span);
-    // Every sampling input is frozen across the span (see
-    // applyInertSpan), so each sample contributes the same value.
-    // The LSU is never full on a no-issue cycle.
+    // Idle-warp samples fall on the multiples of the interval; every
+    // sampling input is frozen across the span, so each sample in
+    // [from, to) contributes the same value. The LSU is never full
+    // on a no-issue cycle.
+    const Cycle i = clock_->iwSampleInterval;
+    const Cycle samples = divCeil(to, i) - divCeil(from, i);
     if (samples > 0)
-        sampleIdleWarps(allowedKernels(), false, storeThrottled(now),
+        sampleIdleWarps(viewAllowed_, false, parkStoreBlocked_,
                         samples);
 }
 
@@ -979,8 +982,8 @@ SmCore::setQuotaGating(bool on)
     settle();
     quotaGating_ = on;
     viewDirty_ = true;
-    mutVersion_++;
-    ++*quotaVersion_;
+    requestWake();
+    ++clock_->quotaVersion;
 }
 
 void
@@ -991,7 +994,7 @@ SmCore::setCycleAccounting(bool on)
     gqos_assert(!on || stats_.cycles == 0);
     settle();
     accounting_ = on;
-    mutVersion_++;
+    requestWake();
 }
 
 void
@@ -1001,8 +1004,8 @@ SmCore::setQuota(KernelId k, double q)
     settle();
     kernels_[k].quota = q;
     viewDirty_ = true;
-    mutVersion_++;
-    ++*quotaVersion_;
+    requestWake();
+    ++clock_->quotaVersion;
 }
 
 void
@@ -1013,8 +1016,8 @@ SmCore::addQuota(KernelId k, double q)
     kernels_[k].quota += q;
     kernels_[k].stats.quotaRefills++;
     viewDirty_ = true;
-    mutVersion_++;
-    ++*quotaVersion_;
+    requestWake();
+    ++clock_->quotaVersion;
 }
 
 double
@@ -1070,6 +1073,7 @@ double
 SmCore::iwAverage(KernelId k) const
 {
     gqos_assert(k >= 0 && k < maxKernels);
+    settle();
     const SmKernelStats &s = kernels_[k].stats;
     return s.iwSamples ? static_cast<double>(s.iwSampleSum) /
                          s.iwSamples

@@ -67,6 +67,34 @@ struct SmStats
 };
 
 /**
+ * The state a Gpu shares with its SMs, heap-held so the SMs' handle
+ * survives a move of the Gpu. A standalone SM gets its own, whose
+ * clock stays at 0 unless its owner advances it.
+ */
+struct GpuClock
+{
+    explicit GpuClock(const GpuConfig &cfg);
+
+    /**
+     * Every cycle before this one has run. An SM that was not
+     * stepped through some of them (a parked SM) owes them, and
+     * SmCore::settle() applies them as one inert span.
+     */
+    Cycle now = 0;
+    /** Idle-warp samples fall on the multiples of this interval. */
+    Cycle iwSampleInterval;
+    /** See Gpu::quotaVersion(). */
+    std::uint64_t quotaVersion = 0;
+    /**
+     * Bit s: SM s was mutated from outside its cycle() (kernel
+     * binding, TB dispatch, preemption start, a quota or gating
+     * change, the profiler switch). The Gpu wakes a parked SM
+     * whose bit is set.
+     */
+    std::uint64_t wakeMask = 0;
+};
+
+/**
  * One SM: warp contexts, TB slots, warp schedulers, LSU port and
  * MSHR accounting, plus the EWS quota counters.
  */
@@ -78,13 +106,11 @@ class SmCore
         std::function<void(SmId, KernelId, TbExit)>;
 
     /**
-     * @param quota_version the quota-version counter this SM bumps
-     *        (see Gpu::quotaVersion()); a Gpu shares one among its
-     *        SMs, a standalone SM gets its own
+     * @param clock the clock, quota version and wake mask this SM
+     *        shares with its Gpu; null gives the SM its own
      */
     SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem,
-           std::shared_ptr<std::uint64_t> quota_version =
-               std::make_shared<std::uint64_t>(0));
+           std::shared_ptr<GpuClock> clock = nullptr);
 
     /** Bind the co-run's kernels; index in @p runs is the KernelId. */
     void bindKernels(const std::vector<const KernelRun *> &runs);
@@ -137,52 +163,21 @@ class SmCore
      * This bound is the event engine's only source of "when does
      * this SM next need the clock". The contract behind its
      * bit-identity claim: if a no-issue cycle(now) yields X, then
-     * running cycle() for every cycle in [now + 1, X) -- with
-     * mutVersion() unchanged -- would change nothing except the
-     * pure-function-of-time counters that skipCycles() batch-applies
-     * (cycles, epochCycles_, gated cycles, attribution, idle-warp
-     * samples). The schedulers' greedy hints need nothing: a hint
-     * holds only on the cycle right after its issue.
+     * running cycle() for every cycle in [now + 1, X) -- with no
+     * external mutation in between (each one sets this SM's
+     * GpuClock::wakeMask bit) -- would change nothing except the
+     * pure-function-of-time counters that settle() applies for a
+     * parked span (cycles, epochCycles_, gated cycles, attribution,
+     * idle-warp samples). Internal evolution -- wakes, drains, MSHR
+     * releases -- is what the bound accounts for, and other SMs'
+     * interconnect traffic can only delay a store-throttle unblock.
+     * The schedulers' greedy hints need nothing: a hint holds only
+     * on the cycle right after its issue.
      *
      * @return true if any scheduler issued an instruction
      */
     bool cycle(Cycle now, bool sample_iw,
                Cycle *next_event = nullptr);
-
-    // ---- event-engine control points ----
-
-    /**
-     * Batch-account @p span cycles starting at @p now, including
-     * @p samples idle-warp sampling points falling inside the span.
-     * Must only follow a no-issue cycle() whose bound covers the
-     * span, at the same mutVersion(): attribution replays the
-     * categories that cycle() classified.
-     */
-    void skipCycles(Cycle now, Cycle span, Cycle samples);
-
-    /**
-     * O(1) deferred variant of skipCycles(now, 1, 0): note one
-     * proven-inert, non-sampling cycle without touching any
-     * counters yet. The owed accounting is settled lazily -- every
-     * statistics reader and every external mutator settles first,
-     * so no observer ever sees a stale view, and the quota-gating
-     * mask is provably unchanged between deferral and settlement
-     * (any mask change goes through a settling mutator).
-     */
-    void deferInertCycle() { deferredInert_++; }
-
-    /**
-     * External-mutation version, for the event engine's per-SM
-     * inertia cache (Gpu::step(event_aware)). Bumped by every
-     * mutation arriving from outside cycle() that can change this
-     * SM's inertness: TB dispatch, preemption start, quota updates
-     * and gating toggles. A cycle() bound computed at version V
-     * stays valid while mutVersion() == V (internal evolution --
-     * wakes, drains, MSHR releases -- is exactly what the bound
-     * accounts for, and cross-SM interconnect traffic can only
-     * delay a store-throttle unblock, never advance an event).
-     */
-    std::uint64_t mutVersion() const { return mutVersion_; }
 
     // ---- EWS quota interface ----
 
@@ -297,9 +292,13 @@ class SmCore
         return lane * numScheds_ + sched;
     }
 
-    /** Apply the counter side of an inert span (no samples). */
-    void applyInertSpan(Cycle span);
-    void settleDeferred();
+    /** Apply the owed span [settledTo_, clock_->now); see settle(). */
+    void settleSpan();
+    /** Set this SM's wake bit: an external mutation arrived. */
+    void requestWake()
+    {
+        clock_->wakeMask |= std::uint64_t{1} << id_;
+    }
     /** Count @p span gated cycles for the kernels in @p gated. */
     void addGatedCycles(std::uint32_t gated, Cycle span);
     /**
@@ -319,14 +318,20 @@ class SmCore
                              bool any_ready,
                              bool any_nonmem_ready) const;
     /**
-     * Settle any deferred inert cycles. Logically const: it only
-     * materializes accounting the SM already owes.
+     * Apply the cycles this SM owes: those before clock_->now that
+     * it was not stepped through (it was parked). They are one
+     * inert span -- its cycles, gated cycles, attribution and the
+     * idle-warp samples inside it. Every statistics reader and
+     * every external mutator settles first, so no observer sees a
+     * stale view and every input of the span is as the parking
+     * cycle left it. Logically const: it only materializes
+     * accounting the SM already owes.
      */
     void
     settle() const
     {
-        if (deferredInert_ > 0)
-            const_cast<SmCore *>(this)->settleDeferred();
+        if (clock_->now > settledTo_)
+            const_cast<SmCore *>(this)->settleSpan();
     }
 
     void rebuildAgeOrder(int sched);
@@ -378,8 +383,12 @@ class SmCore
     bool chargePreemptTraffic_;
 
     MemSystem *mem_;
-    /** Bumped on every input change of allQuotasExhausted(). */
-    std::shared_ptr<std::uint64_t> quotaVersion_;
+    /**
+     * Shared with the Gpu: the clock settle() reads, the quota
+     * version bumped on every input change of allQuotasExhausted(),
+     * and the wake mask every external mutator marks.
+     */
+    std::shared_ptr<GpuClock> clock_;
     std::vector<const KernelRun *> runs_;
     std::array<KernelCtx, maxKernels> kernels_;
     std::vector<Warp> warps_;
@@ -438,18 +447,24 @@ class SmCore
     bool quotaGating_ = false;
     bool accounting_ = false; //!< cycle-attribution profiler on
     /**
-     * Attribution cache for skipped inert cycles: the category of
-     * each kernel, written by the most recent no-issue cycle().
-     * Valid for every deferInertCycle() and skipCycles() that
-     * follows, because the Gpu only skips under a
-     * mutVersion()-valid inertia cache (every external mutation
-     * settles first, then bumps the version), so the classified
-     * state is frozen until settlement.
+     * Attribution cache for parked cycles: the category of each
+     * kernel, written by the most recent no-issue cycle(). Valid
+     * for the whole span settle() applies, because the Gpu parks an
+     * SM only after such a cycle and every external mutation
+     * settles first, so the classified state is frozen until
+     * settlement.
      */
     std::array<CycleCat, maxKernels> inertClass_{};
+    /**
+     * The interconnect store-throttle flag of the most recent
+     * no-issue cycle() that computed a bound: the value every
+     * idle-warp sample of a parked span reads (exact; see DESIGN.md
+     * section 11, "Parked SMs").
+     */
+    bool parkStoreBlocked_ = false;
     Cycle epochCycles_ = 0; //!< cycles since last sample reset
-    std::uint64_t mutVersion_ = 0; //!< see mutVersion()
-    Cycle deferredInert_ = 0; //!< see deferInertCycle()
+    /** First cycle not yet accounted; see settle(). */
+    Cycle settledTo_ = 0;
 
     SmStats stats_;
     TbEventFn tbEvent_;

@@ -55,6 +55,19 @@ TEST(GpuConfig, RejectsBadSmCount)
               std::string::npos);
 }
 
+TEST(GpuConfig, SmCountFitsOneMaskWord)
+{
+    GpuConfig cfg = defaultConfig();
+    cfg.numSms = 64;
+    EXPECT_TRUE(cfg.check().ok());
+    cfg.numSms = 65;
+    auto r = cfg.check();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(r.error().message().find("numSms"),
+              std::string::npos);
+}
+
 TEST(GpuConfig, RejectsUnevenSchedulerSplit)
 {
     GpuConfig cfg = defaultConfig();

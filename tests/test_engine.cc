@@ -56,7 +56,7 @@ TEST(EngineKindParse, UnknownNameIsRecoverable)
 }
 
 // ---------------------------------------------------------------
-// SmCore::cycle() next-event bound / skipCycles() contract.
+// SmCore::cycle() next-event bound / parked-span settle contract.
 // ---------------------------------------------------------------
 
 struct EngineSmFixture : public ::testing::Test
@@ -66,7 +66,8 @@ struct EngineSmFixture : public ::testing::Test
           descC(test::tinyComputeKernel()),
           descM(test::tinyMemoryKernel()),
           mem(cfg),
-          sm(cfg, 0, mem),
+          clock(std::make_shared<GpuClock>(cfg)),
+          sm(cfg, 0, mem, clock),
           runC(descC, 0, cfg),
           runM(descM, 1, cfg)
     {
@@ -99,6 +100,8 @@ struct EngineSmFixture : public ::testing::Test
     GpuConfig cfg;
     KernelDesc descC, descM;
     MemSystem mem;
+    /** The SM's clock: advancing it past the SM parks the SM. */
+    std::shared_ptr<GpuClock> clock;
     SmCore sm;
     KernelRun runC, runM;
     Cycle now = 0;
@@ -111,9 +114,10 @@ TEST_F(EngineSmFixture, EmptySmIsInertForever)
     EXPECT_EQ(probe(), cycleNever);
 }
 
-TEST_F(EngineSmFixture, SkipCyclesAccountsTimeOnEmptySm)
+TEST_F(EngineSmFixture, SettleAccountsTimeOnEmptySm)
 {
-    sm.skipCycles(0, 1000, 10);
+    // The SM owes [0, 1000): samples at 0, 100, ..., 900.
+    clock->now = 1000;
     EXPECT_EQ(sm.stats().cycles, 1000u);
     EXPECT_EQ(sm.stats().activeCycles, 0u);
     // No resident warps: samples record zero idle warps.
@@ -149,12 +153,12 @@ TEST_F(EngineSmFixture, QuotaGatedOnlySmIsInert)
     run(2000); // drain the dispatch wakes; nothing can issue
     EXPECT_EQ(sm.kernelStats(0).threadInstrs, 0u);
     EXPECT_EQ(probe(), cycleNever);
-    // Refilling the quota invalidates every cached bound (a new
-    // mutation version) and makes the ready-but-gated warps issue
+    // Refilling the quota sets the SM's wake bit (a parked SM's
+    // bound is void) and makes the ready-but-gated warps issue
     // right away.
-    std::uint64_t version = sm.mutVersion();
+    clock->wakeMask = 0;
     sm.addQuota(0, 1e6);
-    EXPECT_NE(sm.mutVersion(), version);
+    EXPECT_EQ(clock->wakeMask, std::uint64_t{1});
     EXPECT_TRUE(sm.cycle(now, false));
 }
 
@@ -173,11 +177,12 @@ TEST_F(EngineSmFixture, DrainIsAnEventUntilItCompletes)
 TEST_F(EngineSmFixture, SkipMatchesSteppingThroughGatedSpan)
 {
     // Two identical SMs reach a gated-idle state; one steps through
-    // the span, the other skips it. All statistics, including the
-    // cycle attribution the skip replays from the last stepped
-    // cycle, must agree.
+    // the span, the other is parked across it and settles it. All
+    // statistics, including the cycle attribution the settle
+    // replays from the last stepped cycle, must agree.
     MemSystem mem2(cfg);
-    SmCore sm2(cfg, 0, mem2);
+    auto clock2 = std::make_shared<GpuClock>(cfg);
+    SmCore sm2(cfg, 0, mem2, clock2);
     sm2.bindKernels({&runC, &runM});
     for (SmCore *s : {&sm, &sm2}) {
         s->setCycleAccounting(true);
@@ -194,7 +199,7 @@ TEST_F(EngineSmFixture, SkipMatchesSteppingThroughGatedSpan)
     // Span [2000, 12000): samples at 2000, 2100, ..., 11900.
     for (Cycle c = 2000; c < 12000; ++c)
         sm.cycle(c, (c % 100) == 0);
-    sm2.skipCycles(2000, 10000, 100);
+    clock2->now = 12000;
     EXPECT_EQ(sm.stats().cycles, sm2.stats().cycles);
     for (KernelId k = 0; k < 2; ++k) {
         const SmKernelStats &a = sm.kernelStats(k);
@@ -319,6 +324,115 @@ TEST(GpuEngine, RunMatchesStepLoop)
         EXPECT_EQ(stepped.sm(s).stats().activeCycles,
                   skipped.sm(s).stats().activeCycles);
     }
+}
+
+TEST(GpuEngine, ParkedSpansMatchSteppingEverySm)
+{
+    // A quota-gated, store-heavy pair under a short sample interval
+    // (a sample every 10 cycles), so parked spans cross many
+    // samples and SMs often park store-throttled. One Gpu parks its
+    // inert SMs, the other steps every SM on every cycle; both get
+    // the same quota updates on the same cycles.
+    GpuConfig cfg = defaultConfig();
+    cfg.epochLength = 1000;
+    cfg.iwSamplesPerEpoch = 100;
+    KernelDesc dc = test::tinyComputeKernel();
+    KernelDesc ds = test::tinyMemoryKernel("stores");
+    ds.phases[0].memRatio = 0.6;
+    ds.phases[0].storeFraction = 0.9;
+    ds.phases[0].hotFraction = 0.0;
+    Gpu parked(cfg), stepped(cfg);
+    for (Gpu *g : {&parked, &stepped}) {
+        g->launch({&dc, &ds});
+        g->setCycleAccounting(true);
+        g->setQuotaGatingAll(true);
+        for (int s = 0; s < g->numSms(); ++s) {
+            g->setTbTarget(s, 0, 2);
+            g->setTbTarget(s, 1, 2);
+        }
+    }
+    for (Cycle c = 0; c < 30000; ++c) {
+        for (Gpu *g : {&parked, &stepped}) {
+            for (int s = 0; s < g->numSms(); ++s) {
+                // In odd periods the stores saturate the
+                // interconnect and SMs park store-throttled; in
+                // even ones every quota runs out early and SMs park
+                // gated. The mid-period grant reaches only the odd
+                // SMs.
+                if (c % 1000 == 0) {
+                    g->sm(s).setQuota(0, 3000.0);
+                    g->sm(s).setQuota(1, (c / 1000) % 2 ? 1e6 : 2000.0);
+                } else if (c % 1000 == 600 && s % 2 == 1) {
+                    g->sm(s).addQuota(1, 500.0);
+                }
+            }
+            // A burst of context traffic backs the interconnect up
+            // for about 2000 cycles: SMs with ready stores park
+            // store-throttled across many samples.
+            if (c % 5000 == 2500)
+                g->mem().injectContextTraffic(0, 2u << 20, c);
+        }
+        parked.step(true);
+        stepped.step(false);
+    }
+    EXPECT_GT(parked.smSkippedCycles(), 0u);
+    EXPECT_EQ(stepped.smSkippedCycles(), 0u);
+    for (int s = 0; s < parked.numSms(); ++s) {
+        const SmStats &a = parked.sm(s).stats();
+        const SmStats &b = stepped.sm(s).stats();
+        EXPECT_EQ(a.cycles, b.cycles) << "SM " << s;
+        EXPECT_EQ(a.activeCycles, b.activeCycles) << "SM " << s;
+        EXPECT_EQ(a.issuedAlu, b.issuedAlu) << "SM " << s;
+        EXPECT_EQ(a.issuedSfu, b.issuedSfu) << "SM " << s;
+        EXPECT_EQ(a.issuedSmem, b.issuedSmem) << "SM " << s;
+        EXPECT_EQ(a.issuedLoads, b.issuedLoads) << "SM " << s;
+        EXPECT_EQ(a.issuedStores, b.issuedStores) << "SM " << s;
+        EXPECT_EQ(a.preemptions, b.preemptions) << "SM " << s;
+        for (KernelId k = 0; k < 2; ++k) {
+            const SmKernelStats &x = parked.sm(s).kernelStats(k);
+            const SmKernelStats &y = stepped.sm(s).kernelStats(k);
+            EXPECT_EQ(x.threadInstrs, y.threadInstrs)
+                << "SM " << s << " kernel " << k;
+            EXPECT_EQ(x.iwSampleSum, y.iwSampleSum)
+                << "SM " << s << " kernel " << k;
+            EXPECT_EQ(x.iwSamples, y.iwSamples)
+                << "SM " << s << " kernel " << k;
+            EXPECT_EQ(x.gatedCycles, y.gatedCycles)
+                << "SM " << s << " kernel " << k;
+            EXPECT_EQ(x.quotaRefills, y.quotaRefills)
+                << "SM " << s << " kernel " << k;
+            EXPECT_TRUE(parked.sm(s).cycleBreakdown(k) ==
+                        stepped.sm(s).cycleBreakdown(k))
+                << "SM " << s << " kernel " << k;
+        }
+    }
+}
+
+TEST(GpuEngine, AddQuotaWakesAParkedSm)
+{
+    // One TB on SM 0, gated before its first instruction: once the
+    // dispatch wakes drain, every SM is parked for good.
+    GpuConfig cfg = defaultConfig();
+    KernelDesc d = test::tinyComputeKernel();
+    Gpu gpu(cfg);
+    gpu.launch({&d});
+    gpu.setQuotaGatingAll(true);
+    gpu.sm(0).setQuota(0, -1.0);
+    gpu.setTbTarget(0, 0, 1);
+    for (int i = 0; i < 2000; ++i)
+        gpu.step(true);
+    ASSERT_EQ(gpu.residentTbs(0, 0), 1);
+    ASSERT_EQ(gpu.nextEventAt(), cycleNever);
+    std::uint64_t skipped = gpu.smSkippedCycles();
+    std::uint64_t active = gpu.sm(0).stats().activeCycles;
+    // The grant wakes SM 0, which issues on the very next step.
+    gpu.sm(0).addQuota(0, 1e6);
+    EXPECT_EQ(gpu.nextEventAt(), gpu.now());
+    EXPECT_TRUE(gpu.step(true));
+    EXPECT_EQ(gpu.sm(0).stats().activeCycles, active + 1);
+    // Only SM 0 stepped; the others stayed parked.
+    EXPECT_EQ(gpu.smSkippedCycles(),
+              skipped + static_cast<std::uint64_t>(gpu.numSms() - 1));
 }
 
 // ---------------------------------------------------------------

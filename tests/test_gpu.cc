@@ -216,9 +216,10 @@ TEST(Gpu, QuotaVersionMovesExactlyOnQuotaInputs)
     stepCheckingQuotaVersion(gpu, 3000);
     EXPECT_GT(gpu.dispatchState(0).preemptedTbs, 0u);
 
-    // Every SM gated with TBs resident: deferred inert cycles,
-    // skipCycles() and skipTo() settle gated cycles but leave the
-    // version alone.
+    // Every SM gated with TBs resident: parked steps, skipTo() and
+    // the settles that apply their spans count gated cycles but
+    // leave the version alone. SM 0 is read after 8 more parked
+    // steps than the others.
     for (int s = 0; s < gpu.numSms(); ++s)
         gpu.sm(s).setQuota(0, -1.0);
     stepCheckingQuotaVersion(gpu, 1);
@@ -231,11 +232,16 @@ TEST(Gpu, QuotaVersionMovesExactlyOnQuotaInputs)
     for (int s = 0; s < gpu.numSms(); ++s)
         gated.push_back(gpu.sm(s).kernelStats(0).gatedCycles);
     gpu.skipTo(gpu.now() + 5000);
-    gpu.sm(0).deferInertCycle();
-    gpu.sm(0).skipCycles(gpu.now(), 7, 0);
+    std::vector<std::uint64_t> after(gpu.numSms());
+    for (int s = 1; s < gpu.numSms(); ++s)
+        after[s] = gpu.sm(s).kernelStats(0).gatedCycles;
+    std::uint64_t smSkipped = gpu.smSkippedCycles();
+    for (int i = 0; i < 8; ++i)
+        gpu.step(true);
+    EXPECT_EQ(gpu.smSkippedCycles(), smSkipped + 8u * gpu.numSms());
+    after[0] = gpu.sm(0).kernelStats(0).gatedCycles;
     for (int s = 0; s < gpu.numSms(); ++s) {
-        EXPECT_EQ(gpu.sm(s).kernelStats(0).gatedCycles,
-                  gated[s] + 5000 + (s == 0 ? 8 : 0));
+        EXPECT_EQ(after[s], gated[s] + 5000 + (s == 0 ? 8 : 0));
     }
     EXPECT_EQ(gpu.quotaVersion(), v);
 }
