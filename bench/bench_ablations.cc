@@ -32,7 +32,8 @@ main(int argc, char **argv)
     std::map<std::string, CaseResult> paid;
     Sweep sweep(runner, sweepOptions(args, "ablations"));
     sweep.execute([&](Sweep &sw) {
-        ReachStat reach_on, reach_nohist, reach_nostatic;
+        // QoSreach: the mean of one 0/1 sample per case.
+        SampleStat reach_on, reach_nohist, reach_nostatic;
         SampleStat mm_on, mm_off;
         for (double goal : paperGoalSweep()) {
             for (const auto &[qos, bg] : pairs) {
@@ -43,9 +44,9 @@ main(int argc, char **argv)
                 CaseResult off = sw.run({qos, bg}, {goal, 0.0},
                                         "rollover-nostatic");
                 paid[caseKey({qos, bg}, {goal, 0.0}, "rollover")] = on;
-                reach_on.add(on.allReached());
-                reach_nohist.add(nohist.allReached());
-                reach_nostatic.add(off.allReached());
+                reach_on.add(on.allReached() ? 1.0 : 0.0);
+                reach_nohist.add(nohist.allReached() ? 1.0 : 0.0);
+                reach_nostatic.add(off.allReached() ? 1.0 : 0.0);
                 bool mm = parboilKernel(qos).wclass ==
                               WorkloadClass::Memory &&
                           parboilKernel(bg).wclass ==
@@ -60,12 +61,13 @@ main(int argc, char **argv)
         // ---- history adjustment ----
         sw.header("Ablation: history-based quota adjustment "
                   "(Rollover)");
-        sw.printf("QoSreach with history:    %.3f (%d/%d)\n",
-                  reach_on.reach(), reach_on.success(),
-                  reach_on.total());
-        sw.printf("QoSreach without history: %.3f (%d/%d)\n",
-                  reach_nohist.reach(), reach_nohist.success(),
-                  reach_nohist.total());
+        sw.printf("QoSreach with history:    %.3f (%.0f/%llu)\n",
+                  reach_on.mean(), reach_on.sum(),
+                  static_cast<unsigned long long>(reach_on.count()));
+        sw.printf("QoSreach without history: %.3f (%.0f/%llu)\n",
+                  reach_nohist.mean(), reach_nohist.sum(),
+                  static_cast<unsigned long long>(
+                      reach_nohist.count()));
         sw.printf("[paper] enabling history covers 86.4%% more "
                   "cases\n");
 
@@ -73,9 +75,9 @@ main(int argc, char **argv)
         sw.header("Ablation: static TB adjustment (Rollover, M+M "
                   "focus)");
         sw.printf("QoSreach with static adjust:    %.3f\n",
-                  reach_on.reach());
+                  reach_on.mean());
         sw.printf("QoSreach without static adjust: %.3f\n",
-                  reach_nostatic.reach());
+                  reach_nostatic.mean());
         if (mm_off.mean() > 0.0) {
             sw.printf("M+M non-QoS throughput: %.3f vs %.3f "
                       "(%+.1f%%)\n", mm_on.mean(), mm_off.mean(),

@@ -266,32 +266,6 @@ selectedTrios(const CliArgs &args)
     return subsample(parboilTrios(), n);
 }
 
-/** Accumulates QoSreach (Section 4.1 metric) per goal bucket. */
-class ReachStat
-{
-  public:
-    void
-    add(bool reached)
-    {
-        total_++;
-        if (reached)
-            success_++;
-    }
-
-    double
-    reach() const
-    {
-        return total_ ? static_cast<double>(success_) / total_ : 0.0;
-    }
-
-    int total() const { return total_; }
-    int success() const { return success_; }
-
-  private:
-    int total_ = 0;
-    int success_ = 0;
-};
-
 inline void
 printHeader(const char *title)
 {
@@ -465,7 +439,7 @@ struct GoalTable
  * Run and print @p t inside a Sweep body: one sw.run() per (goal,
  * set, policy) in that order, every metric read from that one
  * result, one row per goal and an AVG row over all goals. QoSreach
- * is the mean of one 0/1 sample per case (ReachStat::reach()).
+ * is the mean of one 0/1 sample per case.
  * Returns each column's AVG value, metric-major.
  */
 inline std::vector<double>

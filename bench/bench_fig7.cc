@@ -20,9 +20,10 @@ main(int argc, char **argv)
 
     Sweep sweep(runner, sweepOptions(args, "fig7"));
     sweep.execute([&](Sweep &sw) {
-        std::map<std::string, ReachStat> per_kernel_sp,
+        // QoSreach: the mean of one 0/1 sample per case.
+        std::map<std::string, SampleStat> per_kernel_sp,
             per_kernel_ro;
-        std::map<std::string, ReachStat> per_class_sp, per_class_ro;
+        std::map<std::string, SampleStat> per_class_sp, per_class_ro;
 
         for (double goal : paperGoalSweep()) {
             for (const auto &[qos, bg] : pairs) {
@@ -30,16 +31,16 @@ main(int argc, char **argv)
                                        "spart");
                 CaseResult rr = sw.run({qos, bg}, {goal, 0.0},
                                        "rollover");
-                per_kernel_sp[qos].add(rs.allReached());
-                per_kernel_ro[qos].add(rr.allReached());
+                per_kernel_sp[qos].add(rs.allReached() ? 1.0 : 0.0);
+                per_kernel_ro[qos].add(rr.allReached() ? 1.0 : 0.0);
                 std::string cls =
                     std::string(
                         toString(parboilKernel(qos).wclass)) +
                     "+" + toString(parboilKernel(bg).wclass);
                 if (cls == "M+C")
                     cls = "C+M"; // unordered class pair
-                per_class_sp[cls].add(rs.allReached());
-                per_class_ro[cls].add(rr.allReached());
+                per_class_sp[cls].add(rs.allReached() ? 1.0 : 0.0);
+                per_class_ro[cls].add(rr.allReached() ? 1.0 : 0.0);
             }
         }
 
@@ -50,15 +51,15 @@ main(int argc, char **argv)
             if (!per_kernel_sp.count(name))
                 continue;
             sw.printf("%-14s %10.3f %10.3f\n", name.c_str(),
-                      per_kernel_sp[name].reach(),
-                      per_kernel_ro[name].reach());
+                      per_kernel_sp[name].mean(),
+                      per_kernel_ro[name].mean());
         }
         for (const char *cls : {"C+C", "C+M", "M+M"}) {
             if (!per_class_sp.count(cls))
                 continue;
             sw.printf("%-14s %10.3f %10.3f\n", cls,
-                      per_class_sp[cls].reach(),
-                      per_class_ro[cls].reach());
+                      per_class_sp[cls].mean(),
+                      per_class_ro[cls].mean());
         }
         sw.printf("\n[paper] C+C: both reach all goals; M+M: Spart "
                   "clearly below Rollover (no bandwidth control); "

@@ -186,9 +186,23 @@ trace_smoke() {
         --stats-json "$scratch/stats.json" \
         > "$scratch/traced.out" 2>/dev/null
     cmp "$scratch/plain.out" "$scratch/traced.out"
-    # Identical cache contents too (sealed result lines only; the
-    # .meta artifact sidecar is telemetry metadata by design).
+    # Identical cache contents too: the cache file holds sealed
+    # result lines only, traced or not.
     cmp <(sort "$scratch/t0/"*.csv) <(sort "$scratch/t1/"*.csv)
+    # A warm traced rerun serves every case from the cache, so none
+    # of its records reach this run's trace: the report says so
+    # with an empty trace path on each cached case.
+    # shellcheck disable=SC2086
+    "$bin" $flags --jobs 4 --cache "$scratch/t1" \
+        --trace "$scratch/warm.jsonl" \
+        --stats-json "$scratch/warm.json" \
+        > "$scratch/warm.out" 2>/dev/null
+    cmp "$scratch/plain.out" "$scratch/warm.out"
+    # The cache keeps no trace sidecar next to its file.
+    local meta
+    meta="$(find "$scratch/t1" -name '*.meta')"
+    [ -z "$meta" ] || {
+        echo "trace smoke: cache left a sidecar: $meta" >&2; return 1; }
 
     [ -s "$scratch/epochs.jsonl" ] || {
         echo "trace smoke: empty trace file" >&2; return 1; }
@@ -197,9 +211,9 @@ trace_smoke() {
 
     if command -v python3 >/dev/null 2>&1; then
         python3 - "$scratch/epochs.jsonl" "$scratch/stats.json" \
-            "$scratch/timeline.json" <<'EOF'
+            "$scratch/timeline.json" "$scratch/warm.json" <<'EOF'
 import json, sys
-trace, stats, timeline = sys.argv[1], sys.argv[2], sys.argv[3]
+trace, stats, timeline, warm = sys.argv[1:5]
 kinds = {}
 with open(trace) as f:
     for n, line in enumerate(f, 1):
@@ -240,6 +254,12 @@ for ev in tl["traceEvents"]:
 assert phases.get("X", 0) > 0, "timeline has no SM occupancy slices"
 assert phases.get("C", 0) > 0, "timeline has no counter tracks"
 assert phases.get("M", 0) > 0, "timeline has no track metadata"
+with open(warm) as f:
+    warm_cases = json.load(f)["cases"]
+assert warm_cases and all(c["from_cache"] for c in warm_cases), \
+    "warm rerun simulated a case"
+stale = [c["key"] for c in warm_cases if c["trace"] != ""]
+assert not stale, f"cached cases name a trace: {stale[:3]}"
 print("trace smoke: %d trace records, %d cases, %d sweeps, "
       "%d timeline events"
       % (sum(kinds.values()), len(rep["cases"]), len(rep["sweeps"]),

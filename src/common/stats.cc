@@ -5,8 +5,6 @@
 
 #include "common/stats.hh"
 
-#include <limits>
-
 #include "common/logging.hh"
 
 namespace gqos
@@ -37,15 +35,6 @@ Histogram::bucketCount(std::size_t idx) const
 {
     gqos_assert(idx < counts_.size());
     return counts_[idx];
-}
-
-double
-Histogram::bucketBound(std::size_t idx) const
-{
-    gqos_assert(idx < counts_.size());
-    if (idx == bounds_.size())
-        return std::numeric_limits<double>::infinity();
-    return bounds_[idx];
 }
 
 void

@@ -74,9 +74,6 @@ class Histogram
     /** Count in bucket @p idx. */
     std::uint64_t bucketCount(std::size_t idx) const;
 
-    /** Upper bound of bucket @p idx (infinity for overflow bucket). */
-    double bucketBound(std::size_t idx) const;
-
     /** Total samples recorded. */
     std::uint64_t total() const { return total_; }
 

@@ -52,39 +52,38 @@ SimEngine::observe(const Gpu &gpu)
 bool
 SimEngine::runUntil(Gpu &gpu, SharingPolicy &policy, Cycle until)
 {
+    const bool event = kind_ == EngineKind::Event;
     while (gpu.now() < until) {
         Cycle now = gpu.now();
-        if (kind_ == EngineKind::Event && !lastStepActive_) {
+        Cycle target = now;
+        if (event) {
             // Cap every skip at the next watchdog sample: the
             // reference loop observes after executing each cycle
             // that is a multiple of the stride, so a span may cover
             // at most one sample point, taken at the same cycle
             // with the same (frozen) instruction/liveness values.
             // The machine bound is read before onCycle(): an action
-            // mutates the SMs, which invalidates their bounds.
+            // mutates the SMs, which invalidates their bounds. After
+            // a step where an SM issued or the dispatcher acted the
+            // bound is now: that SM stays hot, the dispatcher dirty.
             Cycle machine = std::min(until, nextObserveAt_ + 1);
             machine = std::min(machine, gpu.nextEventAt());
-            Cycle target = std::min(machine, policy.onCycle(gpu));
-            if (target > now) {
-                gpu.skipTo(target);
-                stats_.skippedCycles += target - now;
-                stats_.skips++;
-                if (gpu.now() > nextObserveAt_) {
-                    nextObserveAt_ += watchdogStride;
-                    if (observe(gpu))
-                        return true;
-                }
-                continue;
-            }
+            target = std::min(machine, policy.onCycle(gpu));
             // Only the policy needs this cycle of an inert machine.
-            if (machine > now)
+            if (target <= now && machine > now)
                 stats_.controlPoints++;
         } else {
             policy.onCycle(gpu);
         }
-        lastStepActive_ = gpu.step(kind_ == EngineKind::Event);
-        stats_.steppedCycles++;
-        if (now == nextObserveAt_) {
+        if (target > now) {
+            gpu.skipTo(target);
+            stats_.skippedCycles += target - now;
+            stats_.skips++;
+        } else {
+            gpu.step(event);
+            stats_.steppedCycles++;
+        }
+        if (gpu.now() > nextObserveAt_) {
             nextObserveAt_ += watchdogStride;
             if (observe(gpu))
                 return true;

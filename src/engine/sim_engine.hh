@@ -139,13 +139,6 @@ class SimEngine
     StallDetector watchdog_;
     EngineStats stats_;
     Cycle nextObserveAt_ = 0;
-    /**
-     * Activity hint: skip checks cost about as much as one idle
-     * SM cycle, so they are only attempted after a cycle with no
-     * issue anywhere (a busy machine cannot be skipped anyway).
-     * Purely a fast-path gate -- never affects results.
-     */
-    bool lastStepActive_ = true;
 };
 
 } // namespace gqos

@@ -154,7 +154,7 @@ Gpu::dispatchCycle()
     return acted;
 }
 
-bool
+void
 Gpu::step(bool event_aware)
 {
     bool sample_iw = now_ == nextSample_;
@@ -169,7 +169,6 @@ Gpu::step(bool event_aware)
         wakeParked(woken);
     }
     smSkipped_ += popCount(allSms_ & ~hot_);
-    bool active = false;
     // Ascending SM order: memory requests reach the shared system in
     // the same order as when every SM steps.
     for (std::uint64_t m = hot_; m; m &= m - 1) {
@@ -177,7 +176,6 @@ Gpu::step(bool event_aware)
         Cycle bound = 0;
         bool issued = sms_[s].cycle(now_, sample_iw,
                                     event_aware ? &bound : nullptr);
-        active |= issued;
         // A no-issue cycle hands back the next-event bound for
         // free. An SM due next cycle (or issuing) stays hot.
         if (event_aware && !issued && bound > now_ + 1) {
@@ -189,14 +187,9 @@ Gpu::step(bool event_aware)
     // Cycle now_ has run: from here on a parked SM owes it, so a
     // dispatcher mutation below settles through it.
     clock_->now = now_ + 1;
-    if (dispatchDirty_) {
-        if (dispatchCycle())
-            active = true;
-        else
-            dispatchDirty_ = false;
-    }
+    if (dispatchDirty_ && !dispatchCycle())
+        dispatchDirty_ = false;
     now_++;
-    return active;
 }
 
 void

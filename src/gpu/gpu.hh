@@ -85,12 +85,8 @@ class Gpu
      * step wakes every SM. Results are bit-identical either way --
      * a parked SM is by construction in an inert cycle -- the flag
      * only trades per-SM pipeline walks for one settle per span.
-     *
-     * @return true if any SM issued or the TB dispatcher acted
-     *         (activity hint for the event engine; stepping is
-     *         always correct regardless of the return value)
      */
-    bool step(bool event_aware = false);
+    void step(bool event_aware = false);
 
     /** Current cycle (number of completed steps). */
     Cycle now() const { return now_; }
@@ -214,7 +210,6 @@ class Gpu
     const GpuConfig &config() const { return cfg_; }
 
     int numKernels() const { return static_cast<int>(runs_.size()); }
-    const KernelRun &kernelRun(KernelId k) const;
     const KernelDesc &kernelDesc(KernelId k) const;
 
     // ---- metrics ----
@@ -247,7 +242,9 @@ class Gpu
     std::uint64_t smSkippedCycles() const { return smSkipped_; }
 
   private:
+    /** @return true if the TB dispatcher acted (keeps it dirty). */
     bool dispatchCycle();
+    const KernelRun &kernelRun(KernelId k) const;
     void onTbEvent(SmId sm, KernelId k, TbExit exit);
     /**
      * Move parked SMs that are due by now_ or set in @p woken to

@@ -1,7 +1,8 @@
 /**
  * @file
- * Result-cache implementation: CRC-sealed lines, atomic rewrites,
- * flock across processes, mutex across threads, batched appends.
+ * Result-cache implementation: CRC-sealed lines, batched appends
+ * under a flock across processes and a mutex across threads, and an
+ * atomic rewrite only to drop quarantined lines on load.
  */
 
 #include "harness/result_cache.hh"
@@ -78,7 +79,8 @@ class FileLock
 /**
  * Crash-safe whole-file write: write to a sibling temp file, fsync,
  * then rename over @p path so readers see either the old or the new
- * content, never a torn mix.
+ * content, never a torn mix. Used by load() to drop quarantined
+ * lines.
  */
 Result<void>
 writeFileAtomic(const std::string &path, const std::string &content)
@@ -99,6 +101,56 @@ writeFileAtomic(const std::string &path, const std::string &content)
         std::remove(tmp.c_str());
         return Error::format(ErrorCode::IoError,
                              "atomic write of '%s' failed (%s)",
+                             path.c_str(), std::strerror(errno));
+    }
+    return {};
+}
+
+/**
+ * Append @p lines to the cache file @p path in one write through an
+ * O_APPEND descriptor, then fsync. An empty (or missing) file gets
+ * the header first. If the file does not end in '\n' -- a writer
+ * crashed mid-append -- the batch starts with one, so the torn line
+ * stays a line of its own (and fails its CRC on the next load)
+ * instead of swallowing the first new one. The caller holds the
+ * flock.
+ */
+Result<void>
+appendBatch(const std::string &path,
+            const std::vector<std::string> &lines)
+{
+    int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND |
+                                      O_CLOEXEC, 0644);
+    if (fd < 0) {
+        return Error::format(ErrorCode::IoError,
+                             "cannot open '%s' for appending (%s)",
+                             path.c_str(), std::strerror(errno));
+    }
+    std::string batch;
+    struct stat st;
+    bool ok = ::fstat(fd, &st) == 0;
+    char last = '\n';
+    if (ok && st.st_size == 0)
+        batch = std::string(ResultCache::header) + "\n";
+    else if (ok)
+        ok = ::pread(fd, &last, 1, st.st_size - 1) == 1;
+    if (last != '\n')
+        batch = "\n";
+    for (const auto &line : lines)
+        batch += line + "\n";
+    for (std::size_t off = 0; ok && off < batch.size();) {
+        ssize_t n = ::write(fd, batch.data() + off,
+                            batch.size() - off);
+        if (n > 0)
+            off += static_cast<std::size_t>(n);
+        else if (n == 0 || errno != EINTR)
+            ok = false;
+    }
+    ok = ok && ::fsync(fd) == 0;
+    ok = ::close(fd) == 0 && ok;
+    if (!ok) {
+        return Error::format(ErrorCode::IoError,
+                             "append to '%s' failed (%s)",
                              path.c_str(), std::strerror(errno));
     }
     return {};
@@ -197,19 +249,6 @@ ResultCache::load()
 {
     quarantined_ = 0;
     FileLock lock(path_);
-
-    // Artifact sidecar: advisory "key<TAB>value" lines; malformed
-    // lines are skipped, the last write for a key wins.
-    {
-        std::ifstream meta(path_ + ".meta");
-        std::string line;
-        while (meta && std::getline(meta, line)) {
-            auto tab = line.find('\t');
-            if (tab == std::string::npos || tab == 0)
-                continue;
-            artifacts_[line.substr(0, tab)] = line.substr(tab + 1);
-        }
-    }
 
     std::ifstream in(path_);
     if (!in)
@@ -333,28 +372,11 @@ ResultCache::flushLocked()
     if (pending_.empty())
         return;
 
-    // Merge-append under the advisory lock: re-read the current file
-    // so lines appended by concurrent bench processes survive, then
-    // atomically replace.
+    // Append under the advisory lock. A concurrent process's lines
+    // stay in place, so the file is not re-read or rewritten; only
+    // its last byte is checked for a torn line.
     FileLock lock(path_);
-    std::string content;
-    {
-        std::ifstream in(path_);
-        std::string first;
-        if (in && std::getline(in, first) && first == header) {
-            content = first + "\n";
-            std::string l;
-            while (std::getline(in, l)) {
-                if (!l.empty())
-                    content += l + "\n";
-            }
-        } else {
-            content = std::string(header) + "\n";
-        }
-    }
-    for (const auto &line : pending_)
-        content += line + "\n";
-    Result<void> w = writeFileAtomic(path_, content);
+    Result<void> w = appendBatch(path_, pending_);
     if (!w.ok()) {
         gqos_warn("cannot append to cache '%s': %s", path_.c_str(),
                   w.error().message().c_str());
@@ -367,33 +389,6 @@ ResultCache::size() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
     return entries_.size();
-}
-
-void
-ResultCache::noteArtifact(const std::string &key,
-                          const std::string &value)
-{
-    if (key.find('\t') != std::string::npos ||
-        key.find('\n') != std::string::npos ||
-        value.find('\n') != std::string::npos) {
-        gqos_warn("artifact note for '%s' contains separator "
-                  "characters; not recorded", key.c_str());
-        return;
-    }
-    std::lock_guard<std::mutex> guard(mutex_);
-    artifacts_[key] = value;
-    FileLock lock(path_);
-    std::ofstream meta(path_ + ".meta", std::ios::app);
-    if (meta)
-        meta << key << '\t' << value << '\n';
-}
-
-std::string
-ResultCache::artifact(const std::string &key) const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    auto it = artifacts_.find(key);
-    return it == artifacts_.end() ? "" : it->second;
 }
 
 bool

@@ -10,15 +10,15 @@
  *  - an in-process std::mutex serializes the in-memory map and the
  *    pending-append buffer between threads sharing this instance;
  *  - the advisory flock on <path>.lock (taken *inside* the mutex)
- *    serializes file rewrites against concurrent bench *processes*
- *    sharing the cache directory, exactly as before.
+ *    serializes appends against concurrent bench *processes*
+ *    sharing the cache directory.
  *
- * Appends are batched: insert() buffers sealed lines and writes them
- * in one merge-append per appendBatchSize entries (or on flush() /
- * destruction), cutting lock traffic by an order of magnitude under
- * a parallel sweep. A crash loses at most the current batch — never
- * the integrity of the file, which stays CRC-sealed and atomically
- * replaced.
+ * The file is append-only: insert() buffers sealed lines and
+ * appends them in one write per appendBatchSize entries (or on
+ * flush() / destruction), then fsyncs. Lines other processes
+ * appended stay where they are, so nothing is re-read or rewritten
+ * on the write path. A crash loses at most the current batch; a
+ * line it tore fails its CRC and is quarantined by the next load.
  */
 
 #ifndef GQOS_HARNESS_RESULT_CACHE_HH
@@ -52,10 +52,10 @@ struct CachedCase
  *     #gqos-cache v2
  *     <crc32-hex8>;key;ipc0,ipc1,...;ipw;preempt;dram;
  *
- * The CRC covers everything after the first ';' of the line. Files
- * are rewritten atomically (temp + rename) under the advisory lock;
- * lines failing validation are moved to a .quarantine side file,
- * warned about once, and their cases re-simulate on demand.
+ * The CRC covers everything after the first ';' of the line. Lines
+ * are appended under the advisory lock; lines failing validation
+ * on load are moved to a .quarantine side file, warned about once,
+ * and their cases re-simulate on demand.
  */
 class ResultCache
 {
@@ -63,7 +63,7 @@ class ResultCache
     /** Header line expected at the top of every cache file. */
     static constexpr const char *header = "#gqos-cache v2";
 
-    /** Pending appends buffered before a merge-append to disk. */
+    /** Pending appends buffered before one append to disk. */
     static constexpr int appendBatchSize = 16;
 
     /** Open @p path, loading (and quarantining) existing entries. */
@@ -87,18 +87,6 @@ class ResultCache
     void flush();
 
     /**
-     * Record where an artifact of case @p key went (e.g. the trace
-     * file a simulation wrote), in the metadata sidecar <path>.meta.
-     * Kept out of the cache file itself so the CRC-sealed result
-     * lines stay byte-identical whether or not tracing was on.
-     */
-    void noteArtifact(const std::string &key,
-                      const std::string &value);
-
-    /** Artifact recorded for case @p key ("" if none). */
-    std::string artifact(const std::string &key) const;
-
-    /**
      * Whether a hit on @p key should warn that it bypassed a
      * requested trace: only for an entry loaded from disk (one this
      * process inserted was simulated, and traced, here), and only
@@ -106,8 +94,6 @@ class ResultCache
      * warn once, not once each.
      */
     bool claimTraceBypassWarning(const std::string &key);
-
-    const std::string &path() const { return path_; }
 
     /** Lines quarantined while loading the file. */
     int quarantinedLines() const { return quarantined_; }
@@ -128,7 +114,7 @@ class ResultCache
     explicit ResultCache(std::string path);
 
     void load();
-    /** Merge-append pending_ to the file; mutex_ must be held. */
+    /** Append pending_ to the file; mutex_ must be held. */
     void flushLocked();
 
     std::string path_;
@@ -137,8 +123,6 @@ class ResultCache
     /** Keys insert()ed by this process, as opposed to loaded. */
     std::set<std::string> inserted_;
     std::vector<std::string> pending_;
-    /** key -> artifact, mirrored in the .meta sidecar file. */
-    std::map<std::string, std::string> artifacts_;
     int quarantined_ = 0;
     bool traceBypassWarned_ = false;
 };

@@ -64,7 +64,7 @@ struct ReportCase
     double wallSec = 0.0;  //!< run() wall time (incl. baselines)
     /** Simulated cycles per second (0 for cache hits). */
     double simCyclesPerSec = 0.0;
-    /** Trace artifact of this case ("" when untraced). */
+    /** Trace artifact of this case ("" when untraced or cached). */
     std::string tracePath;
     /** Per-kernel cycle attribution summed over SMs (empty when the
      *  profiler was off or the case came from the cache). */

@@ -295,23 +295,15 @@ Runner::execute(const std::vector<std::string> &kernels,
         if (!fresh.ok())
             return fresh.error();
         sim = std::move(fresh).value();
-        if (cache_) {
+        if (cache_)
             cache_->insert(key, c);
-            if (opts_.traceSink && !opts_.tracePath.empty())
-                cache_->noteArtifact(key, opts_.tracePath);
-        }
     } else if (opts_.traceSink &&
                cache_->claimTraceBypassWarning(key)) {
         // A hit skips the simulation, so nothing lands in the
-        // requested trace. Point at the recorded artifact of the
-        // run that produced the entry, if any.
-        std::string prev = cache_->artifact(key);
+        // requested trace.
         gqos_warn("cache hit for '%s' bypasses the requested "
-                  "trace%s%s; rerun with the cache disabled to "
-                  "re-trace cached cases",
-                  key.c_str(),
-                  prev.empty() ? "" : " (earlier trace: ",
-                  prev.empty() ? "" : (prev + ")").c_str());
+                  "trace; rerun with the cache disabled to "
+                  "re-trace cached cases", key.c_str());
     }
 
     CaseResult result;
@@ -349,11 +341,9 @@ Runner::execute(const std::vector<std::string> &kernels,
         rc.wallSec = std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t0).count();
         rc.cycleBreakdown = std::move(sim.breakdown);
-        if (opts_.traceSink) {
-            rc.tracePath = from_cache && cache_
-                ? cache_->artifact(key)
-                : opts_.tracePath;
-        }
+        // A cached case's records are not in this run's trace.
+        if (opts_.traceSink && !from_cache)
+            rc.tracePath = opts_.tracePath;
         rc.result = result;
         opts_.report->addCase(std::move(rc));
     }

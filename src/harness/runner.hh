@@ -7,11 +7,11 @@
  *
  * Robustness: user-input paths (construction, case runs) report
  * recoverable errors through Result instead of exiting, the on-disk
- * cache (harness/result_cache.hh) is versioned, CRC-protected,
- * written atomically under an advisory lock, and corrupt lines are
- * quarantined and transparently re-simulated. A watchdog aborts
- * non-advancing simulations with a structured error instead of
- * spinning forever.
+ * cache (harness/result_cache.hh) is versioned, CRC-protected and
+ * append-only under an advisory lock, and corrupt or torn lines are
+ * quarantined on load and transparently re-simulated. A watchdog
+ * aborts non-advancing simulations with a structured error instead
+ * of spinning forever.
  *
  * Concurrency: a Runner is thread-safe. Sweep workers (see
  * harness/sweep.hh) all run cases on their caller's Runner; its
@@ -146,7 +146,7 @@ class Runner
          * never changes simulation results.
          */
         TraceSink *traceSink = nullptr;
-        /** Where traceSink writes, recorded in reports/cache meta. */
+        /** Where traceSink writes, recorded in the run report. */
         std::string tracePath;
         /** Registry for the qos.* and engine.* counters (null =
          *  off). */
@@ -211,9 +211,6 @@ class Runner
     {
         return cache_;
     }
-
-    /** Header line expected at the top of every cache file. */
-    static constexpr const char *cacheHeader = ResultCache::header;
 
   private:
     Runner(Options opts, GpuConfig cfg);

@@ -51,20 +51,6 @@ class KernelRun
     const KernelDesc &desc() const { return *desc_; }
     KernelId id() const { return id_; }
 
-    /** Phase index for warp-instruction @p instr_idx within a TB. */
-    int
-    phaseAt(std::uint64_t instr_idx) const
-    {
-        // Tiny linear scan: kernels have <= ~6 phases and warps walk
-        // phases monotonically, so callers cache the last index.
-        int p = 0;
-        while (p + 1 < static_cast<int>(phaseEnd_.size()) &&
-               instr_idx >= phaseEnd_[p]) {
-            p++;
-        }
-        return p;
-    }
-
     /** First instruction index that is outside phase @p p. */
     std::uint64_t phaseEnd(int p) const { return phaseEnd_[p]; }
 

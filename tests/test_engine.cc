@@ -428,7 +428,7 @@ TEST(GpuEngine, AddQuotaWakesAParkedSm)
     // The grant wakes SM 0, which issues on the very next step.
     gpu.sm(0).addQuota(0, 1e6);
     EXPECT_EQ(gpu.nextEventAt(), gpu.now());
-    EXPECT_TRUE(gpu.step(true));
+    gpu.step(true);
     EXPECT_EQ(gpu.sm(0).stats().activeCycles, active + 1);
     // Only SM 0 stepped; the others stayed parked.
     EXPECT_EQ(gpu.smSkippedCycles(),

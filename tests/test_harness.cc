@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -350,7 +352,7 @@ TEST_F(HarnessFixture, VersionMismatchRetiresWholeFile)
     // And the rebuilt file carries the current header again.
     auto rebuilt = readLines(path);
     ASSERT_FALSE(rebuilt.empty());
-    EXPECT_EQ(rebuilt[0], Runner::cacheHeader);
+    EXPECT_EQ(rebuilt[0], ResultCache::header);
 }
 
 TEST_F(HarnessFixture, CacheRoundTripIsBitExact)
@@ -467,6 +469,94 @@ TEST_F(HarnessFixture, SealedNonNumericLineIsQuarantined)
                               "rollover").value();
     EXPECT_FALSE(r.fromCache);
     EXPECT_GT(r.instrPerWatt, 0.0);
+}
+
+/** The whole file at @p path as one string. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/** Inode number of @p path (0 if it cannot be stat()ed). */
+ino_t
+inodeOf(const std::string &path)
+{
+    struct stat st;
+    return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
+TEST_F(HarnessFixture, TornTailIsQuarantinedNewLinesSurvive)
+{
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/torn.csv";
+    const CachedCase a{{1.5}, 2.0, 3, 4.0};
+    const CachedCase b{{0.25, 0.5}, 1.0, 0, 2.0};
+    {
+        auto first = ResultCache::open(path);
+        first->insert("even|a:0.0000", a);
+    }
+    auto cache = ResultCache::open(path);
+    // Another writer crashed mid-append: the file now ends inside a
+    // line, with no '\n'.
+    const std::string whole = sealed("even|x:0.0000;1;2;3;4;");
+    const std::string torn = whole.substr(0, whole.size() / 2);
+    {
+        std::ofstream out(path, std::ios::app | std::ios::binary);
+        out << torn;
+    }
+    const std::string before = slurp(path);
+    const ino_t inode = inodeOf(path);
+    cache->insert("even|b:0.0000", b);
+    cache->flush();
+
+    // Append-only: the flush extends the same file in place.
+    EXPECT_EQ(inodeOf(path), inode);
+    EXPECT_EQ(slurp(path).compare(0, before.size(), before), 0);
+
+    auto reloaded = ResultCache::open(path);
+    EXPECT_EQ(reloaded->quarantinedLines(), 1);
+    EXPECT_EQ(reloaded->size(), 2u);
+    CachedCase c;
+    ASSERT_TRUE(reloaded->lookup("even|b:0.0000", c));
+    EXPECT_EQ(c.ipc, b.ipc);
+    EXPECT_TRUE(reloaded->lookup("even|a:0.0000", c));
+    EXPECT_EQ(slurp(path + ".quarantine"), torn + "\n");
+}
+
+TEST_F(HarnessFixture, TwoInstancesOnOnePathKeepEachOthersLines)
+{
+    // Two processes (here: two instances) sharing one cache file
+    // each append their own batches; neither loses the other's.
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/shared.csv";
+    auto one = ResultCache::open(path);
+    auto two = ResultCache::open(path);
+    one->insert("even|a:0.0000", CachedCase{{1.0}, 1.0, 0, 1.0});
+    two->insert("even|b:0.0000", CachedCase{{2.0}, 2.0, 0, 2.0});
+    one->flush();
+    // Each later flush appends to this same file, never replaces it.
+    const ino_t inode = inodeOf(path);
+    two->flush();
+    EXPECT_EQ(inodeOf(path), inode);
+    one->insert("even|c:0.0000", CachedCase{{3.0}, 3.0, 0, 3.0});
+    one->flush();
+    EXPECT_EQ(inodeOf(path), inode);
+
+    auto reloaded = ResultCache::open(path);
+    EXPECT_EQ(reloaded->quarantinedLines(), 0);
+    EXPECT_EQ(reloaded->size(), 3u);
+    CachedCase c;
+    for (const char *key :
+         {"even|a:0.0000", "even|b:0.0000", "even|c:0.0000"})
+        EXPECT_TRUE(reloaded->lookup(key, c)) << key;
+    // Only the first append of an empty file writes the header.
+    auto lines = readLines(path);
+    ASSERT_EQ(lines.size(), 4u);
+    EXPECT_EQ(lines[0], ResultCache::header);
 }
 
 // ---------------------------------------------------------------

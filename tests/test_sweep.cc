@@ -12,13 +12,16 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault_injection.hh"
 #include "harness/result_cache.hh"
+#include "harness/run_report.hh"
 #include "harness/sweep.hh"
 #include "telemetry/trace.hh"
 
@@ -380,6 +383,67 @@ TEST_F(SweepFixture, TraceBypassWarningOnlyForWarmHits)
         EXPECT_EQ(tracedSweep(tag, jobs), 0) << "cold cache";
         EXPECT_EQ(tracedSweep(tag, jobs), 1) << "warm cache";
     }
+}
+
+TEST_F(SweepFixture, WarmTracedSweepReportsNoStaleTrace)
+{
+    // A warm run truncates the trace file it was given, so a cached
+    // case's records are in no trace of this run: the report says
+    // "", the warning points nowhere, and no sidecar remembers the
+    // earlier path.
+    const std::string tracePath = base + "/warm.jsonl";
+    auto tracedSweep = [&](std::string *err) {
+        RecordingTraceSink sink;
+        RunReport report;
+        Runner::Options opts = makeOptions("warm");
+        opts.traceSink = &sink;
+        opts.tracePath = tracePath;
+        opts.report = &report;
+        Runner runner = Runner::make(opts).value();
+        SweepOptions so;
+        so.jobs = 1;
+        so.progress = false;
+        testing::internal::CaptureStderr();
+        auto r = runSweep(runner, standardCases(), so);
+        *err = testing::internal::GetCapturedStderr();
+        EXPECT_TRUE(r.ok());
+        std::ostringstream os;
+        report.write(os);
+        return os.str();
+    };
+    // The trace field of every case, by from_cache.
+    auto traces = [](const std::string &json, bool cached) {
+        const std::regex field(
+            std::string("\"from_cache\":") +
+            (cached ? "true" : "false") +
+            R"re(,[^\[]*"trace":"([^"]*)")re");
+        std::vector<std::string> out;
+        for (std::sregex_iterator it(json.begin(), json.end(), field),
+             end;
+             it != end; ++it)
+            out.push_back((*it)[1].str());
+        return out;
+    };
+
+    std::string err;
+    const std::string cold = tracedSweep(&err);
+    EXPECT_TRUE(traces(cold, true).empty());
+    for (const std::string &t : traces(cold, false))
+        EXPECT_EQ(t, tracePath);
+    const std::string warm = tracedSweep(&err);
+
+    EXPECT_TRUE(traces(warm, false).empty());
+    const std::vector<std::string> cached = traces(warm, true);
+    EXPECT_GE(cached.size(), standardCases().size());
+    for (const std::string &t : cached)
+        EXPECT_EQ(t, "");
+    EXPECT_NE(err.find("bypasses the requested trace"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("earlier trace"), std::string::npos) << err;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(base + "/warm"))
+        EXPECT_NE(entry.path().extension(), ".meta") << entry.path();
 }
 
 TEST_F(SweepFixture, TraceSinkFlushesOncePerSweep)
