@@ -19,11 +19,13 @@
 # that is byte-identical across --jobs 1 vs 4, and the cycle-
 # attribution breakdowns in --stats-json must conserve every SM
 # cycle, and the report must be schema 4 with a metrics object of
-# qos.* and engine.* counters only. --stats-json to an unwritable
-# path must fail at startup
-# with nothing on stdout, and so must a negative integer option
-# (bench_fig5 --cycles -5, bench_serving --drain-grace -1), whose
-# error must name the option. The default preset additionally
+# qos.* and engine.* counters only. A warm traced rerun must print
+# the same stdout, report "trace":"" on every cached case, and
+# leave no .meta sidecar in the cache directory. --stats-json to
+# an unwritable path must fail at startup with nothing on stdout,
+# and so must a negative integer option (bench_fig5 --cycles -5,
+# bench_serving --drain-grace -1), whose error must name the
+# option. The default preset additionally
 # runs the engine differential smoke: every simulating figure bench,
 # and bench_serving under the serving, naive, rollover, elastic,
 # rollover-time and spart policies, must print byte-identical
