@@ -5,14 +5,15 @@
  * Replaces the harness's per-cycle `loop { policy.onCycle(gpu);
  * gpu.step(); }` contract with control points: each layer reports
  * the earliest cycle at which it next needs the clock -- the SMs
- * through the bound each no-issue SmCore::cycle() hands back, at
- * which Gpu::step(true) parks the SM and which Gpu::nextEventAt()
- * combines; the policy through the value SharingPolicy::onCycle()
- * returns, called once per stepped or probed cycle -- and the
- * engine fast-forwards through the provably inert span in between
- * with Gpu::skipTo(). Each parked SM owes the span and settles it
- * in one call when next observed: idle cycles, epoch cycle
- * counters, gated-cycle counters and idle-warp samples.
+ * through the bound SmCore::cycle() hands back when nothing issued
+ * or nothing is left ready, at which Gpu::step(true) parks the SM
+ * and which Gpu::nextEventAt() reads off its due ring; the policy
+ * through the value SharingPolicy::onCycle() returns, called once
+ * per stepped or probed cycle -- and the engine fast-forwards
+ * through the provably inert span in between with Gpu::skipTo().
+ * Each parked SM owes the span and settles it in one call when
+ * next observed: idle cycles, epoch cycle counters, gated-cycle
+ * counters and idle-warp samples.
  *
  * Bit-identity invariant: a span [now, target) is skipped only if
  * every cycle in it is provably a no-op -- no SM would issue, wake,

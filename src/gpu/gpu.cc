@@ -5,6 +5,7 @@
 
 #include "gpu/gpu.hh"
 
+#include <bit>
 #include <utility>
 
 #include "common/bitops.hh"
@@ -26,7 +27,7 @@ Gpu::Gpu(const GpuConfig &cfg)
     allSms_ = cfg_.numSms == 64 ? ~std::uint64_t{0}
                                 : (std::uint64_t{1} << cfg_.numSms) - 1;
     hot_ = allSms_;
-    dueAt_.assign(sms_.size(), 0);
+    dueAt_.assign(sms_.size(), cycleNever);
 }
 
 void
@@ -163,26 +164,33 @@ Gpu::step(bool event_aware)
     std::uint64_t woken = std::exchange(clock_->wakeMask, 0);
     if (!event_aware) {
         // Every SM steps; a parked one settles its span in cycle().
-        hot_ = allSms_;
-        minDue_ = cycleNever;
-    } else if ((woken & ~hot_) || minDue_ <= now_) {
-        wakeParked(woken);
+        if (hot_ != allSms_)
+            unparkAll();
+    } else {
+        // A woken SM leaves its due slot, so the slot cannot step
+        // it again after it re-parks elsewhere.
+        for (std::uint64_t m = woken & ~hot_; m; m &= m - 1)
+            unpark(firstSetBit(m));
+        const std::size_t slot = now_ % dueRingSize;
+        hot_ |= woken | std::exchange(dueRing_[slot], 0);
+        dueSlots_ = clearBit(dueSlots_, static_cast<int>(slot));
+        if (farMin_ <= now_)
+            wakeFar();
     }
-    smSkipped_ += popCount(allSms_ & ~hot_);
+    ++steps_;
     // Ascending SM order: memory requests reach the shared system in
     // the same order as when every SM steps.
     for (std::uint64_t m = hot_; m; m &= m - 1) {
         int s = firstSetBit(m);
         Cycle bound = 0;
-        bool issued = sms_[s].cycle(now_, sample_iw,
-                                    event_aware ? &bound : nullptr);
-        // A no-issue cycle hands back the next-event bound for
-        // free. An SM due next cycle (or issuing) stays hot.
-        if (event_aware && !issued && bound > now_ + 1) {
-            hot_ = clearBit(hot_, s);
-            dueAt_[s] = bound;
-            minDue_ = std::min(minDue_, bound);
-        }
+        bool busy = sms_[s].cycle(now_, sample_iw,
+                                  event_aware ? &bound : nullptr);
+        ++smSteps_;
+        // An SM that handed back a bound beyond the next cycle
+        // parks until it; a busy one, or one due next cycle, stays
+        // hot.
+        if (event_aware && !busy && bound > now_ + 1)
+            park(s, bound);
     }
     // Cycle now_ has run: from here on a parked SM owes it, so a
     // dispatcher mutation below settles through it.
@@ -193,17 +201,67 @@ Gpu::step(bool event_aware)
 }
 
 void
-Gpu::wakeParked(std::uint64_t woken)
+Gpu::park(int s, Cycle due)
 {
-    hot_ |= woken;
-    minDue_ = cycleNever;
-    for (std::uint64_t m = allSms_ & ~hot_; m; m &= m - 1) {
-        int s = firstSetBit(m);
-        if (dueAt_[s] <= now_)
-            hot_ = setBit(hot_, s);
-        else
-            minDue_ = std::min(minDue_, dueAt_[s]);
+    hot_ = clearBit(hot_, s);
+    dueAt_[s] = due;
+    if (due == cycleNever)
+        return; // only a wake bit brings it back
+    if (due - now_ < dueRingSize) {
+        const int slot = static_cast<int>(due % dueRingSize);
+        dueRing_[slot] = setBit(dueRing_[slot], s);
+        dueSlots_ = setBit(dueSlots_, slot);
+    } else {
+        far_ = setBit(far_, s);
+        farMin_ = std::min(farMin_, due);
     }
+}
+
+void
+Gpu::unpark(int s)
+{
+    const Cycle due = dueAt_[s];
+    if (testBit(far_, s)) {
+        far_ = clearBit(far_, s);
+        if (due == farMin_)
+            recomputeFarMin();
+    } else if (due != cycleNever) {
+        const int slot = static_cast<int>(due % dueRingSize);
+        dueRing_[slot] = clearBit(dueRing_[slot], s);
+        if (!dueRing_[slot])
+            dueSlots_ = clearBit(dueSlots_, slot);
+    }
+}
+
+void
+Gpu::wakeFar()
+{
+    for (std::uint64_t m = far_; m; m &= m - 1) {
+        int s = firstSetBit(m);
+        if (dueAt_[s] <= now_) {
+            far_ = clearBit(far_, s);
+            hot_ = setBit(hot_, s);
+        }
+    }
+    recomputeFarMin();
+}
+
+void
+Gpu::recomputeFarMin()
+{
+    farMin_ = cycleNever;
+    for (std::uint64_t m = far_; m; m &= m - 1)
+        farMin_ = std::min(farMin_, dueAt_[firstSetBit(m)]);
+}
+
+void
+Gpu::unparkAll()
+{
+    hot_ = allSms_;
+    dueRing_.fill(0);
+    dueSlots_ = 0;
+    far_ = 0;
+    farMin_ = cycleNever;
 }
 
 Cycle
@@ -214,7 +272,15 @@ Gpu::nextEventAt() const
     // sound.
     if (dispatchDirty_ || hot_ || clock_->wakeMask)
         return now_;
-    return minDue_;
+    Cycle next = farMin_;
+    if (dueSlots_) {
+        // Every ring due lies in [now_, now_ + dueRingSize): rotated
+        // so that bit 0 is now_'s slot, slot order is due order.
+        const int offset = std::countr_zero(std::rotr(
+            dueSlots_, static_cast<int>(now_ % dueRingSize)));
+        next = std::min(next, now_ + static_cast<Cycle>(offset));
+    }
+    return next;
 }
 
 void
@@ -390,7 +456,7 @@ Gpu::threadInstrs(KernelId k) const
 {
     std::uint64_t n = 0;
     for (const auto &sm : sms_)
-        n += sm.kernelStats(k).threadInstrs;
+        n += sm.threadInstrs(k);
     return n;
 }
 
@@ -399,7 +465,7 @@ Gpu::warpInstrs(KernelId k) const
 {
     std::uint64_t n = 0;
     for (const auto &sm : sms_)
-        n += sm.kernelStats(k).warpInstrs;
+        n += sm.warpInstrs(k);
     return n;
 }
 
@@ -441,7 +507,7 @@ Gpu::quotaRefills(KernelId k) const
 {
     std::uint64_t n = 0;
     for (const auto &sm : sms_)
-        n += sm.kernelStats(k).quotaRefills;
+        n += sm.quotaRefills(k);
     return n;
 }
 

@@ -14,6 +14,7 @@
 #ifndef GQOS_GPU_GPU_HH
 #define GQOS_GPU_GPU_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -75,10 +76,12 @@ class Gpu
      * Advance the machine one core cycle.
      *
      * With @p event_aware set (the event engine's stepping mode),
-     * an SM whose no-issue SmCore::cycle() hands back a bound
-     * beyond the next cycle is *parked*: step() walks only the hot
-     * SMs, in ascending SM order, until the bound arrives or an
-     * external mutation sets the SM's wake bit. A parked SM owes
+     * an SM whose SmCore::cycle() hands back a bound beyond the
+     * next cycle -- it issued nothing, or issued and left no lane
+     * ready -- is *parked*: step() walks only the hot SMs, in
+     * ascending SM order, until the bound arrives or an external
+     * mutation sets the SM's wake bit. The step wakes the SMs due
+     * this cycle by one OR of their due-ring slot. A parked SM owes
      * the cycles it missed and settles them in one span when next
      * observed, mutated or stepped. Only event-aware steps park the
      * SMs that nextEventAt() and skipTo() rely on; a reference
@@ -95,12 +98,14 @@ class Gpu
 
     /**
      * Earliest cycle >= now() at which the machine might do real
-     * work: the earliest due cycle of the parked SMs. Returns now()
-     * -- step this cycle -- when the TB dispatcher is dirty, some
-     * SM is hot (never parked, woken, or its bound has arrived) or
-     * a parked SM's wake bit is set; cycleNever when the machine is
-     * fully inert (e.g. nothing resident and no TB targets to
-     * converge toward). O(1).
+     * work: the earliest due cycle of the parked SMs, the first
+     * occupied due-ring slot (a rotate and a count of trailing
+     * zeros) or the far set's minimum. Returns now() -- step this
+     * cycle -- when the TB dispatcher is dirty, some SM is hot
+     * (never parked, woken, or its bound has arrived) or a parked
+     * SM's wake bit is set; cycleNever when the machine is fully
+     * inert (e.g. nothing resident and no TB targets to converge
+     * toward). O(1).
      */
     Cycle nextEventAt() const;
 
@@ -239,18 +244,26 @@ class Gpu
 
     /** Cycles of per-SM pipeline work elided by event-aware steps:
      *  the parked SMs of each stepped cycle, summed. */
-    std::uint64_t smSkippedCycles() const { return smSkipped_; }
+    std::uint64_t
+    smSkippedCycles() const
+    {
+        return steps_ * sms_.size() - smSteps_;
+    }
 
   private:
     /** @return true if the TB dispatcher acted (keeps it dirty). */
     bool dispatchCycle();
     const KernelRun &kernelRun(KernelId k) const;
     void onTbEvent(SmId sm, KernelId k, TbExit exit);
-    /**
-     * Move parked SMs that are due by now_ or set in @p woken to
-     * the hot mask, and recompute minDue_ over those left parked.
-     */
-    void wakeParked(std::uint64_t woken);
+    /** Park SM @p s until cycle @p due (cycleNever: a wake bit). */
+    void park(int s, Cycle due);
+    /** Take parked SM @p s out of the due ring or the far set. */
+    void unpark(int s);
+    /** Move the far SMs due by now_ to the hot mask. */
+    void wakeFar();
+    void recomputeFarMin();
+    /** Make every SM hot and empty the due ring and far set. */
+    void unparkAll();
 
     GpuConfig cfg_;
     std::unique_ptr<MemSystem> mem_;
@@ -281,9 +294,21 @@ class Gpu
      */
     std::uint64_t hot_;
     std::vector<Cycle> dueAt_;
-    /** Earliest dueAt_ of the parked SMs (cycleNever: none). */
-    Cycle minDue_ = cycleNever;
-    std::uint64_t smSkipped_ = 0;
+    /** Due-ring span in cycles: one slot per cycle, one SM mask each. */
+    static constexpr Cycle dueRingSize = 64;
+    /**
+     * Parked SMs due within dueRingSize cycles of the step that
+     * parked them, in slot dueAt_ % dueRingSize: every due here
+     * lies in [now_, now_ + dueRingSize).
+     */
+    std::array<std::uint64_t, dueRingSize> dueRing_{};
+    /** Bit i set iff dueRing_[i] is non-empty. */
+    std::uint64_t dueSlots_ = 0;
+    /** Parked SMs due farther out, and their earliest due. */
+    std::uint64_t far_ = 0;
+    Cycle farMin_ = cycleNever;
+    std::uint64_t steps_ = 0;   //!< step() calls
+    std::uint64_t smSteps_ = 0; //!< SmCore::cycle() calls they made
     bool accounting_ = false;
     SmSliceFn smSlice_;
     /** Open-slice start per [sm][kernel]; cycleNever = closed. */

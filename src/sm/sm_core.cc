@@ -774,16 +774,26 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
     if (any_issue)
         stats_.activeCycles++;
 
-    if (!any_issue && next_event) {
-        // Nothing issued, so every input of the arbitration above
-        // stays frozen until the earliest of: a wake, a drain, an
-        // MSHR release that unblocks a load (or is due next cycle,
-        // since the pop mutates the pool), or the icnt backlog
-        // decaying below the store threshold. Those are also the
-        // idle-warp sampling inputs, so a skip must stop there.
+    // An issuing cycle that leaves no lane ready owes the bound of
+    // the empty cycle after it: nothing can issue before the next
+    // wake, so that cycle is inert unless a wake, drain or MSHR pop
+    // falls on it, and the bound below stops there.
+    const bool bound_owed =
+        next_event && (!any_issue || noReadyLane());
+    if (bound_owed) {
+        // Every input of the arbitration above stays frozen until
+        // the earliest of: a wake, a drain, an MSHR release that
+        // unblocks a load (or is due the cycle after the first
+        // inert one, since the pop mutates the pool), or the icnt
+        // backlog decaying below the store threshold. Those are
+        // also the idle-warp sampling inputs, so a skip must stop
+        // there. An issuing cycle blocked nothing: its blocked
+        // candidates would still be ready.
+        const Cycle first_inert = any_issue ? now + 1 : now;
         Cycle next = cycleNever;
         if (!mshrRelease_.empty() &&
-            (blocked_load || mshrRelease_.top().first <= now + 1)) {
+            (blocked_load ||
+             mshrRelease_.top().first <= first_inert + 1)) {
             next = mshrRelease_.top().first;
         } else if (blocked_load) {
             next = now + 1; // empty queue: never over-skip
@@ -819,11 +829,30 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
             if (!any_issue)
                 inertClass_[k] = cat;
         }
+        // After an issuing cycle the parked span replays the empty
+        // cycle that would follow: no lane ready, under the view
+        // that cycle would rebuild from this one's retirements.
+        if (any_issue && bound_owed) {
+            const std::uint32_t next_allowed = allowedKernels();
+            for (int k = 0; k < nk; ++k)
+                inertClass_[k] =
+                    classifyStalled(k, next_allowed, false, false);
+        }
     }
 
     if (sample_iw)
         sampleIdleWarps(allowed, lsu_used >= lsuPorts_, store_blocked, 1);
-    return any_issue;
+    return any_issue && !bound_owed;
+}
+
+bool
+SmCore::noReadyLane() const
+{
+    for (const SchedulerState &sc : scheds_) {
+        if (sc.ready)
+            return false;
+    }
+    return true;
 }
 
 // ---------------------------------------------------------------
@@ -905,10 +934,10 @@ SmCore::settleSpan()
     if (accounting_) {
         // Every classification input (ready/instr masks, residency,
         // drains, quota gating, MSHR credits, store throttle) is
-        // frozen across a parked span -- the no-issue cycle() that
-        // wrote inertClass_ also bounded the span at the first
-        // cycle any of them could change -- so each parked cycle
-        // classifies exactly as the per-cycle engine would have.
+        // frozen across a parked span -- the cycle() that wrote
+        // inertClass_ also bounded the span at the first cycle any
+        // of them could change -- so each parked cycle classifies
+        // exactly as the per-cycle engine would have.
         int nk = static_cast<int>(runs_.size());
         for (int k = 0; k < nk; ++k)
             kernels_[k].breakdown.add(inertClass_[k], span);
@@ -917,7 +946,7 @@ SmCore::settleSpan()
     // Idle-warp samples fall on the multiples of the interval; every
     // sampling input is frozen across the span, so each sample in
     // [from, to) contributes the same value. The LSU is never full
-    // on a no-issue cycle.
+    // on an inert cycle.
     const Cycle i = clock_->iwSampleInterval;
     const Cycle samples = divCeil(to, i) - divCeil(from, i);
     if (samples > 0)
@@ -947,6 +976,11 @@ SmCore::sampleIdleWarps(std::uint32_t allowed, bool lsu_full,
     // the idle capacity the static allocator may donate (Section
     // 3.6 victim condition 2).
     int nk = static_cast<int>(runs_.size());
+    for (int k = 0; k < nk; ++k)
+        kernels_[k].stats.iwSamples +=
+            static_cast<std::uint32_t>(samples);
+    if (noReadyLane())
+        return; // every sample records zero idle warps
     for (int s = 0; s < numScheds_; ++s) {
         const SchedulerState &sc = scheds_[s];
         std::uint64_t blocked_cls = 0;
@@ -967,9 +1001,6 @@ SmCore::sampleIdleWarps(std::uint32_t allowed, bool lsu_full,
                 static_cast<std::uint64_t>(popCount(idle)) * samples;
         }
     }
-    for (int k = 0; k < nk; ++k)
-        kernels_[k].stats.iwSamples +=
-            static_cast<std::uint32_t>(samples);
 }
 
 // ---------------------------------------------------------------

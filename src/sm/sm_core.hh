@@ -152,17 +152,18 @@ class SmCore
     /**
      * Advance one core cycle.
      * @param sample_iw record an idle-warp sample this cycle
-     * @param next_event when non-null and no instruction issued,
-     *        receives the earliest cycle > @p now at which this SM
-     *        might do real work: issue, process a wake/drain/MSHR
-     *        release, or change any idle-warp sampling input
-     *        (cycleNever: inert until external input -- a dispatch
-     *        or a quota change -- arrives). Untouched when the SM
-     *        issued.
+     * @param next_event when non-null, receives on a cycle that
+     *        issued nothing, or that issued and left no lane ready,
+     *        the earliest cycle > @p now at which this SM might do
+     *        real work: issue, process a wake/drain/MSHR release, or
+     *        change any idle-warp sampling input (cycleNever: inert
+     *        until external input -- a dispatch or a quota change --
+     *        arrives). Untouched when the SM issued and a lane is
+     *        still ready: the next cycle may issue.
      *
      * This bound is the event engine's only source of "when does
      * this SM next need the clock". The contract behind its
-     * bit-identity claim: if a no-issue cycle(now) yields X, then
+     * bit-identity claim: if cycle(now) yields X, then
      * running cycle() for every cycle in [now + 1, X) -- with no
      * external mutation in between (each one sets this SM's
      * GpuClock::wakeMask bit) -- would change nothing except the
@@ -172,9 +173,12 @@ class SmCore
      * releases -- is what the bound accounts for, and other SMs'
      * interconnect traffic can only delay a store-throttle unblock.
      * The schedulers' greedy hints need nothing: a hint holds only
-     * on the cycle right after its issue.
+     * on the cycle right after its issue, and a cycle that leaves
+     * no lane ready hands back a bound beyond that cycle only when
+     * the next one cannot issue.
      *
-     * @return true if any scheduler issued an instruction
+     * @return true if any scheduler issued an instruction and no
+     *         bound was handed back
      */
     bool cycle(Cycle now, bool sample_iw,
                Cycle *next_event = nullptr);
@@ -230,6 +234,27 @@ class SmCore
     // ---- statistics ----
 
     const SmKernelStats &kernelStats(KernelId k) const;
+
+    /**
+     * Counters a parked span cannot move -- it retires nothing and
+     * grants no quota -- so they read without settling: the
+     * kernelStats() fields of the same names.
+     */
+    std::uint64_t
+    threadInstrs(KernelId k) const
+    {
+        return kernels_[k].stats.threadInstrs;
+    }
+    std::uint64_t
+    warpInstrs(KernelId k) const
+    {
+        return kernels_[k].stats.warpInstrs;
+    }
+    std::uint64_t
+    quotaRefills(KernelId k) const
+    {
+        return kernels_[k].stats.quotaRefills;
+    }
     const SmStats &
     stats() const
     {
@@ -299,6 +324,8 @@ class SmCore
     {
         clock_->wakeMask |= std::uint64_t{1} << id_;
     }
+    /** True if no scheduler has a ready lane. */
+    bool noReadyLane() const;
     /** Count @p span gated cycles for the kernels in @p gated. */
     void addGatedCycles(std::uint32_t gated, Cycle span);
     /**
@@ -448,18 +475,21 @@ class SmCore
     bool accounting_ = false; //!< cycle-attribution profiler on
     /**
      * Attribution cache for parked cycles: the category of each
-     * kernel, written by the most recent no-issue cycle(). Valid
-     * for the whole span settle() applies, because the Gpu parks an
-     * SM only after such a cycle and every external mutation
-     * settles first, so the classified state is frozen until
-     * settlement.
+     * kernel on the first inert cycle, written by the most recent
+     * cycle() that handed back a bound (a no-issue cycle classifies
+     * itself; an issuing one that left no lane ready classifies the
+     * empty cycle after it). Valid for the whole span settle()
+     * applies, because the Gpu parks an SM only after such a cycle
+     * and every external mutation settles first, so the classified
+     * state is frozen until settlement.
      */
     std::array<CycleCat, maxKernels> inertClass_{};
     /**
      * The interconnect store-throttle flag of the most recent
-     * no-issue cycle() that computed a bound: the value every
-     * idle-warp sample of a parked span reads (exact; see DESIGN.md
-     * section 11, "Parked SMs").
+     * cycle() that computed a bound: the value every idle-warp
+     * sample of a parked span reads (exact; see DESIGN.md section
+     * 11, "Parked SMs"). Unread after an issuing cycle, which
+     * leaves no lane ready to sample.
      */
     bool parkStoreBlocked_ = false;
     Cycle epochCycles_ = 0; //!< cycles since last sample reset

@@ -215,6 +215,97 @@ TEST_F(EngineSmFixture, SkipMatchesSteppingThroughGatedSpan)
     }
 }
 
+TEST_F(EngineSmFixture, IssuingCycleThatEmptiesEveryReadyMaskParks)
+{
+    // Kernel 0: one warp per scheduler, all ALU at latency 8, so the
+    // cycle its warps first become ready issues every ready lane and
+    // leaves nothing ready until cycle + 8. Kernel 1 is a quota-gated
+    // co-runner dispatched later, still waiting on its dispatch wake
+    // when kernel 0 issues. One SM parks on the issuing cycle and
+    // settles the span; its twin steps every cycle.
+    KernelDesc da = test::tinyComputeKernel("early");
+    da.threadsPerTb = 32 * cfg.warpSchedulersPerSm;
+    da.warpInstrPerTb = 1000;
+    da.phases[0].memRatio = 0.0;
+    da.phases[0].aluLatency = 8;
+    KernelRun run_a(da, 0, cfg);
+    MemSystem mem2(cfg);
+    auto clock2 = std::make_shared<GpuClock>(cfg);
+    SmCore sm2(cfg, 0, mem2, clock2);
+    auto sample = [](Cycle c) { return c % 100 == 0; };
+    for (SmCore *s : {&sm, &sm2}) {
+        s->bindKernels({&run_a, &runM});
+        s->setCycleAccounting(true);
+        s->setQuotaGating(true);
+        s->setQuota(0, 1e9);
+        s->setQuota(1, -1.0);
+    }
+    // Kernel 0's warps become ready at 98, kernel 1's at 110; the
+    // sample at 100 falls inside the parked span.
+    auto step_to = [&](Cycle end) {
+        for (; now < end; ++now) {
+            if (now == 68) {
+                sm.dispatchTb(0, 0, 0, now);
+                sm2.dispatchTb(0, 0, 0, now);
+            }
+            if (now == 80) {
+                sm.dispatchTb(1, 1, 0, now);
+                sm2.dispatchTb(1, 1, 0, now);
+            }
+            Cycle next = 0;
+            ASSERT_FALSE(sm.cycle(now, sample(now), &next))
+                << "cycle " << now;
+            sm2.cycle(now, sample(now));
+        }
+    };
+    step_to(98);
+    Cycle bound = 0;
+    EXPECT_FALSE(sm.cycle(now, sample(now), &bound));
+    EXPECT_TRUE(sm2.cycle(now, sample(now)));
+    ASSERT_GT(bound, now + 1);
+    EXPECT_EQ(bound, now + 8);
+    for (Cycle c = now + 1; c < bound; ++c)
+        EXPECT_FALSE(sm2.cycle(c, sample(c))) << "cycle " << c;
+    clock->now = bound;
+    auto expect_twins = [&]() {
+        const SmStats &a = sm.stats();
+        const SmStats &b = sm2.stats();
+        EXPECT_EQ(a.cycles, b.cycles);
+        EXPECT_EQ(a.activeCycles, b.activeCycles);
+        EXPECT_EQ(a.issuedAlu, b.issuedAlu);
+        EXPECT_EQ(a.issuedLoads, b.issuedLoads);
+        EXPECT_EQ(a.issuedStores, b.issuedStores);
+        for (KernelId k = 0; k < 2; ++k) {
+            const SmKernelStats &x = sm.kernelStats(k);
+            const SmKernelStats &y = sm2.kernelStats(k);
+            EXPECT_EQ(x.threadInstrs, y.threadInstrs) << "kernel " << k;
+            EXPECT_EQ(x.warpInstrs, y.warpInstrs) << "kernel " << k;
+            EXPECT_EQ(x.iwSampleSum, y.iwSampleSum) << "kernel " << k;
+            EXPECT_EQ(x.iwSamples, y.iwSamples) << "kernel " << k;
+            EXPECT_EQ(x.gatedCycles, y.gatedCycles) << "kernel " << k;
+            EXPECT_DOUBLE_EQ(sm.iwAverage(k), sm2.iwAverage(k));
+            EXPECT_TRUE(sm.cycleBreakdown(k) == sm2.cycleBreakdown(k))
+                << "kernel " << k;
+        }
+    };
+    expect_twins();
+    EXPECT_EQ(sm.stats().cycles, bound);
+    EXPECT_GT(sm.cycleBreakdown(1).at(CycleCat::QuotaGated), 0u);
+
+    // Run on, parking whenever a bound lies beyond the next cycle.
+    for (now = bound; now < 3000;) {
+        Cycle next = 0;
+        bool busy = sm.cycle(now, sample(now), &next);
+        Cycle end = !busy && next > now + 1 ? std::min<Cycle>(next, 3000)
+                                            : now + 1;
+        for (Cycle c = now; c < end; ++c)
+            sm2.cycle(c, sample(c));
+        clock->now = end;
+        now = end;
+    }
+    expect_twins();
+}
+
 TEST_F(EngineSmFixture, FarWakeIsTheNoIssueBound)
 {
     // One warp that only loads, from cold lines, behind an
@@ -374,6 +465,13 @@ TEST(GpuEngine, ParkedSpansMatchSteppingEverySm)
         }
         parked.step(true);
         stepped.step(false);
+        // Retired-instruction reads settle nothing: a parked span
+        // retires nothing, so they agree without touching the SMs.
+        if (c % 100 == 0) {
+            for (KernelId k = 0; k < 2; ++k)
+                EXPECT_EQ(parked.threadInstrs(k),
+                          stepped.threadInstrs(k)) << "cycle " << c;
+        }
     }
     EXPECT_GT(parked.smSkippedCycles(), 0u);
     EXPECT_EQ(stepped.smSkippedCycles(), 0u);
@@ -406,6 +504,102 @@ TEST(GpuEngine, ParkedSpansMatchSteppingEverySm)
                 << "SM " << s << " kernel " << k;
         }
     }
+}
+
+TEST(GpuEngine, DueRingWakesEachSmAtItsDueCycle)
+{
+    // SM s runs one single-warp TB of kernel s, ALU only at latency
+    // 2, 63, 64, 65 or 10,000: each issue leaves nothing ready and
+    // parks the SM exactly that many cycles out, in the due ring
+    // (< 64) or the far set. The other SMs stay empty.
+    const std::vector<Cycle> latency = {2, 63, 64, 65, 10000};
+    GpuConfig cfg = defaultConfig();
+    std::vector<KernelDesc> descs;
+    for (Cycle d : latency) {
+        KernelDesc k = test::tinyComputeKernel(
+            "lat" + std::to_string(d));
+        k.threadsPerTb = 32;
+        k.gridTbs = 1;
+        k.warpInstrPerTb = 1u << 20;
+        k.phases[0].memRatio = 0.0;
+        k.phases[0].aluLatency = static_cast<int>(d);
+        descs.push_back(k);
+    }
+    std::vector<const KernelDesc *> ptrs;
+    for (const KernelDesc &d : descs)
+        ptrs.push_back(&d);
+    Gpu parked(cfg), stepped(cfg);
+    for (Gpu *g : {&parked, &stepped}) {
+        g->launch(ptrs);
+        for (SmId s = 0; s < 5; ++s)
+            g->setTbTarget(s, s, 1);
+    }
+
+    // At cycle 239 SM 1 is parked in the ring, due at 282 (it issues
+    // at 30 + 63j). Preempting its TB sets its wake bit: it steps
+    // once, re-parks on the drain's finish, and its stale slot at
+    // 282 must not step it again.
+    constexpr Cycle preemptAt = 239;
+    constexpr Cycle horizon = 25000;
+    std::vector<std::vector<Cycle>> issues(5);
+    std::uint64_t steps = 0;
+    while (parked.now() < horizon) {
+        Cycle now = parked.now();
+        if (now == preemptAt) {
+            parked.setTbTarget(1, 1, 0);
+            stepped.setTbTarget(1, 1, 0);
+        }
+        Cycle target = std::min(parked.nextEventAt(), horizon);
+        if (now < preemptAt)
+            target = std::min(target, preemptAt);
+        if (target > now) {
+            parked.skipTo(target);
+            for (; stepped.now() < target;)
+                stepped.step(false);
+            continue;
+        }
+        std::vector<std::uint64_t> before;
+        for (SmId s = 0; s < 5; ++s)
+            before.push_back(parked.sm(s).stats().activeCycles);
+        parked.step(true);
+        stepped.step(false);
+        ++steps;
+        for (SmId s = 0; s < 5; ++s) {
+            if (parked.sm(s).stats().activeCycles != before[s])
+                issues[s].push_back(now);
+        }
+    }
+    ASSERT_EQ(stepped.now(), horizon);
+
+    // Each SM issued right at every due cycle: first when its
+    // dispatch wake arrived, then every `latency` cycles.
+    std::uint64_t sm_steps = cfg.numSms; // cycle 0 steps every SM
+    for (SmId s = 0; s < 5; ++s) {
+        ASSERT_FALSE(issues[s].empty()) << "SM " << s;
+        EXPECT_EQ(issues[s].front(), 30u) << "SM " << s;
+        for (std::size_t i = 1; i < issues[s].size(); ++i)
+            EXPECT_EQ(issues[s][i] - issues[s][i - 1], latency[s])
+                << "SM " << s << " issue " << i;
+        // The dispatch at cycle 0 wakes it at 1; then every step
+        // of it issues.
+        sm_steps += 1 + issues[s].size();
+    }
+    EXPECT_EQ(issues[1].back(), 219u);
+    EXPECT_EQ(issues[4].size(), 3u);
+    // SM 1 also steps once when woken and once when its drain ends.
+    sm_steps += 2;
+    EXPECT_EQ(parked.smSkippedCycles(), steps * cfg.numSms - sm_steps);
+    EXPECT_EQ(stepped.smSkippedCycles(), 0u);
+    EXPECT_EQ(parked.sm(1).stats().preemptions, 1u);
+    EXPECT_EQ(parked.residentTbs(1, 1), 0);
+    for (SmId s = 0; s < parked.numSms(); ++s) {
+        EXPECT_EQ(parked.sm(s).stats().cycles,
+                  stepped.sm(s).stats().cycles) << "SM " << s;
+        EXPECT_EQ(parked.sm(s).stats().activeCycles,
+                  stepped.sm(s).stats().activeCycles) << "SM " << s;
+    }
+    for (KernelId k = 0; k < 5; ++k)
+        EXPECT_EQ(parked.threadInstrs(k), stepped.threadInstrs(k));
 }
 
 TEST(GpuEngine, AddQuotaWakesAParkedSm)
