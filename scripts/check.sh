@@ -14,8 +14,8 @@
 # through bench_serving must print byte-identical stdout and trace
 # JSONL across two runs and across --jobs 1 vs 4, with and without
 # admission-path fault injection, and its --stats-json accounting
-# must conserve every arrival, count every simulated cycle as
-# stepped or skipped, and park at most 16 SMs per stepped cycle.
+# must conserve every arrival and count every simulated cycle as
+# stepped or skipped.
 # Every preset also runs the timeline smoke: --timeline
 # must leave stdout byte-identical, export one valid JSON document
 # that is byte-identical across --jobs 1 vs 4, and the cycle-
@@ -413,14 +413,11 @@ for point in serving:
                                  t["dropped_at_shutdown"]), t
     assert not point["engine_stalled"], point["label"]
     assert not point["tenant_stalled"], point["label"]
-# Every simulated cycle is stepped or skipped, and a step parks at
-# most the default config's 16 SMs.
+# Every simulated cycle is stepped or skipped.
 eng = rep["metrics"]["counters"]
 cycles = sum(point["end_cycle"] for point in serving)
 assert (eng["engine.stepped_cycles"] + eng["engine.skipped_cycles"] ==
         cycles), (eng, cycles)
-assert (eng["engine.sm_skipped_cycles"] <=
-        16 * eng["engine.stepped_cycles"]), eng
 print("serving smoke: %d load points, accounting conserved"
       % len(serving))
 EOF

@@ -236,16 +236,14 @@ Gpu::unpark(int s)
 void
 Gpu::wakeFar()
 {
-    farMin_ = cycleNever;
     for (std::uint64_t m = far_; m; m &= m - 1) {
         int s = firstSetBit(m);
         if (dueAt_[s] <= now_) {
             far_ = clearBit(far_, s);
             hot_ = setBit(hot_, s);
-        } else {
-            farMin_ = std::min(farMin_, dueAt_[s]);
         }
     }
+    recomputeFarMin();
 }
 
 void

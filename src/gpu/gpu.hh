@@ -259,8 +259,7 @@ class Gpu
     void park(int s, Cycle due);
     /** Take parked SM @p s out of the due ring or the far set. */
     void unpark(int s);
-    /** Move the far SMs due by now_ to the hot mask; recompute
-     *  farMin_ over the rest. */
+    /** Move the far SMs due by now_ to the hot mask. */
     void wakeFar();
     void recomputeFarMin();
     /** Make every SM hot and empty the due ring and far set. */
