@@ -37,7 +37,8 @@
 # SM). The same event-engine runs are also the golden stage:
 # their stdout must equal tests/golden/<bench>.out and the digest of
 # their --stats-json (scripts/golden_digest.py) must equal
-# tests/golden/<bench>.digest, so a model change that moves both
+# tests/golden/<bench>.digest (tests/golden/large.<bench>.* for the
+# --config large runs), so a model change that moves both
 # engines the same way still fails until the golden files are
 # regenerated and the diff is reviewed. bench_table1, which only
 # prints the machine configuration, is golden by stdout alone. The
@@ -530,17 +531,21 @@ bench_ablations bench_fairness"
 
     # The large config (56 SMs, 2 schedulers per SM) nearly fills
     # the Gpu's 64-bit parked-SM mask and is the only shipped config
-    # with another scheduler count: both engines must agree on it too.
+    # with another scheduler count: both engines must agree on it
+    # too, and its event runs are golden (tests/golden/large.*), so
+    # two-scheduler arbitration is pinned as well.
     local e
     for e in event reference; do
         # shellcheck disable=SC2086
         "$bdir/bench_fig8" $flags --config large --engine "$e" \
             --cache "$scratch/large.fig8.$e" \
             --trace "$scratch/large.fig8.$e.jsonl" \
+            --stats-json "$scratch/large.fig8.$e.json" \
             > "$scratch/large.fig8.$e.out" 2>/dev/null
         # shellcheck disable=SC2086
         "$bdir/bench_serving" $sflags --policy serving --config large \
             --engine "$e" --trace "$scratch/large.srv.$e.jsonl" \
+            --stats-json "$scratch/large.srv.$e.json" \
             > "$scratch/large.srv.$e.out" 2>/dev/null
     done
     local leg
@@ -554,7 +559,12 @@ bench_ablations bench_fairness"
             echo "engine smoke: --config large $leg trace differs" >&2
             return 1; }
     done
-    echo "    --config large bench_fig8, bench_serving --policy serving: identical"
+    golden_check large.bench_fig8 "$scratch/large.fig8.event.out" \
+        "$scratch/large.fig8.event.json"
+    golden_check large.bench_serving.serving \
+        "$scratch/large.srv.event.out" "$scratch/large.srv.event.json"
+    echo "    --config large bench_fig8, bench_serving --policy serving:" \
+         "identical, matches golden"
 }
 
 examples_smoke() {
