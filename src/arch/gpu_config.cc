@@ -33,9 +33,9 @@ GpuConfig::check() const
         return fail("warps per SM (%d) must divide evenly among %d "
                     "schedulers", maxWarpsPerSm(),
                     warpSchedulersPerSm);
-    if (warpsPerScheduler() > 64)
-        return fail("more than 64 warps per scheduler is not "
-                    "supported (ready masks are 64-bit)");
+    if (maxWarpsPerSm() > 64)
+        return fail("maxWarpsPerSm=%d exceeds 64 (an SM keeps one bit "
+                    "per warp slot in 64-bit masks)", maxWarpsPerSm());
     if (l1Bytes % (l1Assoc * lineSizeBytes) != 0)
         return fail("L1 size must divide into %d-way %dB sets",
                     l1Assoc, lineSizeBytes);

@@ -94,6 +94,20 @@ parseFinite(const std::string &token, const std::string &field)
                          field.c_str(), token.c_str());
 }
 
+Result<bool>
+parseBool(const std::string &token, const std::string &field)
+{
+    if (token == "true" || token == "1" || token == "yes" ||
+        token == "on")
+        return true;
+    if (token == "false" || token == "0" || token == "no" ||
+        token == "off")
+        return false;
+    return Error::format(ErrorCode::InvalidArgument,
+                         "%s expects a boolean, got '%s'",
+                         field.c_str(), token.c_str());
+}
+
 std::int64_t
 CliArgs::getInt(const std::string &name, std::int64_t def) const
 {
@@ -147,13 +161,7 @@ CliArgs::getBool(const std::string &name, bool def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
-    const std::string &v = it->second;
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
-        return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off")
-        return false;
-    gqos_fatal("option --%s expects a boolean, got '%s'",
-               name.c_str(), v.c_str());
+    return okOrDie(parseBool(it->second, "option --" + name));
 }
 
 void

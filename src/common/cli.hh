@@ -55,8 +55,9 @@ class CliArgs
         const std::string &name, const std::string &def) const;
 
     /**
-     * Boolean flag: --name => true, --no-name => false, --name=0/1,
-     * absent => @p def.
+     * Boolean flag: --name => true, --no-name => false, a
+     * parseBool() value, absent => @p def. fatal() naming the
+     * option and the token on any other value.
      */
     bool getBool(const std::string &name, bool def) const;
 
@@ -83,6 +84,9 @@ Result<std::uint64_t> parseUnsigned(
     std::uint64_t max = ~std::uint64_t{0});
 Result<double> parseFinite(const std::string &token,
                            const std::string &field);
+/** true/1/yes/on or false/0/no/off, else an InvalidArgument. */
+Result<bool> parseBool(const std::string &token,
+                       const std::string &field);
 
 /** Split a comma-separated list into trimmed tokens. */
 std::vector<std::string> splitList(const std::string &text,

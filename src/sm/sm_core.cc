@@ -56,13 +56,15 @@ SmCore::SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem,
       warps_(cfg.maxWarpsPerSm()),
       tbs_(cfg.maxTbsPerSm),
       scheds_(cfg.warpSchedulersPerSm),
-      wheel_(static_cast<std::size_t>(wakeHorizon_) *
-             cfg.warpSchedulersPerSm),
-      farMask_(cfg.warpSchedulersPerSm),
+      schedSel_(cfg.warpSchedulersPerSm),
+      wheel_(wakeHorizon_),
       mshrFree_(cfg.l1Mshrs)
 {
-    // One wake bit per SM in a 64-bit mask (GpuConfig::check()).
-    gqos_assert(id >= 0 && id < 64);
+    // One wake bit per SM and one bit per warp slot in 64-bit masks
+    // (GpuConfig::check()).
+    gqos_assert(id >= 0 && id < 64 && maxWarps_ <= 64);
+    for (int slot = 0; slot < maxWarps_; ++slot)
+        schedSel_[slot % numScheds_] |= std::uint64_t{1} << slot;
 }
 
 void
@@ -160,8 +162,7 @@ SmCore::dispatchTb(KernelId k, std::uint64_t tb_seq,
         generateNext(w, run);
         refreshInstrMasks(wslot);
         w.readyAt = now + tbDispatchLatency;
-        SchedulerState &sc = scheds_[schedOf(wslot)];
-        sc.kernelMask[k] = setBit(sc.kernelMask[k], laneOf(wslot));
+        kernelMask_[k] = setBit(kernelMask_[k], wslot);
         scheduleWake(wslot, w.readyAt, now);
         found++;
     }
@@ -173,8 +174,7 @@ SmCore::dispatchTb(KernelId k, std::uint64_t tb_seq,
     tbSlotsUsed_++;
     kernels_[k].residentTbs++;
     kernels_[k].residentWarps += warps_needed;
-    for (int s = 0; s < numScheds_; ++s)
-        rebuildAgeOrder(s);
+    rebuildAgeOrder();
     return true;
 }
 
@@ -203,7 +203,7 @@ SmCore::startPreemption(KernelId k, Cycle now)
         Warp &w = warps_[wslot];
         if (w.state == WarpState::Live) {
             // A waiting warp's one pending wake goes with it.
-            if (!testBit(scheds_[schedOf(wslot)].ready, laneOf(wslot)))
+            if (!testBit(ready_, wslot))
                 cancelWake(wslot);
             w.state = WarpState::Draining;
         }
@@ -264,8 +264,7 @@ SmCore::freeTb(int tb_slot, TbExit exit, Cycle now)
         gqos_assert(w.state != WarpState::Live);
         w.state = WarpState::Invalid;
         clearSchedBits(wslot);
-        SchedulerState &sc = scheds_[schedOf(wslot)];
-        sc.kernelMask[k] = clearBit(sc.kernelMask[k], laneOf(wslot));
+        kernelMask_[k] = clearBit(kernelMask_[k], wslot);
     }
     viewDirty_ = true;
     ++clock_->quotaVersion;
@@ -284,8 +283,7 @@ SmCore::freeTb(int tb_slot, TbExit exit, Cycle now)
     gqos_assert(kc.residentTbs >= 0 && threadsUsed_ >= 0 &&
                 kc.drainingTbs >= 0);
 
-    for (int s = 0; s < numScheds_; ++s)
-        rebuildAgeOrder(s);
+    rebuildAgeOrder();
 
     if (kc.residentTbs == 0)
         mem_->invalidateKernelL1(id_, k);
@@ -300,38 +298,39 @@ SmCore::freeTb(int tb_slot, TbExit exit, Cycle now)
 // ---------------------------------------------------------------
 
 void
-SmCore::rebuildAgeOrder(int sched)
+SmCore::rebuildAgeOrder()
 {
-    SchedulerState &sc = scheds_[sched];
-    std::uint8_t order[64];
-    int count = 0;
-    for (int lane = 0; lane < maxWarps_ / numScheds_; ++lane) {
-        sc.ageRank[lane] = noAgeRank;
-        if (warps_[slotOf(sched, lane)].state != WarpState::Invalid)
-            order[count++] = static_cast<std::uint8_t>(lane);
-    }
-    // Insertion sort by warp age (oldest first); count <= 64 and
-    // rebuilds only happen on TB dispatch/free.
-    for (int i = 1; i < count; ++i) {
-        std::uint8_t lane = order[i];
-        std::uint64_t a = warps_[slotOf(sched, lane)].age;
-        int j = i - 1;
-        while (j >= 0 && warps_[slotOf(sched, order[j])].age > a) {
-            order[j + 1] = order[j];
-            j--;
+    for (int s = 0; s < numScheds_; ++s) {
+        SchedulerState &sc = scheds_[s];
+        std::uint8_t order[64];
+        int count = 0;
+        for (int slot = s; slot < maxWarps_; slot += numScheds_) {
+            sc.ageRank[slot] = noAgeRank;
+            if (warps_[slot].state != WarpState::Invalid)
+                order[count++] = static_cast<std::uint8_t>(slot);
         }
-        order[j + 1] = lane;
+        // Insertion sort by warp age (oldest first); count <= 64 and
+        // rebuilds only happen on TB dispatch/free.
+        for (int i = 1; i < count; ++i) {
+            std::uint8_t slot = order[i];
+            std::uint64_t a = warps_[slot].age;
+            int j = i - 1;
+            while (j >= 0 && warps_[order[j]].age > a) {
+                order[j + 1] = order[j];
+                j--;
+            }
+            order[j + 1] = slot;
+        }
+        for (int i = 0; i < count; ++i)
+            sc.ageRank[order[i]] = static_cast<std::uint8_t>(i);
     }
-    for (int i = 0; i < count; ++i)
-        sc.ageRank[order[i]] = static_cast<std::uint8_t>(i);
 }
 
 void
-SmCore::placeWake(int sched, int lane, Cycle at)
+SmCore::placeWake(int warp_slot, Cycle at)
 {
     std::size_t idx = at & (wakeHorizon_ - 1);
-    std::uint64_t &row = wheel_[idx * numScheds_ + sched];
-    row = setBit(row, lane);
+    wheel_[idx] = setBit(wheel_[idx], warp_slot);
     wheelBits_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
 }
 
@@ -341,63 +340,50 @@ SmCore::scheduleWake(int warp_slot, Cycle at, Cycle now)
     // Every latency is >= 1 cycle (KernelDesc::check()), so a wake
     // never lands in the slot processWakes() is consuming.
     gqos_assert(at > now);
-    int sched = schedOf(warp_slot);
-    int lane = laneOf(warp_slot);
     if (at - now >= wakeHorizon_) {
-        farMask_[sched] = setBit(farMask_[sched], lane);
+        farMask_ = setBit(farMask_, warp_slot);
         farMin_ = std::min(farMin_, at);
     } else {
-        placeWake(sched, lane, at);
+        placeWake(warp_slot, at);
     }
 }
 
 void
 SmCore::cancelWake(int warp_slot)
 {
-    int sched = schedOf(warp_slot);
-    int lane = laneOf(warp_slot);
-    if (testBit(farMask_[sched], lane)) {
-        farMask_[sched] = clearBit(farMask_[sched], lane);
+    if (testBit(farMask_, warp_slot)) {
+        farMask_ = clearBit(farMask_, warp_slot);
         recomputeFarMin(); // keeps nextWakeAfter() exact
         return;
     }
     std::size_t idx = warps_[warp_slot].readyAt & (wakeHorizon_ - 1);
-    std::uint64_t *row = &wheel_[idx * numScheds_];
-    gqos_assert(testBit(row[sched], lane));
-    row[sched] = clearBit(row[sched], lane);
-    for (int s = 0; s < numScheds_; ++s) {
-        if (row[s])
-            return;
-    }
-    wheelBits_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+    gqos_assert(testBit(wheel_[idx], warp_slot));
+    wheel_[idx] = clearBit(wheel_[idx], warp_slot);
+    if (!wheel_[idx])
+        wheelBits_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
 }
 
 void
 SmCore::recomputeFarMin()
 {
     farMin_ = cycleNever;
-    for (int s = 0; s < numScheds_; ++s) {
-        for (std::uint64_t far = farMask_[s]; far; far &= far - 1)
-            farMin_ = std::min(
-                farMin_, warps_[slotOf(s, firstSetBit(far))].readyAt);
-    }
+    for (std::uint64_t far = farMask_; far; far &= far - 1)
+        farMin_ = std::min(farMin_, warps_[firstSetBit(far)].readyAt);
 }
 
 void
 SmCore::processWakes(Cycle now)
 {
-    // Far lanes enter the wheel once within the horizon. The next-
+    // Far warps enter the wheel once within the horizon. The next-
     // event bound never skips past farMin_, so none is overdue; one
     // due right now lands in this cycle's slot, consumed below.
     if (farMin_ < now + wakeHorizon_) {
-        for (int s = 0; s < numScheds_; ++s) {
-            for (std::uint64_t far = farMask_[s]; far; far &= far - 1) {
-                int lane = firstSetBit(far);
-                Cycle at = warps_[slotOf(s, lane)].readyAt;
-                if (at < now + wakeHorizon_) {
-                    farMask_[s] = clearBit(farMask_[s], lane);
-                    placeWake(s, lane, at);
-                }
+        for (std::uint64_t far = farMask_; far; far &= far - 1) {
+            int slot = firstSetBit(far);
+            Cycle at = warps_[slot].readyAt;
+            if (at < now + wakeHorizon_) {
+                farMask_ = clearBit(farMask_, slot);
+                placeWake(slot, at);
             }
         }
         recomputeFarMin();
@@ -408,39 +394,28 @@ SmCore::processWakes(Cycle now)
     if (!(occupied & bit))
         return;
     occupied &= ~bit;
-    std::uint64_t *row = &wheel_[idx * numScheds_];
-    for (int s = 0; s < numScheds_; ++s) {
-        scheds_[s].ready |= row[s];
-        row[s] = 0;
-    }
+    ready_ |= wheel_[idx];
+    wheel_[idx] = 0;
 }
 
 void
 SmCore::clearSchedBits(int warp_slot)
 {
-    SchedulerState &sc = scheds_[schedOf(warp_slot)];
-    int lane = laneOf(warp_slot);
-    sc.ready = clearBit(sc.ready, lane);
-    sc.loadMask = clearBit(sc.loadMask, lane);
-    sc.storeMask = clearBit(sc.storeMask, lane);
+    ready_ = clearBit(ready_, warp_slot);
+    loadMask_ = clearBit(loadMask_, warp_slot);
+    storeMask_ = clearBit(storeMask_, warp_slot);
 }
 
 void
 SmCore::refreshInstrMasks(int warp_slot)
 {
-    SchedulerState &sc = scheds_[schedOf(warp_slot)];
-    int lane = laneOf(warp_slot);
-    const Warp &w = warps_[warp_slot];
-    if (w.next.cls == InstrClass::GlobalLoad) {
-        sc.loadMask = setBit(sc.loadMask, lane);
-        sc.storeMask = clearBit(sc.storeMask, lane);
-    } else if (w.next.cls == InstrClass::GlobalStore) {
-        sc.storeMask = setBit(sc.storeMask, lane);
-        sc.loadMask = clearBit(sc.loadMask, lane);
-    } else {
-        sc.loadMask = clearBit(sc.loadMask, lane);
-        sc.storeMask = clearBit(sc.storeMask, lane);
-    }
+    const InstrClass cls = warps_[warp_slot].next.cls;
+    loadMask_ = cls == InstrClass::GlobalLoad
+        ? setBit(loadMask_, warp_slot)
+        : clearBit(loadMask_, warp_slot);
+    storeMask_ = cls == InstrClass::GlobalStore
+        ? setBit(storeMask_, warp_slot)
+        : clearBit(storeMask_, warp_slot);
 }
 
 // ---------------------------------------------------------------
@@ -543,8 +518,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
     Warp &w = warps_[warp_slot];
     KernelCtx &kc = kernels_[w.kernel];
     const KernelRun &run = *kc.run;
-    SchedulerState &sc = scheds_[schedOf(warp_slot)];
-    sc.ready = clearBit(sc.ready, laneOf(warp_slot));
+    ready_ = clearBit(ready_, warp_slot);
 
     switch (w.next.cls) {
       case InstrClass::Alu:
@@ -640,15 +614,13 @@ SmCore::rebuildView()
     }
     viewAllowed_ = allowed;
     viewGated_ = gated;
-    for (SchedulerState &sc : scheds_) {
-        sc.allowMask = 0;
-        sc.mshrBlock = 0;
-        for (int k = 0; k < nk; ++k) {
-            if (allowed & (1u << k))
-                sc.allowMask |= sc.kernelMask[k];
-            if (!(mshr_ok & (1u << k)))
-                sc.mshrBlock |= sc.kernelMask[k];
-        }
+    allowMask_ = 0;
+    mshrBlock_ = 0;
+    for (int k = 0; k < nk; ++k) {
+        if (allowed & (1u << k))
+            allowMask_ |= kernelMask_[k];
+        if (!(mshr_ok & (1u << k)))
+            mshrBlock_ |= kernelMask_[k];
     }
     viewDirty_ = false;
 }
@@ -700,73 +672,74 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
     bool blocked_load = false;
     bool blocked_store = false;
 
-    // Attribution snapshot: the issue loop consumes scheduler bits
+    // Attribution snapshot: the issue loop consumes ready bits
     // (clearSchedBits / freeTb), so the per-kernel ready facts must
     // be captured before arbitration mutates them.
     std::uint32_t acct_ready = 0;
     std::uint32_t acct_nonmem = 0;
     std::uint32_t issued_kernels = 0;
     if (accounting_) {
-        for (int s = 0; s < numScheds_; ++s) {
-            const SchedulerState &sc = scheds_[s];
-            std::uint64_t mem_mask = sc.loadMask | sc.storeMask;
-            for (int k = 0; k < nk; ++k) {
-                std::uint64_t r = sc.ready & sc.kernelMask[k];
-                if (r)
-                    acct_ready |= 1u << k;
-                if (r & ~mem_mask)
-                    acct_nonmem |= 1u << k;
-            }
+        const std::uint64_t nonmem = ready_ & ~(loadMask_ | storeMask_);
+        for (int k = 0; k < nk; ++k) {
+            if (ready_ & kernelMask_[k])
+                acct_ready |= 1u << k;
+            if (nonmem & kernelMask_[k])
+                acct_nonmem |= 1u << k;
         }
     }
 
-    int first = static_cast<int>(now % numScheds_);
+    // The first scheduler is now % numScheds_, one further each
+    // cycle; the division runs only after a cycle this SM skipped.
+    int first = now == rotAt_ ? rotFirst_
+                              : static_cast<int>(now % numScheds_);
+    rotAt_ = now + 1;
+    rotFirst_ = first + 1 == numScheds_ ? 0 : first + 1;
     for (int i = 0; i < numScheds_; ++i) {
         int s = first + i;
         if (s >= numScheds_)
             s -= numScheds_;
-        SchedulerState &sc = scheds_[s];
 
-        // A TB freed earlier in this loop leaves its lanes in the
-        // view's masks, but those lanes are no longer ready.
-        std::uint64_t cand_pre = sc.ready & sc.allowMask;
+        // A TB freed earlier in this loop leaves its slots in the
+        // view's masks, but those slots are no longer ready.
+        std::uint64_t cand_pre = ready_ & allowMask_ & schedSel_[s];
         std::uint64_t cand = cand_pre;
         if (lsu_used >= lsuPorts_) {
-            cand &= ~(sc.loadMask | sc.storeMask);
+            cand &= ~(loadMask_ | storeMask_);
         } else {
             if (mshrFree_ <= 0)
-                cand &= ~sc.loadMask;
+                cand &= ~loadMask_;
             else
-                cand &= ~(sc.loadMask & sc.mshrBlock);
+                cand &= ~(loadMask_ & mshrBlock_);
             if (store_blocked)
-                cand &= ~sc.storeMask;
+                cand &= ~storeMask_;
         }
         if (!cand) {
             if (next_event) {
                 // cand empty with candidates present means every
                 // one was a masked load (MSHRs) or store (icnt
                 // throttle): only those maskings can empty it.
-                if (cand_pre & sc.loadMask)
+                if (cand_pre & loadMask_)
                     blocked_load = true;
-                if (cand_pre & sc.storeMask)
+                if (cand_pre & storeMask_)
                     blocked_store = true;
             }
             continue;
         }
 
-        // cand is a subset of ready, ready holds only Live lanes
-        // and every Live lane has an age rank, so GTO always picks.
-        int lane = pickGto(sc, cand, now);
-        gqos_assert(lane >= 0);
-        int slot = slotOf(s, lane);
-        // A Live lane's class bits are its next instruction's class.
-        bool is_mem = testBit(sc.loadMask | sc.storeMask, lane);
+        // cand is a subset of ready_, which holds only Live slots,
+        // and every Live slot has an age rank in its scheduler, so
+        // GTO always picks.
+        SchedulerState &sc = scheds_[s];
+        int slot = pickGto(sc, cand, now);
+        gqos_assert(slot >= 0);
+        // A Live slot's class bits are its next instruction's class.
+        bool is_mem = testBit(loadMask_ | storeMask_, slot);
         if (accounting_)
             issued_kernels |= 1u << warps_[slot].kernel;
         issueWarp(slot, now);
         if (is_mem)
             lsu_used++;
-        sc.lastIssued = lane;
+        sc.lastIssued = slot;
         sc.lastIssueAt = now;
         any_issue = true;
     }
@@ -774,12 +747,12 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
     if (any_issue)
         stats_.activeCycles++;
 
-    // An issuing cycle that leaves no lane ready owes the bound of
+    // An issuing cycle that leaves no warp ready owes the bound of
     // the empty cycle after it: nothing can issue before the next
     // wake, so that cycle is inert unless a wake, drain or MSHR pop
     // falls on it, and the bound below stops there.
     const bool bound_owed =
-        next_event && (!any_issue || noReadyLane());
+        next_event && (!any_issue || !ready_);
     if (bound_owed) {
         // Every input of the arbitration above stays frozen until
         // the earliest of: a wake, a drain, an MSHR release that
@@ -830,7 +803,7 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
                 inertClass_[k] = cat;
         }
         // After an issuing cycle the parked span replays the empty
-        // cycle that would follow: no lane ready, under the view
+        // cycle that would follow: no warp ready, under the view
         // that cycle would rebuild from this one's retirements.
         if (any_issue && bound_owed) {
             const std::uint32_t next_allowed = allowedKernels();
@@ -845,16 +818,6 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
     return any_issue && !bound_owed;
 }
 
-bool
-SmCore::noReadyLane() const
-{
-    for (const SchedulerState &sc : scheds_) {
-        if (sc.ready)
-            return false;
-    }
-    return true;
-}
-
 // ---------------------------------------------------------------
 // Event-engine control points
 // ---------------------------------------------------------------
@@ -862,7 +825,7 @@ SmCore::noReadyLane() const
 /**
  * Earliest pending wake strictly after @p now, or cycleNever: the
  * first occupied wheel slot or the earliest far wake. Every wheel
- * lane wakes inside (now, now + wakeHorizon_), so slot order from
+ * warp wakes inside (now, now + wakeHorizon_), so slot order from
  * now + 1 is wake order. Word-at-a-time scan over the occupancy
  * bitmap; the wrap iteration (i == nwords) re-visits the start
  * word's low bits, which map to the far end of the horizon.
@@ -979,27 +942,24 @@ SmCore::sampleIdleWarps(std::uint32_t allowed, bool lsu_full,
     for (int k = 0; k < nk; ++k)
         kernels_[k].stats.iwSamples +=
             static_cast<std::uint32_t>(samples);
-    if (noReadyLane())
+    if (!ready_)
         return; // every sample records zero idle warps
-    for (int s = 0; s < numScheds_; ++s) {
-        const SchedulerState &sc = scheds_[s];
-        std::uint64_t blocked_cls = 0;
-        if (lsu_full) {
-            blocked_cls = sc.loadMask | sc.storeMask;
-        } else {
-            if (mshrFree_ <= 0)
-                blocked_cls |= sc.loadMask;
-            if (store_blocked)
-                blocked_cls |= sc.storeMask;
-        }
-        for (int k = 0; k < nk; ++k) {
-            std::uint64_t ready_k = sc.ready & sc.kernelMask[k];
-            std::uint64_t idle = (allowed & (1u << k))
-                ? ready_k & ~blocked_cls
-                : ready_k;
-            kernels_[k].stats.iwSampleSum +=
-                static_cast<std::uint64_t>(popCount(idle)) * samples;
-        }
+    std::uint64_t blocked_cls = 0;
+    if (lsu_full) {
+        blocked_cls = loadMask_ | storeMask_;
+    } else {
+        if (mshrFree_ <= 0)
+            blocked_cls |= loadMask_;
+        if (store_blocked)
+            blocked_cls |= storeMask_;
+    }
+    for (int k = 0; k < nk; ++k) {
+        std::uint64_t ready_k = ready_ & kernelMask_[k];
+        std::uint64_t idle = (allowed & (1u << k))
+            ? ready_k & ~blocked_cls
+            : ready_k;
+        kernels_[k].stats.iwSampleSum +=
+            static_cast<std::uint64_t>(popCount(idle)) * samples;
     }
 }
 

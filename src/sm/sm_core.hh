@@ -153,12 +153,12 @@ class SmCore
      * Advance one core cycle.
      * @param sample_iw record an idle-warp sample this cycle
      * @param next_event when non-null, receives on a cycle that
-     *        issued nothing, or that issued and left no lane ready,
+     *        issued nothing, or that issued and left no warp ready,
      *        the earliest cycle > @p now at which this SM might do
      *        real work: issue, process a wake/drain/MSHR release, or
      *        change any idle-warp sampling input (cycleNever: inert
      *        until external input -- a dispatch or a quota change --
-     *        arrives). Untouched when the SM issued and a lane is
+     *        arrives). Untouched when the SM issued and a warp is
      *        still ready: the next cycle may issue.
      *
      * This bound is the event engine's only source of "when does
@@ -174,7 +174,7 @@ class SmCore
      * interconnect traffic can only delay a store-throttle unblock.
      * The schedulers' greedy hints need nothing: a hint holds only
      * on the cycle right after its issue, and a cycle that leaves
-     * no lane ready hands back a bound beyond that cycle only when
+     * no warp ready hands back a bound beyond that cycle only when
      * the next one cannot issue.
      *
      * @return true if any scheduler issued an instruction and no
@@ -304,19 +304,6 @@ class SmCore
     static_assert((wakeHorizon_ & (wakeHorizon_ - 1)) == 0 &&
                   wakeHorizon_ % 64 == 0);
 
-    int schedOf(int warp_slot) const
-    {
-        return warp_slot % numScheds_;
-    }
-    int laneOf(int warp_slot) const
-    {
-        return warp_slot / numScheds_;
-    }
-    int slotOf(int sched, int lane) const
-    {
-        return lane * numScheds_ + sched;
-    }
-
     /** Apply the owed span [settledTo_, clock_->now); see settle(). */
     void settleSpan();
     /** Set this SM's wake bit: an external mutation arrived. */
@@ -324,8 +311,6 @@ class SmCore
     {
         clock_->wakeMask |= std::uint64_t{1} << id_;
     }
-    /** True if no scheduler has a ready lane. */
-    bool noReadyLane() const;
     /** Count @p span gated cycles for the kernels in @p gated. */
     void addGatedCycles(std::uint32_t gated, Cycle span);
     /**
@@ -361,7 +346,8 @@ class SmCore
             const_cast<SmCore *>(this)->settleSpan();
     }
 
-    void rebuildAgeOrder(int sched);
+    /** Recompute every scheduler's age ranks (TB dispatch, free). */
+    void rebuildAgeOrder();
     Cycle nextWakeAfter(Cycle now) const;
     /** Recompute the issue view from its inputs; clears viewDirty_. */
     void rebuildView();
@@ -379,7 +365,7 @@ class SmCore
     void scheduleWake(int warp_slot, Cycle at, Cycle now);
     /** Remove the pending wake of a Live, not-ready warp. */
     void cancelWake(int warp_slot);
-    void placeWake(int sched, int lane, Cycle at);
+    void placeWake(int warp_slot, Cycle at);
     void recomputeFarMin();
     void processWakes(Cycle now);
     void processDrains(Cycle now);
@@ -421,6 +407,36 @@ class SmCore
     std::vector<Warp> warps_;
     std::vector<TbSlot> tbs_;
     std::vector<SchedulerState> scheds_;
+    /** Per scheduler s: the slots it owns, slot % numScheds_ == s. */
+    std::vector<std::uint64_t> schedSel_;
+
+    // Warp sets, one bit per warp slot. The fields every cycle
+    // reads come first; kernelMask_ is read only when the issue view
+    // is rebuilt, by attribution and by idle-warp sampling.
+    std::uint64_t ready_ = 0; //!< slots with an issuable warp
+    /**
+     * Class of each Live warp's next instruction: slots whose next
+     * instruction is a global load / store. Set whenever a warp
+     * decodes its next instruction, cleared only when the warp stops
+     * being Live (finish, preemption, free) -- not on issue, so a
+     * waiting warp keeps its bits. Every reader ANDs these masks
+     * with ready_ (candidate masking, the blocked-candidate bound,
+     * the attribution snapshot, idle-warp sampling), so bits of
+     * waiting slots never change a result.
+     */
+    std::uint64_t loadMask_ = 0;
+    std::uint64_t storeMask_ = 0;
+    /**
+     * Issue view (rebuildView): slots of kernels allowed by EWS
+     * quota gating, and slots of kernels at their MSHR cap.
+     */
+    std::uint64_t allowMask_ = 0;
+    std::uint64_t mshrBlock_ = 0;
+    /** Slots belonging to each kernel (for EWS quota gating). */
+    std::array<std::uint64_t, maxKernels> kernelMask_{};
+    /** First scheduler of cycle rotAt_ (see cycle()). */
+    Cycle rotAt_ = 0;
+    int rotFirst_ = 0;
 
     // resources
     int threadsUsed_ = 0;
@@ -429,26 +445,26 @@ class SmCore
     int tbSlotsUsed_ = 0;
 
     // Wake wheel. Every Live warp that is not ready has exactly one
-    // pending wake, at its readyAt, so a wake is one lane bit and a
-    // slot never holds a stale one. A lane whose wake is
-    // less than wakeHorizon_ cycles out sits in wheel_ at slot
-    // readyAt % wakeHorizon_; processWakes() ORs a slot's masks into
-    // the schedulers' ready masks. Farther lanes wait in farMask_
-    // until they come within the horizon. Preemption cancels a
-    // pending wake by clearing its bit.
-    /** Lane masks, slot-major: wheel_[slot * numScheds_ + sched]. */
+    // pending wake, at its readyAt, so a wake is one warp-slot bit
+    // and a wheel slot never holds a stale one. A warp whose wake is
+    // less than wakeHorizon_ cycles out sits in wheel_ at index
+    // readyAt % wakeHorizon_; processWakes() ORs that word into
+    // ready_. Farther warps wait in farMask_ until they come within
+    // the horizon. Preemption cancels a pending wake by clearing its
+    // bit.
+    /** Warp-slot mask waking at each cycle of the horizon. */
     std::vector<std::uint64_t> wheel_;
-    /** Bit i set iff some scheduler's lanes wait in wheel slot i. */
+    /** Bit i set iff wheel_[i] is non-zero. */
     std::array<std::uint64_t, wakeHorizon_ / 64> wheelBits_{};
-    /** Per scheduler: lanes waking at or beyond the horizon. */
-    std::vector<std::uint64_t> farMask_;
+    /** Warp slots waking at or beyond the horizon. */
+    std::uint64_t farMask_ = 0;
     /** Earliest readyAt in farMask_ (cycleNever when empty). */
     Cycle farMin_ = cycleNever;
 
     // Issue view: the per-cycle arbitration masks, derived from the
-    // quotas, gating switch, residency, kernel lane masks and MSHR
-    // counts (SchedulerState::allowMask / mshrBlock hold the
-    // per-scheduler part). Every event that changes one of those
+    // quotas, gating switch, residency, kernel slot masks and MSHR
+    // counts (allowMask_ / mshrBlock_ hold the per-slot part). Every
+    // event that changes one of those
     // inputs sets viewDirty_, and cycle() rebuilds the view at its
     // start only then: kernel binding, TB dispatch and free, quota
     // set/add, gating toggle, a quota crossing <= 0 in retireInstr,
@@ -477,7 +493,7 @@ class SmCore
      * Attribution cache for parked cycles: the category of each
      * kernel on the first inert cycle, written by the most recent
      * cycle() that handed back a bound (a no-issue cycle classifies
-     * itself; an issuing one that left no lane ready classifies the
+     * itself; an issuing one that left no warp ready classifies the
      * empty cycle after it). Valid for the whole span settle()
      * applies, because the Gpu parks an SM only after such a cycle
      * and every external mutation settles first, so the classified
@@ -489,7 +505,7 @@ class SmCore
      * cycle() that computed a bound: the value every idle-warp
      * sample of a parked span reads (exact; see DESIGN.md section
      * 11, "Parked SMs"). Unread after an issuing cycle, which
-     * leaves no lane ready to sample.
+     * leaves no warp ready to sample.
      */
     bool parkStoreBlocked_ = false;
     Cycle epochCycles_ = 0; //!< cycles since last sample reset

@@ -68,6 +68,22 @@ TEST(GpuConfig, SmCountFitsOneMaskWord)
               std::string::npos);
 }
 
+TEST(GpuConfig, WarpsPerSmFitOneMaskWord)
+{
+    GpuConfig cfg = defaultConfig();
+    cfg.warpSchedulersPerSm = 1; // any warp count splits evenly
+    cfg.maxThreadsPerSm = 2048;  // 64 warps
+    EXPECT_TRUE(cfg.check().ok());
+    cfg.maxThreadsPerSm = 2080;  // 65 warps
+    auto r = cfg.check();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(r.error().message().find("maxWarpsPerSm"),
+              std::string::npos);
+    EXPECT_NE(r.error().message().find("64-bit masks"),
+              std::string::npos);
+}
+
 TEST(GpuConfig, RejectsUnevenSchedulerSplit)
 {
     GpuConfig cfg = defaultConfig();

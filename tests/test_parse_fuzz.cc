@@ -1,9 +1,9 @@
 /**
  * @file
  * Seeded parser fuzz: mutated tokens fed to every parser that reads
- * user input (the number parser, tenant specs, GQOS_FAULT specs,
- * result-cache lines and arrival traces) must come back as a value
- * or an Error, never an abort. Deterministic: one Rng seed drives
+ * user input (the command line, the number parser, tenant specs,
+ * GQOS_FAULT specs, result-cache lines and arrival traces) must come
+ * back as a value or an Error, never an abort. Deterministic: one Rng seed drives
  * every mutation, so a failure replays exactly. The sanitizer
  * presets run it like any other test.
  */
@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -113,6 +115,113 @@ TEST_F(ParseFuzz, NumberParser)
         }
     }
     EXPECT_GT(accepted, 0);
+}
+
+/**
+ * The command-line splitting CliArgs documents (cli.hh): `--key=value`
+ * at the first '=', `--no-key` as false, `--key value` when the next
+ * token is not an option, else a bare flag; the last setting of a key
+ * wins; a token shorter than three bytes or without the leading "--"
+ * is positional.
+ */
+void
+splitArgs(const std::vector<std::string> &argv,
+          std::map<std::string, std::string> &values,
+          std::vector<std::string> &positional)
+{
+    for (std::size_t i = 1; i < argv.size(); ++i) {
+        const std::string &arg = argv[i];
+        if (arg.size() < 3 || arg.compare(0, 2, "--") != 0) {
+            positional.push_back(arg);
+            continue;
+        }
+        const std::string body = arg.substr(2);
+        const std::size_t eq = body.find('=');
+        if (eq != std::string::npos)
+            values[body.substr(0, eq)] = body.substr(eq + 1);
+        else if (body.compare(0, 3, "no-") == 0)
+            values[body.substr(3)] = "false";
+        else if (i + 1 < argv.size() &&
+                 argv[i + 1].compare(0, 2, "--") != 0)
+            values[body] = argv[++i];
+        else
+            values[body] = "true";
+    }
+}
+
+TEST_F(ParseFuzz, CliArgs)
+{
+    // Option forms (`--key=value`, `--key value`, a bare flag,
+    // `--flag=`, an empty key, non-ASCII bytes), values and words.
+    const std::vector<std::string> seeds = {
+        "--cycles=20000", "--jobs", "4", "--full", "--no-cache",
+        "--trace=", "--=x", "--no-", "--", "---", "-x",
+        "--rate=0.08", "--loads=1.0,4.0", "--verbose=on", "serving",
+        "--k\xc3\xa9y=v\xff", "\xe2\x82\xac", "--a=b=c"};
+    int options = 0;
+    for (int i = 0; i < 3000; ++i) {
+        std::vector<std::string> argv = {"prog"};
+        for (std::uint64_t n = rng.below(8); n > 0; --n) {
+            std::string tok = rng.below(2)
+                ? seeds[rng.below(seeds.size())]
+                : fuzzed(seeds, rng);
+            // A C argument ends at its first NUL.
+            argv.push_back(tok.c_str());
+        }
+        // Half the vectors repeat a key with another value.
+        if (rng.below(2))
+            argv.push_back("--cycles=7");
+        std::vector<const char *> cargs;
+        for (const std::string &a : argv)
+            cargs.push_back(a.c_str());
+        const CliArgs args(static_cast<int>(cargs.size()), cargs.data());
+
+        std::map<std::string, std::string> values;
+        std::vector<std::string> positional;
+        splitArgs(argv, values, positional);
+        EXPECT_EQ(args.positional(), positional);
+        for (const auto &[key, value] : values) {
+            options++;
+            ASSERT_TRUE(args.has(key)) << key;
+            ASSERT_EQ(args.getString(key, "?"), value) << key;
+            // Every typed read is a value or an InvalidArgument; the
+            // fatal()-on-error getters agree with it on every value
+            // it accepts.
+            const std::string field = "option --" + key;
+            Result<std::uint64_t> u = parseUnsigned(
+                value, field, std::numeric_limits<std::int64_t>::max());
+            if (u.ok()) {
+                EXPECT_EQ(static_cast<std::uint64_t>(args.getInt(key, 0)),
+                          u.value());
+            } else {
+                EXPECT_EQ(u.error().code(), ErrorCode::InvalidArgument);
+            }
+            Result<double> d = parseFinite(value, field);
+            if (d.ok()) {
+                EXPECT_EQ(args.getDouble(key, 0.0), d.value());
+            } else {
+                EXPECT_EQ(d.error().code(), ErrorCode::InvalidArgument);
+            }
+            Result<bool> b = parseBool(value, field);
+            if (b.ok()) {
+                EXPECT_EQ(args.getBool(key, !b.value()), b.value());
+            } else {
+                EXPECT_EQ(b.error().code(), ErrorCode::InvalidArgument);
+            }
+            Result<std::vector<double>> list =
+                args.getPositiveList(key, "1");
+            if (list.ok()) {
+                EXPECT_FALSE(list.value().empty());
+            } else {
+                EXPECT_EQ(list.error().code(),
+                          ErrorCode::InvalidArgument);
+            }
+        }
+        if (argv.back() == "--cycles=7") {
+            EXPECT_EQ(args.getInt("cycles", 0), 7);
+        }
+    }
+    EXPECT_GT(options, 0);
 }
 
 TEST_F(ParseFuzz, TenantSpec)

@@ -18,13 +18,23 @@ namespace
 {
 
 SchedulerState
-withOrder(std::initializer_list<int> lanes_oldest_first)
+withOrder(std::initializer_list<int> slots_oldest_first)
 {
     SchedulerState sc;
     std::uint8_t rank = 0;
-    for (int lane : lanes_oldest_first)
-        sc.ageRank[lane] = rank++;
+    for (int slot : slots_oldest_first)
+        sc.ageRank[slot] = rank++;
     return sc;
+}
+
+/** Slots of scheduler @p s among @p n: slot % n == s. */
+std::uint64_t
+schedSlots(int s, int n)
+{
+    std::uint64_t sel = 0;
+    for (int slot = s; slot < 64; slot += n)
+        sel = setBit(sel, slot);
+    return sel;
 }
 
 TEST(Gto, GreedyPrefersLastIssuedWarp)
@@ -76,12 +86,41 @@ TEST(Gto, HintHoldsOnlyOnTheNextCycle)
     EXPECT_EQ(pickGto(fresh, cand, 1), 3);
 }
 
+TEST(Gto, TwoSchedulersSeeOnlyTheirOwnSlots)
+{
+    // Slots alternate between two schedulers. Each rank orders a
+    // warp among its own scheduler's warps, so both schedulers have
+    // a rank-0 warp, and the issue loop hands each pickGto only its
+    // own slots of the SM-wide ready mask.
+    SchedulerState even = withOrder({6, 2, 4});
+    SchedulerState odd = withOrder({1, 5, 3});
+    const std::uint64_t sel0 = schedSlots(0, 2);
+    const std::uint64_t sel1 = schedSlots(1, 2);
+    EXPECT_EQ(sel0 | sel1, ~std::uint64_t{0});
+    EXPECT_EQ(sel0 & sel1, 0u);
+    std::uint64_t ready = 0;
+    for (int slot : {1, 2, 3, 4, 5, 6})
+        ready = setBit(ready, slot);
+    EXPECT_EQ(pickGto(even, ready & sel0, 100), 6);
+    EXPECT_EQ(pickGto(odd, ready & sel1, 100), 1);
+
+    ready = clearBit(clearBit(ready, 6), 1);
+    EXPECT_EQ(pickGto(even, ready & sel0, 100), 2);
+    EXPECT_EQ(pickGto(odd, ready & sel1, 100), 5);
+
+    // The greedy hint is a slot of the scheduler's own.
+    odd.lastIssued = 3;
+    odd.lastIssueAt = 99;
+    EXPECT_EQ(pickGto(odd, ready & sel1, 100), 3);
+    EXPECT_EQ(pickGto(even, ready & sel0, 100), 2);
+}
+
 /**
  * Differential check against the definition of GTO: the greedy
- * lane if it issued last cycle and is a candidate, else the oldest
- * occupied candidate by dispatch age, else -1. Random occupied lane
+ * slot if it issued last cycle and is a candidate, else the oldest
+ * occupied candidate by dispatch age, else -1. Random occupied slot
  * sets, age orders, candidate masks (empty ones, and ones with
- * unoccupied lanes, included) and hint cycles.
+ * unoccupied slots, included) and hint cycles.
  */
 TEST(Gto, MatchesGreedyThenOldestReference)
 {
@@ -89,10 +128,10 @@ TEST(Gto, MatchesGreedyThenOldestReference)
     for (int trial = 0; trial < 20000; ++trial) {
         std::vector<int> oldest_first;
         std::uint64_t occupied = 0;
-        for (int lane = 0; lane < 64; ++lane) {
+        for (int slot = 0; slot < 64; ++slot) {
             if (rng.chance(0.4)) {
-                oldest_first.push_back(lane);
-                occupied = setBit(occupied, lane);
+                oldest_first.push_back(slot);
+                occupied = setBit(occupied, slot);
             }
         }
         for (std::size_t i = oldest_first.size(); i > 1; --i)
@@ -106,10 +145,10 @@ TEST(Gto, MatchesGreedyThenOldestReference)
         switch (rng.below(4)) {
           case 0: // empty
             break;
-          case 1: // occupied lanes only
+          case 1: // occupied slots only
             cand = occupied & rng.next() & rng.next();
             break;
-          case 2: // unoccupied lanes only
+          case 2: // unoccupied slots only
             cand = ~occupied & rng.next();
             break;
           default: // a mix
@@ -129,15 +168,61 @@ TEST(Gto, MatchesGreedyThenOldestReference)
             testBit(cand, sc.lastIssued)) {
             expect = sc.lastIssued;
         } else {
-            for (int lane : oldest_first) {
-                if (testBit(cand, lane)) {
-                    expect = lane;
+            for (int slot : oldest_first) {
+                if (testBit(cand, slot)) {
+                    expect = slot;
                     break;
                 }
             }
         }
         ASSERT_EQ(pickGto(sc, cand, now), expect)
             << "trial " << trial << " cand " << std::hex << cand;
+    }
+}
+
+/**
+ * Two schedulers over one SM: random warp ages on random slots,
+ * ranked per scheduler as SmCore::rebuildAgeOrder does. Scheduler
+ * s, given the SM-wide candidates masked to its slots, picks the
+ * oldest candidate warp among its own slots and never another
+ * scheduler's.
+ */
+TEST(Gto, PerSchedulerRanksPickTheSchedulersOldest)
+{
+    Rng rng(29);
+    constexpr int n = 2;
+    for (int trial = 0; trial < 5000; ++trial) {
+        std::uint64_t age[64];
+        std::uint64_t occupied = 0;
+        for (int slot = 0; slot < 64; ++slot) {
+            age[slot] = rng.next();
+            if (rng.chance(0.5))
+                occupied = setBit(occupied, slot);
+        }
+        SchedulerState sc[n];
+        for (int s = 0; s < n; ++s) {
+            std::vector<int> order;
+            for (int slot = s; slot < 64; slot += n) {
+                if (testBit(occupied, slot))
+                    order.push_back(slot);
+            }
+            std::sort(order.begin(), order.end(),
+                      [&](int a, int b) { return age[a] < age[b]; });
+            for (std::size_t i = 0; i < order.size(); ++i)
+                sc[s].ageRank[order[i]] = static_cast<std::uint8_t>(i);
+        }
+        const std::uint64_t cand = occupied & rng.next();
+        for (int s = 0; s < n; ++s) {
+            int expect = -1;
+            for (int slot = s; slot < 64; slot += n) {
+                if (testBit(cand, slot) &&
+                    (expect < 0 || age[slot] < age[expect]))
+                    expect = slot;
+            }
+            ASSERT_EQ(pickGto(sc[s], cand & schedSlots(s, n), 100),
+                      expect)
+                << "trial " << trial << " scheduler " << s;
+        }
     }
 }
 
