@@ -464,12 +464,12 @@ class SmCore
     // Issue view: the per-cycle arbitration masks, derived from the
     // quotas, gating switch, residency, kernel slot masks and MSHR
     // counts (allowMask_ / mshrBlock_ hold the per-slot part). Every
-    // event that changes one of those
-    // inputs sets viewDirty_, and cycle() rebuilds the view at its
-    // start only then: kernel binding, TB dispatch and free, quota
-    // set/add, gating toggle, a quota crossing <= 0 in retireInstr,
-    // and an MSHR count crossing the per-kernel cap. While viewDirty_
-    // is false the view equals a fresh recomputation.
+    // event that changes one of those inputs sets viewDirty_, and
+    // cycle() rebuilds the view at its start only then: kernel
+    // binding, TB dispatch and free, quota set/add, gating toggle, a
+    // quota crossing <= 0 in retireInstr, and an MSHR count crossing
+    // the per-kernel cap. While viewDirty_ is false the view equals
+    // a fresh recomputation.
     std::uint32_t viewAllowed_ = 0; //!< EWS-allowed kernels
     /** Quota-gated kernels with resident TBs (charged gatedCycles). */
     std::uint32_t viewGated_ = 0;
