@@ -7,7 +7,7 @@
  * the earliest cycle at which it next needs the clock -- the SMs
  * through the bound SmCore::cycle() hands back when nothing issued
  * or nothing is left ready, at which Gpu::step(true) parks the SM
- * and which Gpu::nextEventAt() reads off its due ring; the policy
+ * and which Gpu::nextEventAt() reads off its due wheel; the policy
  * through the value SharingPolicy::onCycle() returns, called once
  * per stepped or probed cycle -- and the engine fast-forwards
  * through the provably inert span in between with Gpu::skipTo().

@@ -5,7 +5,6 @@
 
 #include "gpu/gpu.hh"
 
-#include <bit>
 #include <utility>
 
 #include "common/bitops.hh"
@@ -27,7 +26,6 @@ Gpu::Gpu(const GpuConfig &cfg)
     allSms_ = cfg_.numSms == 64 ? ~std::uint64_t{0}
                                 : (std::uint64_t{1} << cfg_.numSms) - 1;
     hot_ = allSms_;
-    dueAt_.assign(sms_.size(), cycleNever);
 }
 
 void
@@ -164,18 +162,16 @@ Gpu::step(bool event_aware)
     std::uint64_t woken = std::exchange(clock_->wakeMask, 0);
     if (!event_aware) {
         // Every SM steps; a parked one settles its span in cycle().
-        if (hot_ != allSms_)
-            unparkAll();
+        if (hot_ != allSms_) {
+            hot_ = allSms_;
+            due_.clear();
+        }
     } else {
-        // A woken SM leaves its due slot, so the slot cannot step
+        // A woken SM leaves the wheel, so its old due cannot step
         // it again after it re-parks elsewhere.
         for (std::uint64_t m = woken & ~hot_; m; m &= m - 1)
-            unpark(firstSetBit(m));
-        const std::size_t slot = now_ % dueRingSize;
-        hot_ |= woken | std::exchange(dueRing_[slot], 0);
-        dueSlots_ = clearBit(dueSlots_, static_cast<int>(slot));
-        if (farMin_ <= now_)
-            wakeFar();
+            due_.remove(firstSetBit(m));
+        hot_ |= woken | due_.take(now_);
     }
     ++steps_;
     // Ascending SM order: memory requests reach the shared system in
@@ -187,10 +183,12 @@ Gpu::step(bool event_aware)
                                   event_aware ? &bound : nullptr);
         ++smSteps_;
         // An SM that handed back a bound beyond the next cycle
-        // parks until it; a busy one, or one due next cycle, stays
-        // hot.
-        if (event_aware && !busy && bound > now_ + 1)
-            park(s, bound);
+        // parks until it (cycleNever: until its wake bit); a busy
+        // one, or one due next cycle, stays hot.
+        if (event_aware && !busy && bound > now_ + 1) {
+            hot_ = clearBit(hot_, s);
+            due_.add(s, bound, now_);
+        }
     }
     // Cycle now_ has run: from here on a parked SM owes it, so a
     // dispatcher mutation below settles through it.
@@ -198,70 +196,6 @@ Gpu::step(bool event_aware)
     if (dispatchDirty_ && !dispatchCycle())
         dispatchDirty_ = false;
     now_++;
-}
-
-void
-Gpu::park(int s, Cycle due)
-{
-    hot_ = clearBit(hot_, s);
-    dueAt_[s] = due;
-    if (due == cycleNever)
-        return; // only a wake bit brings it back
-    if (due - now_ < dueRingSize) {
-        const int slot = static_cast<int>(due % dueRingSize);
-        dueRing_[slot] = setBit(dueRing_[slot], s);
-        dueSlots_ = setBit(dueSlots_, slot);
-    } else {
-        far_ = setBit(far_, s);
-        farMin_ = std::min(farMin_, due);
-    }
-}
-
-void
-Gpu::unpark(int s)
-{
-    const Cycle due = dueAt_[s];
-    if (testBit(far_, s)) {
-        far_ = clearBit(far_, s);
-        if (due == farMin_)
-            recomputeFarMin();
-    } else if (due != cycleNever) {
-        const int slot = static_cast<int>(due % dueRingSize);
-        dueRing_[slot] = clearBit(dueRing_[slot], s);
-        if (!dueRing_[slot])
-            dueSlots_ = clearBit(dueSlots_, slot);
-    }
-}
-
-void
-Gpu::wakeFar()
-{
-    for (std::uint64_t m = far_; m; m &= m - 1) {
-        int s = firstSetBit(m);
-        if (dueAt_[s] <= now_) {
-            far_ = clearBit(far_, s);
-            hot_ = setBit(hot_, s);
-        }
-    }
-    recomputeFarMin();
-}
-
-void
-Gpu::recomputeFarMin()
-{
-    farMin_ = cycleNever;
-    for (std::uint64_t m = far_; m; m &= m - 1)
-        farMin_ = std::min(farMin_, dueAt_[firstSetBit(m)]);
-}
-
-void
-Gpu::unparkAll()
-{
-    hot_ = allSms_;
-    dueRing_.fill(0);
-    dueSlots_ = 0;
-    far_ = 0;
-    farMin_ = cycleNever;
 }
 
 Cycle
@@ -272,15 +206,7 @@ Gpu::nextEventAt() const
     // sound.
     if (dispatchDirty_ || hot_ || clock_->wakeMask)
         return now_;
-    Cycle next = farMin_;
-    if (dueSlots_) {
-        // Every ring due lies in [now_, now_ + dueRingSize): rotated
-        // so that bit 0 is now_'s slot, slot order is due order.
-        const int offset = std::countr_zero(std::rotr(
-            dueSlots_, static_cast<int>(now_ % dueRingSize)));
-        next = std::min(next, now_ + static_cast<Cycle>(offset));
-    }
-    return next;
+    return due_.next(now_);
 }
 
 void

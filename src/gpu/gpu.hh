@@ -14,7 +14,6 @@
 #ifndef GQOS_GPU_GPU_HH
 #define GQOS_GPU_GPU_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -23,6 +22,7 @@
 #include "arch/gpu_config.hh"
 #include "arch/kernel_desc.hh"
 #include "arch/types.hh"
+#include "common/due_wheel.hh"
 #include "mem/mem_system.hh"
 #include "sm/kernel_run.hh"
 #include "sm/sm_core.hh"
@@ -81,9 +81,10 @@ class Gpu
      * ready -- is *parked*: step() walks only the hot SMs, in
      * ascending SM order, until the bound arrives or an external
      * mutation sets the SM's wake bit. The step wakes the SMs due
-     * this cycle by one OR of their due-ring slot. A parked SM owes
-     * the cycles it missed and settles them in one span when next
-     * observed, mutated or stepped. Only event-aware steps park the
+     * this cycle by taking them from its due wheel (DESIGN.md
+     * section 11, "Due wheel"). A parked SM owes the cycles it
+     * missed and settles them in one span when next observed,
+     * mutated or stepped. Only event-aware steps park the
      * SMs that nextEventAt() and skipTo() rely on; a reference
      * step wakes every SM. Results are bit-identical either way --
      * a parked SM is by construction in an inert cycle -- the flag
@@ -98,14 +99,13 @@ class Gpu
 
     /**
      * Earliest cycle >= now() at which the machine might do real
-     * work: the earliest due cycle of the parked SMs, the first
-     * occupied due-ring slot (a rotate and a count of trailing
-     * zeros) or the far set's minimum. Returns now() -- step this
-     * cycle -- when the TB dispatcher is dirty, some SM is hot
-     * (never parked, woken, or its bound has arrived) or a parked
-     * SM's wake bit is set; cycleNever when the machine is fully
-     * inert (e.g. nothing resident and no TB targets to converge
-     * toward). O(1).
+     * work: the earliest due cycle of the parked SMs, read off the
+     * due wheel (its first occupied slot, or its far minimum).
+     * Returns now() -- step this cycle -- when the TB dispatcher is
+     * dirty, some SM is hot (never parked, woken, or its bound has
+     * arrived) or a parked SM's wake bit is set; cycleNever when the
+     * machine is fully inert (e.g. nothing resident and no TB
+     * targets to converge toward).
      */
     Cycle nextEventAt() const;
 
@@ -255,15 +255,6 @@ class Gpu
     bool dispatchCycle();
     const KernelRun &kernelRun(KernelId k) const;
     void onTbEvent(SmId sm, KernelId k, TbExit exit);
-    /** Park SM @p s until cycle @p due (cycleNever: a wake bit). */
-    void park(int s, Cycle due);
-    /** Take parked SM @p s out of the due ring or the far set. */
-    void unpark(int s);
-    /** Move the far SMs due by now_ to the hot mask. */
-    void wakeFar();
-    void recomputeFarMin();
-    /** Make every SM hot and empty the due ring and far set. */
-    void unparkAll();
 
     GpuConfig cfg_;
     std::unique_ptr<MemSystem> mem_;
@@ -289,24 +280,16 @@ class Gpu
     /** Bit s set for every SM of the machine. */
     std::uint64_t allSms_;
     /**
-     * SMs step() walks; the others are parked: SM s is proven inert
-     * for every cycle < dueAt_[s] until its wake bit is set.
+     * SMs step() walks; the others are parked: a parked SM is proven
+     * inert for every cycle before its due until its wake bit is set.
      */
     std::uint64_t hot_;
-    std::vector<Cycle> dueAt_;
-    /** Due-ring span in cycles: one slot per cycle, one SM mask each. */
-    static constexpr Cycle dueRingSize = 64;
     /**
-     * Parked SMs due within dueRingSize cycles of the step that
-     * parked them, in slot dueAt_ % dueRingSize: every due here
-     * lies in [now_, now_ + dueRingSize).
+     * Parked SMs by due cycle. A park mostly waits out an ALU
+     * latency or a wake a few cycles off, so a one-word ring holds
+     * almost all of them.
      */
-    std::array<std::uint64_t, dueRingSize> dueRing_{};
-    /** Bit i set iff dueRing_[i] is non-empty. */
-    std::uint64_t dueSlots_ = 0;
-    /** Parked SMs due farther out, and their earliest due. */
-    std::uint64_t far_ = 0;
-    Cycle farMin_ = cycleNever;
+    DueWheel<64> due_;
     std::uint64_t steps_ = 0;   //!< step() calls
     std::uint64_t smSteps_ = 0; //!< SmCore::cycle() calls they made
     bool accounting_ = false;

@@ -57,7 +57,6 @@ SmCore::SmCore(const GpuConfig &cfg, SmId id, MemSystem &mem,
       tbs_(cfg.maxTbsPerSm),
       scheds_(cfg.warpSchedulersPerSm),
       schedSel_(cfg.warpSchedulersPerSm),
-      wheel_(wakeHorizon_),
       mshrFree_(cfg.l1Mshrs)
 {
     // One wake bit per SM and one bit per warp slot in 64-bit masks
@@ -161,9 +160,8 @@ SmCore::dispatchTb(KernelId k, std::uint64_t tb_seq,
         w.state = WarpState::Live;
         generateNext(w, run);
         refreshInstrMasks(wslot);
-        w.readyAt = now + tbDispatchLatency;
         kernelMask_[k] = setBit(kernelMask_[k], wslot);
-        scheduleWake(wslot, w.readyAt, now);
+        wakes_.add(wslot, now + tbDispatchLatency, now);
         found++;
     }
     gqos_assert(found == warps_needed);
@@ -173,7 +171,6 @@ SmCore::dispatchTb(KernelId k, std::uint64_t tb_seq,
     smemUsed_ += d.smemPerTb;
     tbSlotsUsed_++;
     kernels_[k].residentTbs++;
-    kernels_[k].residentWarps += warps_needed;
     rebuildAgeOrder();
     return true;
 }
@@ -204,7 +201,7 @@ SmCore::startPreemption(KernelId k, Cycle now)
         if (w.state == WarpState::Live) {
             // A waiting warp's one pending wake goes with it.
             if (!testBit(ready_, wslot))
-                cancelWake(wslot);
+                wakes_.remove(wslot);
             w.state = WarpState::Draining;
         }
         clearSchedBits(wslot);
@@ -240,7 +237,7 @@ SmCore::processDrains(Cycle now)
             int slot = drains_[i].slot;
             drains_[i] = drains_.back();
             drains_.pop_back();
-            freeTb(slot, TbExit::Preempted, now);
+            freeTb(slot, TbExit::Preempted);
         } else {
             ++i;
         }
@@ -248,7 +245,7 @@ SmCore::processDrains(Cycle now)
 }
 
 void
-SmCore::freeTb(int tb_slot, TbExit exit, Cycle now)
+SmCore::freeTb(int tb_slot, TbExit exit)
 {
     TbSlot &tb = tbs_[tb_slot];
     gqos_assert(tb.valid);
@@ -277,7 +274,6 @@ SmCore::freeTb(int tb_slot, TbExit exit, Cycle now)
     smemUsed_ -= d.smemPerTb;
     tbSlotsUsed_--;
     kc.residentTbs--;
-    kc.residentWarps -= d.warpsPerTb();
     if (was_draining)
         kc.drainingTbs--;
     gqos_assert(kc.residentTbs >= 0 && threadsUsed_ >= 0 &&
@@ -290,11 +286,10 @@ SmCore::freeTb(int tb_slot, TbExit exit, Cycle now)
 
     if (tbEvent_)
         tbEvent_(id_, k, exit);
-    (void)now;
 }
 
 // ---------------------------------------------------------------
-// Wake machinery
+// Scheduler state
 // ---------------------------------------------------------------
 
 void
@@ -324,78 +319,6 @@ SmCore::rebuildAgeOrder()
         for (int i = 0; i < count; ++i)
             sc.ageRank[order[i]] = static_cast<std::uint8_t>(i);
     }
-}
-
-void
-SmCore::placeWake(int warp_slot, Cycle at)
-{
-    std::size_t idx = at & (wakeHorizon_ - 1);
-    wheel_[idx] = setBit(wheel_[idx], warp_slot);
-    wheelBits_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-}
-
-void
-SmCore::scheduleWake(int warp_slot, Cycle at, Cycle now)
-{
-    // Every latency is >= 1 cycle (KernelDesc::check()), so a wake
-    // never lands in the slot processWakes() is consuming.
-    gqos_assert(at > now);
-    if (at - now >= wakeHorizon_) {
-        farMask_ = setBit(farMask_, warp_slot);
-        farMin_ = std::min(farMin_, at);
-    } else {
-        placeWake(warp_slot, at);
-    }
-}
-
-void
-SmCore::cancelWake(int warp_slot)
-{
-    if (testBit(farMask_, warp_slot)) {
-        farMask_ = clearBit(farMask_, warp_slot);
-        recomputeFarMin(); // keeps nextWakeAfter() exact
-        return;
-    }
-    std::size_t idx = warps_[warp_slot].readyAt & (wakeHorizon_ - 1);
-    gqos_assert(testBit(wheel_[idx], warp_slot));
-    wheel_[idx] = clearBit(wheel_[idx], warp_slot);
-    if (!wheel_[idx])
-        wheelBits_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-}
-
-void
-SmCore::recomputeFarMin()
-{
-    farMin_ = cycleNever;
-    for (std::uint64_t far = farMask_; far; far &= far - 1)
-        farMin_ = std::min(farMin_, warps_[firstSetBit(far)].readyAt);
-}
-
-void
-SmCore::processWakes(Cycle now)
-{
-    // Far warps enter the wheel once within the horizon. The next-
-    // event bound never skips past farMin_, so none is overdue; one
-    // due right now lands in this cycle's slot, consumed below.
-    if (farMin_ < now + wakeHorizon_) {
-        for (std::uint64_t far = farMask_; far; far &= far - 1) {
-            int slot = firstSetBit(far);
-            Cycle at = warps_[slot].readyAt;
-            if (at < now + wakeHorizon_) {
-                farMask_ = clearBit(farMask_, slot);
-                placeWake(slot, at);
-            }
-        }
-        recomputeFarMin();
-    }
-    std::size_t idx = now & (wakeHorizon_ - 1);
-    std::uint64_t &occupied = wheelBits_[idx >> 6];
-    std::uint64_t bit = std::uint64_t{1} << (idx & 63);
-    if (!(occupied & bit))
-        return;
-    occupied &= ~bit;
-    ready_ |= wheel_[idx];
-    wheel_[idx] = 0;
 }
 
 void
@@ -490,18 +413,18 @@ SmCore::retireInstr(int warp_slot, Cycle ready_at, Cycle now)
         }
     }
     w.instrIdx++;
-    w.readyAt = ready_at;
     if (w.instrIdx >= kc.run->desc().warpInstrPerTb) {
-        finishWarp(warp_slot, now);
+        finishWarp(warp_slot);
     } else {
         generateNext(w, *kc.run);
         refreshInstrMasks(warp_slot);
-        scheduleWake(warp_slot, ready_at, now);
+        // Every latency is >= 1 cycle (KernelDesc::check()).
+        wakes_.add(warp_slot, ready_at, now);
     }
 }
 
 void
-SmCore::finishWarp(int warp_slot, Cycle now)
+SmCore::finishWarp(int warp_slot)
 {
     Warp &w = warps_[warp_slot];
     w.state = WarpState::Finished;
@@ -509,7 +432,7 @@ SmCore::finishWarp(int warp_slot, Cycle now)
     TbSlot &tb = tbs_[w.tbSlot];
     tb.warpsFinished++;
     if (tb.warpsFinished == tb.warpsTotal && !tb.draining)
-        freeTb(w.tbSlot, TbExit::Completed, now);
+        freeTb(w.tbSlot, TbExit::Completed);
 }
 
 void
@@ -554,8 +477,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
         if (w.next.transLeft > 0) {
             // Replay: remaining transactions re-arbitrate for the
             // LSU next cycle (access-splitting, as in GPGPU-Sim).
-            w.readyAt = now + 1;
-            scheduleWake(warp_slot, w.readyAt, now);
+            wakes_.add(warp_slot, now + 1, now);
         } else {
             stats_.issuedLoads++;
             Cycle ready_at = std::max(w.memDoneAt, now + 1);
@@ -575,8 +497,7 @@ SmCore::issueWarp(int warp_slot, Cycle now)
         w.next.transLeft =
             static_cast<std::uint8_t>(w.next.transLeft - burst);
         if (w.next.transLeft > 0) {
-            w.readyAt = now + 1;
-            scheduleWake(warp_slot, w.readyAt, now);
+            wakes_.add(warp_slot, now + 1, now);
         } else {
             stats_.issuedStores++;
             retireInstr(warp_slot, now + 4, now); // store buffer
@@ -647,7 +568,7 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
     settle();
     settledTo_ = now + 1;
     stats_.cycles++;
-    processWakes(now);
+    ready_ |= wakes_.take(now);
     if (!drains_.empty())
         processDrains(now);
     while (!mshrRelease_.empty() && mshrRelease_.top().first <= now) {
@@ -777,7 +698,7 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
         }
         for (const Drain &d : drains_)
             next = std::min(next, d.finishAt);
-        *next_event = std::min(next, nextWakeAfter(now));
+        *next_event = std::min(next, wakes_.next(now + 1));
         parkStoreBlocked_ = store_blocked;
     }
 
@@ -821,41 +742,6 @@ SmCore::cycle(Cycle now, bool sample_iw, Cycle *next_event)
 // ---------------------------------------------------------------
 // Event-engine control points
 // ---------------------------------------------------------------
-
-/**
- * Earliest pending wake strictly after @p now, or cycleNever: the
- * first occupied wheel slot or the earliest far wake. Every wheel
- * warp wakes inside (now, now + wakeHorizon_), so slot order from
- * now + 1 is wake order. Word-at-a-time scan over the occupancy
- * bitmap; the wrap iteration (i == nwords) re-visits the start
- * word's low bits, which map to the far end of the horizon.
- */
-Cycle
-SmCore::nextWakeAfter(Cycle now) const
-{
-    constexpr int nwords = wakeHorizon_ / 64;
-    const int start =
-        static_cast<int>((now + 1) & (wakeHorizon_ - 1));
-    int wi = start >> 6;
-    std::uint64_t word =
-        wheelBits_[wi] & (~std::uint64_t{0} << (start & 63));
-    for (int i = 0; i <= nwords; ++i) {
-        if (i == nwords)
-            word = wheelBits_[start >> 6] &
-                   ~(~std::uint64_t{0} << (start & 63));
-        if (word) {
-            int idx = (wi << 6) + std::countr_zero(word);
-            return std::min(
-                farMin_,
-                now + 1 +
-                    static_cast<Cycle>(
-                        (idx - start) & (wakeHorizon_ - 1)));
-        }
-        wi = (wi + 1) & (nwords - 1);
-        word = wheelBits_[wi];
-    }
-    return farMin_;
-}
 
 CycleCat
 SmCore::classifyStalled(int k, std::uint32_t allowed, bool any_ready,
@@ -1037,13 +923,6 @@ SmCore::residentTbs(KernelId k) const
 {
     gqos_assert(k >= 0 && k < maxKernels);
     return kernels_[k].residentTbs;
-}
-
-int
-SmCore::residentWarps(KernelId k) const
-{
-    gqos_assert(k >= 0 && k < maxKernels);
-    return kernels_[k].residentWarps;
 }
 
 int

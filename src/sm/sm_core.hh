@@ -21,6 +21,7 @@
 
 #include "arch/gpu_config.hh"
 #include "arch/types.hh"
+#include "common/due_wheel.hh"
 #include "mem/mem_system.hh"
 #include "sm/kernel_run.hh"
 #include "sm/scheduler.hh"
@@ -202,7 +203,6 @@ class SmCore
     // ---- occupancy / resources ----
 
     int residentTbs(KernelId k) const;
-    int residentWarps(KernelId k) const;
     int totalResidentTbs() const;
     int threadsUsed() const { return threadsUsed_; }
     int numKernels() const { return static_cast<int>(runs_.size()); }
@@ -282,7 +282,6 @@ class SmCore
         const KernelRun *run = nullptr;
         double quota = 0.0;
         int residentTbs = 0;
-        int residentWarps = 0;
         int drainingTbs = 0; //!< TBs mid context-switch drain
         int mshrHeld = 0; //!< outstanding L1 misses of this kernel
         SmKernelStats stats;
@@ -294,15 +293,6 @@ class SmCore
         Cycle finishAt;
         std::int16_t slot;
     };
-
-    /**
-     * Wake-wheel horizon in cycles (a power of two). Wakes nearer
-     * than this land in the wheel; L2 hits fit. Farther ones (DRAM
-     * under queueing) take the far path.
-     */
-    static constexpr int wakeHorizon_ = 512;
-    static_assert((wakeHorizon_ & (wakeHorizon_ - 1)) == 0 &&
-                  wakeHorizon_ % 64 == 0);
 
     /** Apply the owed span [settledTo_, clock_->now); see settle(). */
     void settleSpan();
@@ -348,7 +338,6 @@ class SmCore
 
     /** Recompute every scheduler's age ranks (TB dispatch, free). */
     void rebuildAgeOrder();
-    Cycle nextWakeAfter(Cycle now) const;
     /** Recompute the issue view from its inputs; clears viewDirty_. */
     void rebuildView();
     /** The EWS-allowed kernel mask, rebuilding a stale view first. */
@@ -361,13 +350,6 @@ class SmCore
     /** Change @p kc's MSHR count, invalidating the view on a flip. */
     void adjustMshrHeld(KernelCtx &kc, int delta);
     bool storeThrottled(Cycle now) const;
-    /** Queue the one pending wake of a waiting warp, at @p at > @p now. */
-    void scheduleWake(int warp_slot, Cycle at, Cycle now);
-    /** Remove the pending wake of a Live, not-ready warp. */
-    void cancelWake(int warp_slot);
-    void placeWake(int warp_slot, Cycle at);
-    void recomputeFarMin();
-    void processWakes(Cycle now);
     void processDrains(Cycle now);
     void clearSchedBits(int warp_slot);
     void refreshInstrMasks(int warp_slot);
@@ -376,8 +358,8 @@ class SmCore
     /** Retire the warp's instruction (ready again at @p ready_at),
      *  then finish the warp or fetch its next instruction. */
     void retireInstr(int warp_slot, Cycle ready_at, Cycle now);
-    void finishWarp(int warp_slot, Cycle now);
-    void freeTb(int tb_slot, TbExit exit, Cycle now);
+    void finishWarp(int warp_slot);
+    void freeTb(int tb_slot, TbExit exit);
     Addr genAddress(Warp &w, const PhaseRt &ph,
                     const KernelRun &run);
 
@@ -444,22 +426,14 @@ class SmCore
     int smemUsed_ = 0;
     int tbSlotsUsed_ = 0;
 
-    // Wake wheel. Every Live warp that is not ready has exactly one
-    // pending wake, at its readyAt, so a wake is one warp-slot bit
-    // and a wheel slot never holds a stale one. A warp whose wake is
-    // less than wakeHorizon_ cycles out sits in wheel_ at index
-    // readyAt % wakeHorizon_; processWakes() ORs that word into
-    // ready_. Farther warps wait in farMask_ until they come within
-    // the horizon. Preemption cancels a pending wake by clearing its
-    // bit.
-    /** Warp-slot mask waking at each cycle of the horizon. */
-    std::vector<std::uint64_t> wheel_;
-    /** Bit i set iff wheel_[i] is non-zero. */
-    std::array<std::uint64_t, wakeHorizon_ / 64> wheelBits_{};
-    /** Warp slots waking at or beyond the horizon. */
-    std::uint64_t farMask_ = 0;
-    /** Earliest readyAt in farMask_ (cycleNever when empty). */
-    Cycle farMin_ = cycleNever;
+    /**
+     * Wakes, by warp slot: every Live warp that is not ready has
+     * exactly one, at the cycle its next instruction may issue, and
+     * no other slot has one (preemption removes a waiting warp's).
+     * cycle() ORs the slots due now into ready_. The 512-cycle
+     * horizon holds L2 hits; DRAM waits under queueing go far.
+     */
+    DueWheel<512> wakes_;
 
     // Issue view: the per-cycle arbitration masks, derived from the
     // quotas, gating switch, residency, kernel slot masks and MSHR

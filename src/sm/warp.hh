@@ -47,7 +47,6 @@ struct alignas(64) Warp
 {
     // ---- first line: decode and issue ----
     Rng rng;                  //!< deterministic stream generator
-    Cycle readyAt = 0;        //!< earliest cycle the next instr issues
     std::uint64_t instrIdx = 0; //!< warp instructions retired in TB
     float intensity = 1.0f;   //!< TB-group behaviour factor
     KernelId kernel = invalidKernel;
@@ -68,7 +67,6 @@ static_assert(sizeof(Warp) == 128, "Warp spans two host cache lines");
     static_assert(offsetof(Warp, field) + sizeof(Warp::field) <= 64, \
                   #field " is read by decode/issue: first line")
 GQOS_IN_FIRST_LINE(rng);
-GQOS_IN_FIRST_LINE(readyAt);
 GQOS_IN_FIRST_LINE(instrIdx);
 GQOS_IN_FIRST_LINE(intensity);
 GQOS_IN_FIRST_LINE(kernel);

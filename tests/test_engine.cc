@@ -510,8 +510,8 @@ TEST(GpuEngine, DueRingWakesEachSmAtItsDueCycle)
 {
     // SM s runs one single-warp TB of kernel s, ALU only at latency
     // 2, 63, 64, 65 or 10,000: each issue leaves nothing ready and
-    // parks the SM exactly that many cycles out, in the due ring
-    // (< 64) or the far set. The other SMs stay empty.
+    // parks the SM exactly that many cycles out, in the due wheel's
+    // ring (< 64) or its far set. The other SMs stay empty.
     const std::vector<Cycle> latency = {2, 63, 64, 65, 10000};
     GpuConfig cfg = defaultConfig();
     std::vector<KernelDesc> descs;

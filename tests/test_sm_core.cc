@@ -65,7 +65,6 @@ TEST_F(SmFixture, DispatchConsumesResources)
     EXPECT_TRUE(sm.canAccept(0));
     EXPECT_TRUE(sm.dispatchTb(0, 0, 0, now));
     EXPECT_EQ(sm.residentTbs(0), 1);
-    EXPECT_EQ(sm.residentWarps(0), descC.warpsPerTb());
     EXPECT_EQ(sm.threadsUsed(), descC.threadsPerTb);
 }
 
